@@ -111,7 +111,7 @@ def scene_similarities(batch: WeakBatch, bank: PrototypeBank) -> np.ndarray:
         raise DimensionMismatch(
             f"batch dim {batch.features.shape[1]} != bank dim {bank.dim}"
         )
-    return backend.scene_similarity_kernel(batch.features, bank.sapp)
+    return backend.scene_similarity_kernel(batch.features, bank.unit_sapp)
 
 
 def assign_pseudo_labels(s, labels, tau: float,
@@ -173,7 +173,7 @@ def scene_loss_and_grad(batch: WeakBatch, bank: PrototypeBank, tau: float,
         raise ValueError(f"tau must lie in [-1, 1], got {tau}")
     _check_labels(batch.labels, bank.n_classes)
     return backend.scene_loss_grad_kernel(
-        batch.features, bank.sapp, batch.labels, tau,
+        batch.features, bank.unit_sapp, batch.labels, tau,
         logit_scale=logit_scale, detach_weights=detach_weights,
     )
 
@@ -201,5 +201,5 @@ def det_cls_loss(features, labels, bank: PrototypeBank, temperature: float):
         )
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     _check_labels(labels, bank.n_classes)
-    return backend.softmax_ce_kernel(features, bank.sesp, labels,
+    return backend.softmax_ce_kernel(features, bank.unit_sesp, labels,
                                      1.0 / temperature)

@@ -1,313 +1,57 @@
-"""Hot numeric kernels, in two interchangeable implementations.
+"""Hot numeric kernels, vectorized in numpy.
 
-The three inner loops that dominate training and ablation runtime each
-exist twice: a numba @njit version (default when numba is importable)
-and a vectorized pure-numpy fallback. Selection is process-wide via the
-SEMPROTO_BACKEND environment variable ("numba" or "numpy") or
-set_backend(); the active choice is echoed into every run record so
-reproducibility claims are always scoped to one backend.
-
-Both implementations compute the same double-precision math; they may
-differ in summation order, so cross-backend agreement is tolerance-level
-(covered by tests), while within-backend results are bitwise stable.
+The three inner loops that dominate training and ablation runtime: the
+scene similarity tensor, the fused scene loss + gradient, and the fused
+softmax cross-entropy + gradient. Prototype arrays come in with unit-norm
+rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
+feature batches are normalized here, per call, because they change every
+step. Results are bitwise reproducible run to run.
 """
-
-import math
-import os
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, ZeroNorm
-
-ENV_VAR = "SEMPROTO_BACKEND"
-BACKENDS = ("numba", "numpy")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_active: str | None = None
-
-
-def default_backend() -> str:
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ConfigError(f"{ENV_VAR} must be one of {BACKENDS}, got '{env}'")
-        if env == "numba" and not HAVE_NUMBA:
-            raise ConfigError(f"{ENV_VAR}=numba but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
+from .core import ZERO_NORM_EPS
+from .errors import DimensionMismatch, ZeroNorm
 
 
 def active_backend() -> str:
-    global _active
-    if _active is None:
-        _active = default_backend()
-    return _active
+    """The kernel implementation, as echoed into every run record."""
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    """Force the kernel backend for this process (tests and benchmarks)."""
-    global _active
-    if name not in BACKENDS:
-        raise ConfigError(f"backend must be one of {BACKENDS}, got '{name}'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ConfigError("numba backend requested but numba is not importable")
-    _active = name
-
-
-def _prep_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    features = np.ascontiguousarray(features, dtype=np.float64)
+def _unit_features(features) -> tuple[np.ndarray, np.ndarray]:
+    """(features / |features| row-wise, the row norms), validated."""
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionMismatch(f"features must be (B, dim), got {features.shape}")
     norms = np.linalg.norm(features, axis=1)
-    if features.shape[0] and norms.min() < 1e-12:
+    if features.shape[0] and norms.min() < ZERO_NORM_EPS:
         raise ZeroNorm("a feature vector has near-zero norm")
-    return features, norms
+    return features / norms[:, None], norms
 
 
-def _prep_protos(protos: np.ndarray, dim: int, rank: int) -> np.ndarray:
-    protos = np.ascontiguousarray(protos, dtype=np.float64)
-    if protos.ndim != rank or protos.shape[-1] != dim:
+def _check_protos(unit_protos: np.ndarray, dim: int, rank: int) -> None:
+    if unit_protos.ndim != rank or unit_protos.shape[-1] != dim:
         raise DimensionMismatch(
-            f"prototype array must be rank {rank} with last dim {dim}, got {protos.shape}"
+            f"prototype array must be rank {rank} with last dim {dim}, "
+            f"got {unit_protos.shape}"
         )
-    flat_norms = np.linalg.norm(protos.reshape(-1, dim), axis=1)
-    if flat_norms.min() < 1e-12:
-        raise ZeroNorm("a prototype vector has near-zero norm")
-    return protos
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_scene_similarities(features, sapp):
-    fn = np.linalg.norm(features, axis=1)
-    vn = np.linalg.norm(sapp, axis=2)
-    s = np.einsum("bd,cld->bcl", features, sapp)
-    s /= fn[:, None, None] * vn[None, :, :]
-    np.clip(s, -1.0, 1.0, out=s)
-    return s
-
-
-def _np_sigmoid(z):
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def _np_log_sigmoid(z):
-    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-
-
-def _np_scene_loss_grad(features, sapp, labels, tau, gamma, detach):
-    B = features.shape[0]
-    n_classes = sapp.shape[0]
-    fnorm = np.linalg.norm(features, axis=1)
-    fhat = features / fnorm[:, None]
-    vnorm = np.linalg.norm(sapp, axis=2)
-    vhat = sapp / vnorm[:, :, None]
-
-    s = np.einsum("bd,cld->bcl", fhat, vhat)
-    z = gamma * s
-    sig = _np_sigmoid(z)
-    y = ((labels[:, None] == np.arange(n_classes)[None, :])[:, :, None]
-         & (s >= tau)).astype(np.float64)
-    g = y * _np_log_sigmoid(z) + (1.0 - y) * _np_log_sigmoid(-z)
-
-    loss = -float((sig * g).sum()) / B
-
-    dtdz = sig * (y - sig)
-    if not detach:
-        dtdz = dtdz + sig * (1.0 - sig) * g
-    dlds = -(gamma / B) * dtdz
-    grad = np.einsum("bcl,cld->bd", dlds, vhat)
-    grad -= (dlds * s).sum(axis=(1, 2))[:, None] * fhat
-    grad /= fnorm[:, None]
-    return loss, grad
-
-
-def _np_softmax_ce_grad(features, protos, labels, inv_temp):
-    B = features.shape[0]
-    fnorm = np.linalg.norm(features, axis=1)
-    fhat = features / fnorm[:, None]
-    pnorm = np.linalg.norm(protos, axis=1)
-    phat = protos / pnorm[:, None]
-
-    cosm = fhat @ phat.T
-    logits = cosm * inv_temp
-    m = logits.max(axis=1)
-    expd = np.exp(logits - m[:, None])
-    sumexp = expd.sum(axis=1)
-    lse = m + np.log(sumexp)
-    idx = np.arange(B)
-    loss = float((lse - logits[idx, labels]).mean())
-
-    coef = expd / sumexp[:, None]
-    coef[idx, labels] -= 1.0
-    coef *= inv_temp / B
-    grad = coef @ phat
-    grad -= (coef * cosm).sum(axis=1)[:, None] * fhat
-    grad /= fnorm[:, None]
-    return loss, grad
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop form, compiled lazily on first call)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _nb_unit_rows(mat):
-    n, d = mat.shape
-    norms = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(d):
-            acc += mat[i, j] * mat[i, j]
-        norms[i] = math.sqrt(acc)
-    return mat / norms.reshape(n, 1), norms
-
-
-@njit(cache=True, nogil=True)
-def _nb_scene_similarities(features, sapp):
-    B, D = features.shape
-    C, L, _ = sapp.shape
-    fhat, _ = _nb_unit_rows(features)
-    vhat, _ = _nb_unit_rows(sapp.reshape(C * L, D))
-    s = fhat @ vhat.T
-    for i in range(s.size):
-        v = s.flat[i]
-        if v > 1.0:
-            s.flat[i] = 1.0
-        elif v < -1.0:
-            s.flat[i] = -1.0
-    return s.reshape(B, C, L)
-
-
-@njit(cache=True, nogil=True)
-def _nb_sigmoid(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    t = math.exp(z)
-    return t / (1.0 + t)
-
-
-@njit(cache=True, nogil=True)
-def _nb_log_sigmoid(z):
-    if z >= 0.0:
-        return -math.log1p(math.exp(-z))
-    return z - math.log1p(math.exp(z))
-
-
-@njit(cache=True, nogil=True)
-def _nb_scene_loss_grad(features, sapp, labels, tau, gamma, detach):
-    B, D = features.shape
-    C, L, _ = sapp.shape
-    M = C * L
-    fhat, fnorm = _nb_unit_rows(features)
-    vhat, _ = _nb_unit_rows(sapp.reshape(M, D))
-    s = fhat @ vhat.T  # (B, M)
-
-    total = 0.0
-    dlds = np.empty((B, M))
-    rowdot = np.empty(B)
-    for b in range(B):
-        lab = labels[b]
-        rd = 0.0
-        for m in range(M):
-            sv = s[b, m]
-            z = gamma * sv
-            sig = _nb_sigmoid(z)
-            y = 1.0 if (m // L == lab and sv >= tau) else 0.0
-            g = y * _nb_log_sigmoid(z) + (1.0 - y) * _nb_log_sigmoid(-z)
-            total += sig * g
-            dtdz = sig * (y - sig)
-            if not detach:
-                dtdz += sig * (1.0 - sig) * g
-            coeff = -(gamma / B) * dtdz
-            dlds[b, m] = coeff
-            rd += coeff * sv
-        rowdot[b] = rd
-
-    grad = dlds @ vhat  # (B, D)
-    for b in range(B):
-        inv = 1.0 / fnorm[b]
-        for d in range(D):
-            grad[b, d] = (grad[b, d] - rowdot[b] * fhat[b, d]) * inv
-    return -total / B, grad
-
-
-@njit(cache=True, nogil=True)
-def _nb_softmax_ce_grad(features, protos, labels, inv_temp):
-    B, D = features.shape
-    C = protos.shape[0]
-    fhat, fnorm = _nb_unit_rows(features)
-    phat, _ = _nb_unit_rows(protos)
-    cosm = fhat @ phat.T  # (B, C)
-
-    loss = 0.0
-    coef = np.empty((B, C))
-    rowdot = np.empty(B)
-    for b in range(B):
-        m = -1e300
-        for c in range(C):
-            logit = cosm[b, c] * inv_temp
-            if logit > m:
-                m = logit
-        sumexp = 0.0
-        for c in range(C):
-            e = math.exp(cosm[b, c] * inv_temp - m)
-            coef[b, c] = e
-            sumexp += e
-        loss += m + math.log(sumexp) - cosm[b, labels[b]] * inv_temp
-        rd = 0.0
-        for c in range(C):
-            cc = coef[b, c] / sumexp
-            if c == labels[b]:
-                cc -= 1.0
-            cc *= inv_temp / B
-            coef[b, c] = cc
-            rd += cc * cosm[b, c]
-        rowdot[b] = rd
-
-    grad = coef @ phat  # (B, D)
-    for b in range(B):
-        inv = 1.0 / fnorm[b]
-        for d in range(D):
-            grad[b, d] = (grad[b, d] - rowdot[b] * fhat[b, d]) * inv
-    return loss / B, grad
-
-
-# ---------------------------------------------------------------------------
-# dispatching public API
-# ---------------------------------------------------------------------------
-
-def scene_similarity_kernel(features, sapp) -> np.ndarray:
+def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     """Cosine of every feature with every (class, slot) prototype.
 
     Returns a (B, C, L) tensor clamped to [-1, 1].
     """
-    features, _ = _prep_features(features)
-    sapp = _prep_protos(sapp, features.shape[1], rank=3)
-    if active_backend() == "numba":
-        return _nb_scene_similarities(features, sapp)
-    return _np_scene_similarities(features, sapp)
+    fhat, _ = _unit_features(features)
+    _check_protos(unit_sapp, fhat.shape[1], rank=3)
+    n_classes, n_slots, dim = unit_sapp.shape
+    s = fhat @ unit_sapp.reshape(n_classes * n_slots, dim).T
+    np.clip(s, -1.0, 1.0, out=s)
+    return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
-def scene_loss_grad_kernel(features, sapp, labels, tau: float,
+def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
                            logit_scale: float = 1.0,
                            detach_weights: bool = False):
     """Confidence-weighted multi-label BCE over scene slots, fused with
@@ -315,44 +59,92 @@ def scene_loss_grad_kernel(features, sapp, labels, tau: float,
 
     Pseudo-labels are recomputed inside (hard assignment, constant under
     differentiation); the sigmoid confidence weights receive gradient
-    unless detach_weights is set.
+    unless detach_weights is set. With z = logit_scale * s and
+    t = exp(-|z|), one exp and one log1p per element give
+        sigmoid(z)       = 1 / (1 + t)  if z >= 0 else t / (1 + t)
+        log_sigmoid(+-z) = min(+-z, 0) - log1p(t).
+    Five (B, C*L) float64 buffers are allocated and reused in place.
     """
-    features, _ = _prep_features(features)
-    sapp = _prep_protos(sapp, features.shape[1], rank=3)
+    fhat, fnorm = _unit_features(features)
+    _check_protos(unit_sapp, fhat.shape[1], rank=3)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if features.shape[0] == 0:
-        return 0.0, np.zeros_like(features)
-    if active_backend() == "numba":
-        return _nb_scene_loss_grad(features, sapp, labels, float(tau),
-                                   float(logit_scale), bool(detach_weights))
-    return _np_scene_loss_grad(features, sapp, labels, float(tau),
-                               float(logit_scale), bool(detach_weights))
+    n_batch = fhat.shape[0]
+    if n_batch == 0:
+        return 0.0, np.zeros_like(fhat)
+    n_classes, n_slots, dim = unit_sapp.shape
+    gamma = float(logit_scale)
+    vhat = unit_sapp.reshape(n_classes * n_slots, dim)
+
+    s = fhat @ vhat.T  # (B, C*L)
+    rows = np.arange(n_batch)
+    y = np.zeros((n_batch, n_classes, n_slots), dtype=bool)
+    y[rows, labels] = s.reshape(y.shape)[rows, labels] >= float(tau)
+    y = y.reshape(s.shape)
+
+    z = np.multiply(s, gamma)
+    sig = np.abs(z)
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)  # t
+    lp = np.log1p(sig)
+    g = np.add(sig, 1.0)
+    np.divide(sig, g, out=sig)
+    np.divide(1.0, g, out=sig, where=z >= 0.0)  # sigmoid(z)
+
+    # g = y * log_sigmoid(z) + (1 - y) * log_sigmoid(-z)
+    np.negative(z, out=g)
+    np.minimum(g, 0.0, out=g)
+    np.minimum(z, 0.0, out=g, where=y)
+    g -= lp
+
+    work = lp
+    np.multiply(sig, g, out=work)
+    loss = -float(work.sum()) / n_batch
+
+    # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
+    dlds = z
+    np.subtract(y, sig, out=dlds)
+    dlds *= sig
+    if not detach_weights:
+        np.subtract(1.0, sig, out=work)
+        work *= sig
+        work *= g
+        dlds += work
+    dlds *= -(gamma / n_batch)
+
+    grad = dlds @ vhat
+    np.multiply(dlds, s, out=work)
+    grad -= work.sum(axis=1)[:, None] * fhat
+    grad /= fnorm[:, None]
+    return loss, grad
 
 
-def softmax_ce_kernel(features, protos, labels, inv_temp: float):
+def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
     """Mean softmax cross-entropy over cosine/temperature logits, fused
     with its analytic gradient w.r.t. each feature vector.
 
     An empty batch contributes loss 0 with empty gradients.
     """
-    features, _ = _prep_features(features)
-    protos = _prep_protos(protos, features.shape[1], rank=2)
+    fhat, fnorm = _unit_features(features)
+    _check_protos(unit_protos, fhat.shape[1], rank=2)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if features.shape[0] == 0:
-        return 0.0, np.zeros_like(features)
-    if active_backend() == "numba":
-        return _nb_softmax_ce_grad(features, protos, labels, float(inv_temp))
-    return _np_softmax_ce_grad(features, protos, labels, float(inv_temp))
+    n_batch = fhat.shape[0]
+    if n_batch == 0:
+        return 0.0, np.zeros_like(fhat)
+    inv_temp = float(inv_temp)
 
+    cosm = fhat @ unit_protos.T
+    logits = cosm * inv_temp
+    m = logits.max(axis=1)
+    expd = np.exp(logits - m[:, None])
+    sumexp = expd.sum(axis=1)
+    lse = m + np.log(sumexp)
+    rows = np.arange(n_batch)
+    loss = float((lse - logits[rows, labels]).mean())
 
-def warmup() -> None:
-    """Trigger JIT compilation of the numba kernels (no-op on numpy)."""
-    if active_backend() != "numba":
-        return
-    f = np.ones((1, 2))
-    v3 = np.ones((1, 1, 2))
-    v2 = np.ones((1, 2))
-    lab = np.zeros(1, dtype=np.int64)
-    scene_similarity_kernel(f, v3)
-    scene_loss_grad_kernel(f, v3, lab, 0.0)
-    softmax_ce_kernel(f, v2, lab, 1.0)
+    coef = expd / sumexp[:, None]
+    coef[rows, labels] -= 1.0
+    coef *= inv_temp / n_batch
+    grad = coef @ unit_protos
+    grad -= (coef * cosm).sum(axis=1)[:, None] * fhat
+    grad /= fnorm[:, None]
+    return loss, grad

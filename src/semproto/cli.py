@@ -17,15 +17,7 @@ import sys
 import numpy as np
 
 from . import backend
-from .config import (
-    TrainConfig,
-    WorldSpec,
-    __version__,
-    config_help_epilog,
-    load_config,
-    replace,
-    resolved_config,
-)
+from .config import __version__, config_help_epilog, load_config, resolved_config
 from .descriptions import (
     DescriptionSet,
     DeterministicToyEncoder,
@@ -58,16 +50,20 @@ from .errors import (
     ZeroNorm,
 )
 from .prototypes import Aggregation, build_bank
-from .synthbench import (
+# build_toy_bank stays bound here for perfbench/spans.py, which patches
+# the synthbench functions in every module that imports them by name.
+from .synthbench import (  # noqa: F401
     ABLATION_GRIDS,
     ProbeModel,
     _run_with_probe,
+    build_run_bank,
     build_toy_bank,
+    effective_world,
     evaluate,
     generate_world,
+    initial_probe,
     run_ablation,
 )
-from .config import derive_seed
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -147,10 +143,6 @@ def _make_encoder(args):
 
 def _aggregation(flag: str) -> Aggregation:
     return Aggregation(flag.replace("-", "_"))
-
-
-def _effective_world(world: WorldSpec, cfg: TrainConfig) -> WorldSpec:
-    return replace(world, seed=world.seed + cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +235,7 @@ def _world_checksum(world) -> str:
 
 def cmd_simulate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
-    effective = _effective_world(world_spec, cfg)
-    world = generate_world(effective)
+    world = generate_world(effective_world(world_spec, cfg))
 
     def _hist(samples):
         counts = {}
@@ -289,30 +280,23 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
-    effective = _effective_world(world_spec, cfg)
-    world = generate_world(effective)
-    bank = build_toy_bank(
-        world,
-        mode=cfg.desc_mode,
-        k=cfg.k if cfg.use_sesp else 0,
-        l=cfg.l,
-        strategy=Aggregation(cfg.aggregation),
-        enc_noise_sigma=cfg.enc_noise_sigma,
-        seed=derive_seed(effective.seed, "bank"),
-        normalize=cfg.normalize_prototypes,
-        clamp_negative=cfg.clamp_negative_weights,
-    )
+    world = generate_world(effective_world(world_spec, cfg))
+    bank = build_run_bank(world, cfg)
     if args.probe:
         try:
             with np.load(args.probe) as data:
                 probe = ProbeModel(weight=data["weight"], bias=data["bias"])
         except (ValueError, KeyError, OSError) as exc:
             raise MalformedResponse(f"cannot load probe {args.probe}: {exc}") from exc
+        if probe.weight.shape != (world.spec.dim, bank.dim):
+            raise DimensionMismatch(
+                f"probe {args.probe} maps {probe.weight.shape[0]} -> "
+                f"{probe.weight.shape[1]} dims; this world needs "
+                f"{world.spec.dim} -> {bank.dim}"
+            )
         probe_src = args.probe
     else:
-        probe = ProbeModel.near_identity(effective.dim,
-                                         derive_seed(effective.seed, "probe"),
-                                         jitter=cfg.probe_jitter)
+        probe = initial_probe(world, cfg)
         probe_src = "fresh"
     metrics = evaluate(probe, bank, world.test, world_spec.n_base)
     result = {

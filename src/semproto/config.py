@@ -5,9 +5,8 @@ Every key has a documented default and a provenance tag ("paper" for
 defaults taken from the source method, "artifact" for desk-scale
 calibration choices). Unknown keys in config files or overrides are
 rejected before any work starts. The resolved echo (defaults + file +
-overrides, plus the active kernel backend and package version) is
-embedded in every output record; re-running from an echo reproduces
-results bitwise on the same backend.
+overrides, plus the kernel backend and package version) is embedded in
+every output record; re-running from an echo reproduces results bitwise.
 """
 
 import dataclasses

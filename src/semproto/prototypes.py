@@ -11,10 +11,11 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .core import as_embedding, cosine, l2_normalize
+from .core import ZERO_NORM_EPS, as_embedding, cosine, l2_normalize
 from .descriptions import DescriptionSet, encode
 from .errors import (
     AllWeightsZero,
@@ -119,12 +120,23 @@ class ClassPrototype:
     k_used: int
 
 
+def _unit_rows(protos: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(protos, axis=-1, keepdims=True)
+    if norms.size and norms.min() < ZERO_NORM_EPS:
+        raise ZeroNorm("a prototype vector has near-zero norm")
+    unit = protos / norms
+    unit.flags.writeable = False
+    return unit
+
+
 @dataclass(frozen=True)
 class PrototypeBank:
     """Per-class prototypes (C x dim) plus scene slot vectors (C x L x dim).
 
     Vocabulary order is lexicographic over class names; class_id is the
-    position in that order. Banks are immutable and safe to share.
+    position in that order. Banks are immutable and safe to share: the
+    arrays are read-only copies, so the unit-row views the loss kernels
+    use (unit_sesp, unit_sapp) are computed once and never go stale.
     """
 
     vocab: tuple[str, ...]
@@ -135,8 +147,10 @@ class PrototypeBank:
     l: int
 
     def __post_init__(self):
-        sesp = np.asarray(self.sesp, dtype=np.float64)
-        sapp = np.asarray(self.sapp, dtype=np.float64)
+        sesp = np.array(self.sesp, dtype=np.float64)
+        sapp = np.array(self.sapp, dtype=np.float64)
+        sesp.flags.writeable = False
+        sapp.flags.writeable = False
         object.__setattr__(self, "vocab", tuple(self.vocab))
         object.__setattr__(self, "sesp", sesp)
         object.__setattr__(self, "sapp", sapp)
@@ -155,6 +169,17 @@ class PrototypeBank:
     @property
     def dim(self) -> int:
         return int(self.sesp.shape[1])
+
+    @cached_property
+    def unit_sesp(self) -> np.ndarray:
+        """sesp with every row scaled to unit norm (read-only, computed once)."""
+        return _unit_rows(self.sesp)
+
+    @cached_property
+    def unit_sapp(self) -> np.ndarray:
+        """sapp with every slot vector scaled to unit norm (read-only,
+        computed once)."""
+        return _unit_rows(self.sapp)
 
     @property
     def n_classes(self) -> int:

@@ -417,31 +417,44 @@ ABLATION_GRIDS = {
 }
 
 
-def _run_with_probe(world_spec: WorldSpec,
-                    config: TrainConfig) -> tuple[dict, ProbeModel]:
-    """Generate, build the bank, train, evaluate.
+def effective_world(world_spec: WorldSpec, config: TrainConfig) -> WorldSpec:
+    """The world a run actually samples: the run seed offsets the world seed."""
+    return replace(world_spec, seed=world_spec.seed + config.seed)
 
-    The run seed offsets the world seed internally and the record echoes
-    the *input* config, so re-running from an echo reproduces the run.
-    """
-    effective = replace(world_spec, seed=world_spec.seed + config.seed)
-    world = generate_world(effective)
-    bank = build_toy_bank(
+
+def build_run_bank(world: ToyWorld, config: TrainConfig) -> PrototypeBank:
+    """The bank a run trains and evaluates against, seeded from its world."""
+    return build_toy_bank(
         world,
         mode=config.desc_mode,
         k=config.k if config.use_sesp else 0,
         l=config.l,
         strategy=Aggregation(config.aggregation),
         enc_noise_sigma=config.enc_noise_sigma,
-        seed=derive_seed(effective.seed, "bank"),
+        seed=derive_seed(world.spec.seed, "bank"),
         normalize=config.normalize_prototypes,
         clamp_negative=config.clamp_negative_weights,
     )
-    probe = ProbeModel.near_identity(effective.dim,
-                                     derive_seed(effective.seed, "probe"),
-                                     jitter=config.probe_jitter)
-    probe, reports = train(probe, world, bank, config)
-    metrics = evaluate(probe, bank, world.test, effective.n_base)
+
+
+def initial_probe(world: ToyWorld, config: TrainConfig) -> ProbeModel:
+    """The untrained probe a run starts from, seeded from its world."""
+    return ProbeModel.near_identity(world.spec.dim,
+                                    derive_seed(world.spec.seed, "probe"),
+                                    jitter=config.probe_jitter)
+
+
+def _run_on_world(world_spec: WorldSpec, config: TrainConfig,
+                  world: ToyWorld) -> tuple[dict, ProbeModel]:
+    """Build the bank, train, evaluate on an already generated world.
+
+    `world` must be generate_world(effective_world(world_spec, config)).
+    The record echoes the *input* config, so re-running from an echo
+    reproduces the run.
+    """
+    bank = build_run_bank(world, config)
+    probe, reports = train(initial_probe(world, config), world, bank, config)
+    metrics = evaluate(probe, bank, world.test, world.spec.n_base)
     totals = [r.total for r in reports]
     record = {
         "kind": "run",
@@ -458,6 +471,13 @@ def _run_with_probe(world_spec: WorldSpec,
     return record, probe
 
 
+def _run_with_probe(world_spec: WorldSpec,
+                    config: TrainConfig) -> tuple[dict, ProbeModel]:
+    """Generate the run's world, then build the bank, train, evaluate."""
+    world = generate_world(effective_world(world_spec, config))
+    return _run_on_world(world_spec, config, world)
+
+
 def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
     """Run one configuration end to end and return its record."""
     return _run_with_probe(world_spec, config)[0]
@@ -468,10 +488,12 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     """One run per (grid arm, seed) plus per-arm mean/stddev summaries.
 
     `grid` is a grid name from ABLATION_GRIDS or an explicit sequence of
-    override dicts carrying an "arm" label. Each run derives its own
-    world from base seed + run seed; runs are independent, so the
-    optional thread pool cannot change any result, and records are
-    joined in submission order either way.
+    override dicts carrying an "arm" label. Each run's world depends only
+    on base seed + run seed, so runs are grouped by that world, which is
+    generated once per group and dropped before the next group starts.
+    Runs are independent, so the optional thread pool (one group per
+    task) cannot change any result; records come out arm-major, in
+    submission order, either way.
     """
     if isinstance(grid, str):
         try:
@@ -493,25 +515,36 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
         overrides = {k: v for k, v in arm.items() if k != "arm"}
         cfg_arm = replace(config, **overrides)
         for s in seeds:
-            jobs.append((arm.get("arm", "run"), world_spec, replace(cfg_arm, seed=s)))
+            jobs.append((arm.get("arm", "run"), replace(cfg_arm, seed=s)))
+    groups: dict[WorldSpec, list[int]] = {}
+    for i, (_, cfg_s) in enumerate(jobs):
+        groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)
 
-    def _execute(job):
-        name, spec_s, cfg_s = job
-        record = run_single(spec_s, cfg_s)
-        record["arm"] = name
-        record["seed"] = cfg_s.seed
-        return record
+    def _execute_group(group):
+        spec, indices = group
+        world = generate_world(spec)
+        done = []
+        for i in indices:
+            name, cfg_s = jobs[i]
+            record, _ = _run_on_world(world_spec, cfg_s, world)
+            record["arm"] = name
+            record["seed"] = cfg_s.seed
+            done.append((i, record))
+        return done
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute, jobs))
+            finished = list(pool.map(_execute_group, groups.items()))
     else:
-        records = [_execute(j) for j in jobs]
+        finished = [_execute_group(g) for g in groups.items()]
+    records: list[dict] = [{}] * len(jobs)
+    for done in finished:
+        for i, record in done:
+            records[i] = record
 
-    out = []
+    out = list(records)
     by_arm: dict[str, list[dict]] = {}
     for rec in records:
-        out.append(rec)
         by_arm.setdefault(rec["arm"], []).append(rec)
     for arm in arms:
         name = arm.get("arm", "run")

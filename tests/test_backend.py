@@ -1,126 +1,19 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semproto import backend
-from semproto.errors import ConfigError
-
-
-pytestmark = pytest.mark.skipif(
-    not backend.HAVE_NUMBA, reason="numba not installed; nothing to compare"
+from semproto.alignment import (
+    WeakBatch,
+    assign_pseudo_labels,
+    scene_loss,
+    scene_loss_and_grad,
+    scene_similarities,
+    weak_cls_loss,
 )
-
-
-def _random_instance(rng, b=6, c=4, l=3, dim=16):
-    feats = rng.standard_normal((b, dim))
-    sapp = rng.standard_normal((c, l, dim))
-    protos = rng.standard_normal((c, dim))
-    labels = rng.integers(c, size=b)
-    return feats, sapp, protos, labels
-
-
-@pytest.fixture
-def both_backends():
-    """Yields a runner that evaluates a kernel under numba then numpy."""
-    original = backend.active_backend()
-
-    def run(fn, *args, **kwargs):
-        out = {}
-        for name in ("numba", "numpy"):
-            backend.set_backend(name)
-            out[name] = fn(*args, **kwargs)
-        return out
-
-    yield run
-    backend.set_backend(original)
-
-
-class TestBackendAgreement:
-    def test_scene_similarities(self, both_backends):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            feats, sapp, _, _ = _random_instance(rng)
-            out = both_backends(backend.scene_similarity_kernel, feats, sapp)
-            np.testing.assert_allclose(out["numba"], out["numpy"],
-                                       rtol=1e-12, atol=1e-13)
-
-    @pytest.mark.parametrize("detach", [False, True])
-    def test_scene_loss_grad(self, both_backends, detach):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            feats, sapp, _, labels = _random_instance(rng)
-            out = both_backends(
-                backend.scene_loss_grad_kernel, feats, sapp, labels, 0.25,
-                logit_scale=1.3, detach_weights=detach,
-            )
-            assert out["numba"][0] == pytest.approx(out["numpy"][0], rel=1e-12)
-            np.testing.assert_allclose(out["numba"][1], out["numpy"][1],
-                                       rtol=1e-10, atol=1e-13)
-
-    def test_softmax_ce(self, both_backends):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            feats, _, protos, labels = _random_instance(rng)
-            out = both_backends(backend.softmax_ce_kernel, feats, protos,
-                                labels, 5.0)
-            assert out["numba"][0] == pytest.approx(out["numpy"][0], rel=1e-12)
-            np.testing.assert_allclose(out["numba"][1], out["numpy"][1],
-                                       rtol=1e-10, atol=1e-13)
-
-
-class TestBackendSelection:
-    def test_set_backend_round_trip(self):
-        original = backend.active_backend()
-        try:
-            backend.set_backend("numpy")
-            assert backend.active_backend() == "numpy"
-            backend.set_backend("numba")
-            assert backend.active_backend() == "numba"
-        finally:
-            backend.set_backend(original)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            backend.set_backend("fortran")
-
-    def test_env_flag_selects_numpy(self):
-        code = (
-            "import semproto.backend as b; print(b.active_backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "SEMPROTO_BACKEND": "numpy"},
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_rejects_unknown(self):
-        code = (
-            "import semproto.backend as b\n"
-            "from semproto.errors import ConfigError\n"
-            "try:\n"
-            "    b.active_backend()\n"
-            "    print('no error')\n"
-            "except ConfigError:\n"
-            "    print('rejected')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "SEMPROTO_BACKEND": "cuda"},
-        )
-        assert out.stdout.strip() == "rejected"
-
-    def test_default_prefers_numba_when_available(self):
-        code = "import semproto.backend as b; print(b.default_backend())"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin"},
-        )
-        assert out.stdout.strip() == "numba"
+from semproto.errors import ZeroNorm
+from semproto.prototypes import Aggregation, PrototypeBank
 
 
 class TestKernelEdgeCases:
@@ -135,9 +28,116 @@ class TestKernelEdgeCases:
         assert loss == 0.0 and grad.shape == (0, 8)
 
     def test_zero_norm_rejected(self):
-        from semproto.errors import ZeroNorm
-
+        # features are checked by the kernel, prototypes once per bank
         with pytest.raises(ZeroNorm):
             backend.scene_similarity_kernel(np.zeros((1, 4)), np.ones((1, 1, 4)))
+        bank = PrototypeBank(vocab=("a",), sesp=np.ones((1, 4)),
+                             sapp=np.zeros((1, 1, 4)),
+                             strategy=Aggregation.MEAN, k=1, l=1)
         with pytest.raises(ZeroNorm):
-            backend.scene_similarity_kernel(np.ones((1, 4)), np.zeros((1, 1, 4)))
+            scene_similarities(WeakBatch(np.ones((1, 4)), np.array([0])), bank)
+
+
+class TestPreparedBank:
+    def test_unit_rows_are_unit_and_read_only(self):
+        rng = np.random.default_rng(0)
+        bank = PrototypeBank(vocab=("a", "b"), sesp=3.0 * rng.standard_normal((2, 5)),
+                             sapp=rng.standard_normal((2, 3, 5)),
+                             strategy=Aggregation.MEAN, k=1, l=3)
+        np.testing.assert_allclose(np.linalg.norm(bank.unit_sesp, axis=1), 1.0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(bank.unit_sapp, axis=2), 1.0,
+                                   atol=1e-15)
+        assert bank.unit_sapp is bank.unit_sapp
+        for arr in (bank.sesp, bank.sapp, bank.unit_sesp, bank.unit_sapp):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_bank_does_not_alias_caller_arrays(self):
+        sesp = np.eye(3)
+        bank = PrototypeBank(vocab=("a", "b", "c"), sesp=sesp,
+                             sapp=np.eye(3)[:, None, :],
+                             strategy=Aggregation.MEAN, k=1, l=1)
+        before = bank.unit_sesp.copy()
+        sesp[0, 0] = 0.0
+        np.testing.assert_array_equal(bank.sesp, np.eye(3))
+        np.testing.assert_array_equal(bank.unit_sesp, before)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the fused kernels over random shapes and settings
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _instances(draw):
+    b = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 5))
+    dim = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = PrototypeBank(
+        vocab=tuple(f"c{i}" for i in range(c)),
+        sesp=rng.standard_normal((c, dim)),
+        sapp=rng.standard_normal((c, l, dim)),
+        strategy=Aggregation.MEAN,
+        k=1,
+        l=l,
+    )
+    batch = WeakBatch(rng.standard_normal((b, dim)), rng.integers(c, size=b))
+    scales = rng.uniform(1e-3, 1e3, size=(b, 1))
+    return bank, batch, scales
+
+
+_TAU = st.floats(-1.0, 1.0)
+_LOGIT_SCALE = st.floats(0.1, 8.0)
+_TEMPERATURE = st.floats(0.05, 2.0)
+_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _assert_orthogonal_rows(grad, features):
+    # Relative to the batch's largest |g_b| |f_b|, not each row's own: a
+    # row that nearly cancels to zero keeps the rounding error of its terms.
+    dots = np.abs(np.einsum("bd,bd->b", grad, features))
+    scale = np.linalg.norm(grad, axis=1) * np.linalg.norm(features, axis=1)
+    assert dots.max() <= 1e-12 * scale.max(), (dots, scale)
+
+
+class TestFusedKernelProperties:
+    @_SETTINGS
+    @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans())
+    def test_scene_gradient_rows_orthogonal_to_features(self, inst, tau, gamma, detach):
+        bank, batch, _ = inst
+        _, grad = scene_loss_and_grad(batch, bank, tau, logit_scale=gamma,
+                                      detach_weights=detach)
+        _assert_orthogonal_rows(grad, batch.features)
+
+    @_SETTINGS
+    @given(_instances(), _TEMPERATURE)
+    def test_ce_gradient_rows_orthogonal_to_features(self, inst, temperature):
+        bank, batch, _ = inst
+        _, grad = weak_cls_loss(batch, bank, temperature)
+        _assert_orthogonal_rows(grad, batch.features)
+
+    @_SETTINGS
+    @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans(), _TEMPERATURE)
+    def test_losses_invariant_to_row_scaling(self, inst, tau, gamma, detach,
+                                             temperature):
+        bank, batch, scales = inst
+        scaled = WeakBatch(scales * batch.features, batch.labels)
+        for fn in (
+            lambda b: scene_loss_and_grad(b, bank, tau, logit_scale=gamma,
+                                          detach_weights=detach)[0],
+            lambda b: weak_cls_loss(b, bank, temperature)[0],
+        ):
+            assert fn(scaled) == pytest.approx(fn(batch), rel=1e-12, abs=1e-300)
+
+    @_SETTINGS
+    @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans())
+    def test_fused_scene_loss_equals_grid_path(self, inst, tau, gamma, detach):
+        bank, batch, _ = inst
+        fused, _ = scene_loss_and_grad(batch, bank, tau, logit_scale=gamma,
+                                       detach_weights=detach)
+        grid = assign_pseudo_labels(scene_similarities(batch, bank),
+                                    batch.labels, tau, logit_scale=gamma)
+        assert fused == pytest.approx(scene_loss(grid, logit_scale=gamma),
+                                      rel=1e-12, abs=1e-300)

@@ -131,7 +131,7 @@ class TestTrainEvaluateCommands:
         assert record["kind"] == "run"
         assert record["config"]["world.dim"] == 20
         assert record["config"]["train.lam"] == 0.1
-        assert record["config"]["backend"] in ("numba", "numpy")
+        assert record["config"]["backend"] == "numpy"
         assert record["loss_summary"]["steps"] == 30
 
     def test_rerun_from_echo_reproduces_bitwise(self, tmp_path):
@@ -174,6 +174,16 @@ class TestTrainEvaluateCommands:
         out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
                       "--out", str(tmp_path / "x.json"), check=False)
         assert out.returncode == 3
+
+    def test_wrong_shape_probe_exits_3(self, tmp_path):
+        probe_path = tmp_path / "probe.npz"
+        np.savez(probe_path, weight=np.eye(5), bias=np.zeros(5))
+        out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
+                      "--out", str(tmp_path / "x.json"), check=False)
+        assert out.returncode == 3
+        error = json.loads(out.stderr.strip().splitlines()[-1])
+        assert error["error"] == "DimensionMismatch" and error["exit"] == 3
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAblateCommand:

@@ -36,7 +36,7 @@ from semproto.synthbench import (
     select_max_size_proposal,
     train,
 )
-from semproto import backend
+from semproto import backend, synthbench
 
 SMALL_WORLD = dict(dim=20, n_classes=6, n_base=4, k_states=3, l_scenes=3,
                    det_per_class=6, weak_per_class=4, test_per_class=12,
@@ -417,6 +417,40 @@ class TestRunAblation:
         rec = run_single(_small_spec(), TrainConfig(**SMALL_CFG))
         assert rec["config"]["backend"] == backend.active_backend()
         assert rec["version"] == rec["config"]["version"]
+
+
+class TestSharedWorlds:
+    """run_ablation generates each distinct world once and shares it
+    across the arms that run on it."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_records_equal_run_single(self, workers):
+        records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
+                               "components", seeds=[0, 1], workers=workers)
+        runs = [r for r in records if r["kind"] == "run"]
+        arms = ABLATION_GRIDS["components"]
+        assert [(r["arm"], r["seed"]) for r in runs] == [
+            (a["arm"], s) for a in arms for s in (0, 1)
+        ]
+        for arm, rec in zip((a for a in arms for _ in (0, 1)), runs):
+            overrides = {k: v for k, v in arm.items() if k != "arm"}
+            cfg = TrainConfig(**{**SMALL_CFG, **overrides, "seed": rec["seed"]})
+            expected = run_single(_small_spec(), cfg)
+            assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_world_per_distinct_spec(self, monkeypatch, workers):
+        generated = []
+        original = synthbench.generate_world
+
+        def counting(spec):
+            generated.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(synthbench, "generate_world", counting)
+        run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
+                     seeds=[0, 1], workers=workers)
+        assert sorted(s.seed for s in generated) == [5, 6]
 
 
 class TestMonotoneNoiseSanity:
