@@ -10,16 +10,15 @@ numerical 4, and emit one machine-parsable JSON line on stderr.
 
 import argparse
 import hashlib
+import io
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import backend
+from .atomic import atomic_write
 from .config import __version__, config_help_epilog, load_config, resolved_config
 from .descriptions import (
-    DescriptionSet,
     DeterministicToyEncoder,
     FixtureDescriptionClient,
     FixtureEncoder,
@@ -29,6 +28,9 @@ from .descriptions import (
     encode,
     fixture_path,
     generate_descriptions,
+    read_description_file,
+    write_description_file,
+    write_embedding_fixture,
 )
 from .errors import (
     AllWeightsZero,
@@ -83,44 +85,22 @@ _DATA_ERRORS = (
     EmptyProposals,
     NotWeakImage,
     OSError,
-    json.JSONDecodeError,
 )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
-
-
 def _write_jsonl(path: str, records) -> None:
+    """One sorted-key JSON line per record; a .json output is one record."""
     lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _atomic_write_text(path, lines)
+    atomic_write(path, lines.encode("utf-8"))
 
 
 def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _load_description_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise MalformedResponse(f"description file {path}: top level must be a map")
-    out = {}
-    for name, rec in data.items():
-        out[name] = DescriptionSet(
-            class_name=name,
-            generic=str(rec["generic"]),
-            states=tuple(str(s) for s in rec["states"]),
-            scenes=tuple(str(s) for s in rec["scenes"]),
-        )
-    return out
+def _remote_config(args) -> RemoteClientConfig:
+    return RemoteClientConfig(endpoint=args.endpoint, api_key_env=args.api_key_env,
+                              timeout_s=args.timeout, max_parallel=args.max_parallel)
 
 
 def _make_encoder(args):
@@ -131,13 +111,7 @@ def _make_encoder(args):
     if args.encoder == "remote":
         if not args.endpoint:
             raise ConfigError("--encoder remote requires --endpoint")
-        cfg = RemoteClientConfig(
-            endpoint=args.endpoint,
-            api_key_env=args.api_key_env,
-            timeout_s=args.timeout,
-            max_parallel=args.max_parallel,
-        )
-        return RemoteEncoder(cfg, dim=args.encoder_dim)
+        return RemoteEncoder(_remote_config(args), dim=args.encoder_dim)
     raise ConfigError(f"unknown encoder '{args.encoder}'")
 
 
@@ -154,46 +128,32 @@ def cmd_gen_descriptions(args) -> int:
     if not classes:
         raise ConfigError("--classes is empty")
     if args.endpoint:
-        client = RemoteDescriptionClient(RemoteClientConfig(
-            endpoint=args.endpoint,
-            api_key_env=args.api_key_env,
-            timeout_s=args.timeout,
-            max_parallel=args.max_parallel,
-        ))
+        client = RemoteDescriptionClient(_remote_config(args))
     else:
         client = FixtureDescriptionClient(args.fixture)
     sets = generate_descriptions(classes, args.k, args.l, client)
-    payload = {
-        name: {"generic": ds.generic, "states": list(ds.states),
-               "scenes": list(ds.scenes)}
-        for name, ds in sets.items()
-    }
-    _write_json(args.out, payload)
+    write_description_file(args.out, sets)
     _emit({"command": "gen-descriptions", "classes": sorted(set(classes)),
            "k": args.k, "l": args.l, "out": args.out, "version": __version__})
     return 0
 
 
 def cmd_encode(args) -> int:
-    desc = _load_description_file(args.descriptions)
+    desc = read_description_file(args.descriptions)
     enc = _make_encoder(args)
-    records = []
-    seen = set()
+    vectors = {}
     for name in sorted(desc):
         for text in desc[name].all_texts():
-            if text in seen:
-                continue
-            seen.add(text)
-            vec = encode(text, enc)
-            records.append({"text": text, "vector": [float(x) for x in vec]})
-    _write_json(args.out, {"dim": enc.dim, "records": records})
+            if text not in vectors:
+                vectors[text] = encode(text, enc)
+    write_embedding_fixture(args.out, enc.dim, vectors)
     _emit({"command": "encode", "encoder": args.encoder, "dim": enc.dim,
-           "texts": len(records), "out": args.out, "version": __version__})
+           "texts": len(vectors), "out": args.out, "version": __version__})
     return 0
 
 
 def cmd_build_bank(args) -> int:
-    desc = _load_description_file(args.descriptions)
+    desc = read_description_file(args.descriptions)
     enc = _make_encoder(args)
     bank = build_bank(
         desc,
@@ -245,7 +205,7 @@ def cmd_simulate(args) -> int:
 
     summary = {
         "kind": "world_summary",
-        "config": resolved_config(world_spec, cfg, backend.active_backend()),
+        "config": resolved_config(world_spec, cfg),
         "sizes": {
             "train_det": len(world.train_det),
             "train_weak": len(world.train_weak),
@@ -259,7 +219,7 @@ def cmd_simulate(args) -> int:
         "feature_sha256": _world_checksum(world),
         "version": __version__,
     }
-    _write_json(args.out, summary)
+    _write_jsonl(args.out, [summary])
     _emit({"command": "simulate", "out": args.out,
            "feature_sha256": summary["feature_sha256"], "version": __version__})
     return 0
@@ -270,9 +230,9 @@ def cmd_train(args) -> int:
     record, probe = _run_with_probe(world_spec, cfg)
     _write_jsonl(args.out, [record])
     if args.save_probe:
-        tmp = f"{args.save_probe}.tmp.npz"
-        np.savez(tmp, weight=probe.weight, bias=probe.bias)
-        os.replace(tmp, args.save_probe)
+        buf = io.BytesIO()
+        np.savez(buf, weight=probe.weight, bias=probe.bias)
+        atomic_write(args.save_probe, buf.getvalue())
     _emit({"command": "train", "out": args.out,
            "metrics": record["metrics"], "version": __version__})
     return 0
@@ -301,12 +261,12 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate(probe, bank, world.test, world_spec.n_base)
     result = {
         "kind": "evaluation",
-        "config": resolved_config(world_spec, cfg, backend.active_backend()),
+        "config": resolved_config(world_spec, cfg),
         "probe": probe_src,
         "metrics": metrics,
         "version": __version__,
     }
-    _write_json(args.out, result)
+    _write_jsonl(args.out, [result])
     _emit({"command": "evaluate", "out": args.out, "metrics": metrics,
            "version": __version__})
     return 0
@@ -315,8 +275,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
     seeds = [cfg.seed + i for i in range(args.seeds)]
-    records = run_ablation(world_spec, cfg, args.grid, seeds,
-                           workers=args.workers)
+    records = run_ablation(world_spec, cfg, args.grid, seeds)
     _write_jsonl(args.out, records)
     n_runs = sum(1 for r in records if r.get("kind") == "run")
     _emit({"command": "ablate", "grid": args.grid, "runs": n_runs,
@@ -441,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which ablation axis to sweep")
     p.add_argument("--seeds", type=int, default=5,
                    help="number of seeds per configuration")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel runs (results are identical regardless)")
     p.add_argument("--out", required=True, help="output results JSONL")
 
     return parser

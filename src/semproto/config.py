@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .backend import active_backend
 from .errors import ConfigError, InfeasibleWorld
 
 __version__ = "0.1.0"
@@ -248,14 +249,14 @@ def load_config(path: str | None = None, overrides=()) -> tuple[WorldSpec, Train
     return WorldSpec(**world_kwargs), TrainConfig(**train_kwargs)
 
 
-def resolved_config(world: WorldSpec, train: TrainConfig, backend: str) -> dict:
+def resolved_config(world: WorldSpec, train: TrainConfig) -> dict:
     """Flat, JSON-ready echo of every effective setting."""
     out = {}
     for key in CONFIG_SCHEMA:
         section, name = key.split(".", 1)
         src = world if section == "world" else train
         out[key] = getattr(src, name)
-    out["backend"] = backend
+    out["backend"] = active_backend()
     out["version"] = __version__
     return out
 

@@ -10,9 +10,9 @@ default, remote service optionally). Everything shipped runs offline.
 """
 
 import hashlib
+import http.client
 import json
 import os
-import urllib.error
 import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +21,7 @@ from importlib import resources
 
 import numpy as np
 
+from .atomic import atomic_write
 from .core import as_embedding, l2_normalize
 from .errors import (
     ClientUnavailable,
@@ -121,24 +122,44 @@ def fixture_path(name: str) -> str:
     return str(resources.files("semproto").joinpath("fixtures", name))
 
 
+def _read_json(path: str, what: str, unavailable):
+    """Parse a JSON input file; an unreadable file raises `unavailable`
+    (the caller's error class), invalid JSON MalformedResponse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise unavailable(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedResponse(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _check_record(where: str, rec) -> dict:
+    """`rec` if it is a {"generic", "states": [...], "scenes": [...]} map,
+    else MalformedResponse naming `where`."""
+    if not isinstance(rec, dict):
+        raise MalformedResponse(f"{where}: record must be a map")
+    for key in ("generic", "states", "scenes"):
+        if key not in rec:
+            raise MalformedResponse(f"{where}: record missing '{key}'")
+        if key != "generic" and not isinstance(rec[key], list):
+            raise MalformedResponse(f"{where}: '{key}' must be a list")
+    return rec
+
+
 class FixtureDescriptionClient:
     """Serves pre-generated descriptions from a checked-in JSON file.
 
-    File format: top-level map class_name -> {"generic": str,
-    "states": [str], "scenes": [str]}.
+    File format (the description file, also read by read_description_file
+    and written by write_description_file): top-level map class_name ->
+    {"generic": str, "states": [str], "scenes": [str]}.
     """
 
     def __init__(self, path: str):
         self.path = path
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ClientUnavailable(f"cannot read description fixture {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedResponse(f"description fixture {path} is not valid JSON: {exc}") from exc
+        data = _read_json(path, "description file", ClientUnavailable)
         if not isinstance(data, dict):
-            raise MalformedResponse(f"description fixture {path}: top level must be a map")
+            raise MalformedResponse(f"description file {path}: top level must be a map")
         self._data = data
 
     def describe(self, class_name: str) -> dict:
@@ -147,11 +168,33 @@ class FixtureDescriptionClient:
             raise ClientUnavailable(
                 f"fixture {self.path} has no descriptions for class '{class_name}'"
             )
-        rec = self._data[class_name]
-        for key in ("generic", "states", "scenes"):
-            if key not in rec:
-                raise MalformedResponse(f"class '{class_name}': fixture record missing '{key}'")
-        return rec
+        return _check_record(f"fixture {self.path}, class '{class_name}'",
+                             self._data[class_name])
+
+
+def read_description_file(path: str) -> dict:
+    """Load a description file into {class_name: DescriptionSet}."""
+    client = FixtureDescriptionClient(path)
+    out = {}
+    for name in client._data:
+        rec = client.describe(name)
+        out[name] = DescriptionSet(
+            class_name=name,
+            generic=str(rec["generic"]),
+            states=tuple(str(s) for s in rec["states"]),
+            scenes=tuple(str(s) for s in rec["scenes"]),
+        )
+    return out
+
+
+def write_description_file(path: str, sets: dict) -> None:
+    """Write {class_name: DescriptionSet} as a description file."""
+    payload = {
+        name: {"generic": ds.generic, "states": list(ds.states),
+               "scenes": list(ds.scenes)}
+        for name, ds in sets.items()
+    }
+    atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -162,6 +205,36 @@ class RemoteClientConfig:
     api_key_env: str = "SEMPROTO_API_KEY"
     timeout_s: float = 30.0
     max_parallel: int = 4
+
+
+def _post_json(config: RemoteClientConfig, payload: dict, unavailable) -> dict:
+    """POST `payload` as JSON; return the JSON object the endpoint answers.
+
+    No API key, no answer or a truncated one raises `unavailable` (the
+    caller's error class); a body that is not a UTF-8 JSON object,
+    MalformedResponse.
+    """
+    key = os.environ.get(config.api_key_env, "")
+    if not key:
+        raise unavailable(f"API key environment variable {config.api_key_env} is not set")
+    req = urllib.request.Request(
+        config.endpoint,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json",
+                 "Authorization": f"Bearer {key}"},
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=config.timeout_s) as resp:
+            raw = resp.read()
+    except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
+        raise unavailable(f"request to {config.endpoint} failed: {exc!r}") from exc
+    try:
+        rec = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedResponse(f"endpoint {config.endpoint} returned non-JSON body: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise MalformedResponse(f"endpoint {config.endpoint} returned JSON that is not an object")
+    return rec
 
 
 class RemoteDescriptionClient:
@@ -179,14 +252,6 @@ class RemoteDescriptionClient:
     def max_parallel(self) -> int:
         return self.config.max_parallel
 
-    def _api_key(self) -> str:
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise ClientUnavailable(
-                f"API key environment variable {self.config.api_key_env} is not set"
-            )
-        return key
-
     def build_payload(self, class_name: str) -> dict:
         return {
             "class_name": class_name,
@@ -198,26 +263,8 @@ class RemoteDescriptionClient:
         }
 
     def describe(self, class_name: str) -> dict:
-        key = self._api_key()
-        body = json.dumps(self.build_payload(class_name)).encode("utf-8")
-        req = urllib.request.Request(
-            self.config.endpoint,
-            data=body,
-            headers={"Content-Type": "application/json",
-                     "Authorization": f"Bearer {key}"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.config.timeout_s) as resp:
-                raw = resp.read()
-        except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
-            raise ClientUnavailable(f"endpoint {self.config.endpoint} unreachable: {exc}") from exc
-        try:
-            rec = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedResponse(f"service returned non-JSON body: {exc}") from exc
-        if not isinstance(rec, dict) or not {"generic", "states", "scenes"} <= set(rec):
-            raise MalformedResponse("service response missing generic/states/scenes")
-        return rec
+        rec = _post_json(self.config, self.build_payload(class_name), ClientUnavailable)
+        return _check_record(f"service response for class '{class_name}'", rec)
 
 
 def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
@@ -280,7 +327,8 @@ class DeterministicToyEncoder:
 class FixtureEncoder:
     """Looks up pre-computed embeddings from a JSON fixture.
 
-    File format: {"dim": int, "records": [{"text": str, "vector": [float]}]}.
+    File format (written by write_embedding_fixture):
+    {"dim": int, "records": [{"text": str, "vector": [float]}]}.
     Vectors are stored pre-normalized; the loader re-normalizes and warns
     if any stored norm drifts from 1 by more than 1e-6.
     """
@@ -289,18 +337,18 @@ class FixtureEncoder:
 
     def __init__(self, path: str):
         self.path = path
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise EncoderUnavailable(f"cannot read embedding fixture {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedResponse(f"embedding fixture {path} is not valid JSON: {exc}") from exc
+        data = _read_json(path, "embedding fixture", EncoderUnavailable)
         try:
             self.dim = int(data["dim"])
             records = data["records"]
         except (KeyError, TypeError) as exc:
             raise MalformedResponse(f"embedding fixture {path} missing dim/records") from exc
+        if not isinstance(records, list) or not all(
+                isinstance(r, dict) and isinstance(r.get("text"), str)
+                and isinstance(r.get("vector"), list) for r in records):
+            raise MalformedResponse(
+                f"embedding fixture {path}: records must be a list of "
+                "{'text': str, 'vector': list}")
         self._table: dict[str, np.ndarray] = {}
         drifted = 0
         for rec in records:
@@ -341,26 +389,10 @@ class RemoteEncoder:
         self.dim = int(dim)
 
     def encode(self, text: str) -> np.ndarray:
-        key = os.environ.get(self.config.api_key_env, "")
-        if not key:
-            raise EncoderUnavailable(
-                f"API key environment variable {self.config.api_key_env} is not set"
-            )
-        body = json.dumps({"text": text}).encode("utf-8")
-        req = urllib.request.Request(
-            self.config.endpoint,
-            data=body,
-            headers={"Content-Type": "application/json",
-                     "Authorization": f"Bearer {key}"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.config.timeout_s) as resp:
-                rec = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
-            raise EncoderUnavailable(f"endpoint {self.config.endpoint} unreachable: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedResponse(f"encoder returned non-JSON body: {exc}") from exc
-        return as_embedding(rec.get("vector", ()), dim=self.dim)
+        rec = _post_json(self.config, {"text": text}, EncoderUnavailable)
+        if "vector" not in rec:
+            raise MalformedResponse("encoder response missing 'vector'")
+        return as_embedding(rec["vector"], dim=self.dim)
 
 
 def encode(text: str, encoder) -> np.ndarray:
@@ -390,8 +422,4 @@ def write_embedding_fixture(path: str, dim: int, records: dict) -> None:
             for text, vec in records.items()
         ],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))

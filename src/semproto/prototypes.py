@@ -8,13 +8,13 @@ is cosine-based, so normalization never changes scores or argmax).
 """
 
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
 from .core import ZERO_NORM_EPS, as_embedding, cosine, l2_normalize
 from .descriptions import DescriptionSet, encode
 from .errors import (
@@ -204,11 +204,7 @@ class PrototypeBank:
             "sesp": self.sesp.tolist(),
             "sapp": self.sapp.tolist(),
         }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write(path, (json.dumps(payload) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "PrototypeBank":

@@ -11,7 +11,6 @@ per seed.
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .alignment import (
     weak_cls_loss,
 )
 from .config import TrainConfig, WorldSpec, __version__, derive_seed, replace, resolved_config
-from . import backend
 from .core import l2_normalize
 from .descriptions import DescriptionSet, DeterministicToyEncoder
 from .errors import (
@@ -458,7 +456,7 @@ def _run_on_world(world_spec: WorldSpec, config: TrainConfig,
     totals = [r.total for r in reports]
     record = {
         "kind": "run",
-        "config": resolved_config(world_spec, config, backend.active_backend()),
+        "config": resolved_config(world_spec, config),
         "metrics": metrics,
         "loss_summary": {
             "initial": totals[0],
@@ -484,16 +482,14 @@ def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
 
 
 def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
-                 seeds, workers: int = 1) -> list[dict]:
+                 seeds) -> list[dict]:
     """One run per (grid arm, seed) plus per-arm mean/stddev summaries.
 
     `grid` is a grid name from ABLATION_GRIDS or an explicit sequence of
     override dicts carrying an "arm" label. Each run's world depends only
     on base seed + run seed, so runs are grouped by that world, which is
     generated once per group and dropped before the next group starts.
-    Runs are independent, so the optional thread pool (one group per
-    task) cannot change any result; records come out arm-major, in
-    submission order, either way.
+    Records come out arm-major, in submission order.
     """
     if isinstance(grid, str):
         try:
@@ -520,27 +516,16 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     for i, (_, cfg_s) in enumerate(jobs):
         groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)
 
-    def _execute_group(group):
-        spec, indices = group
+    records: list[dict] = [{}] * len(jobs)
+    for spec, indices in groups.items():
         world = generate_world(spec)
-        done = []
         for i in indices:
             name, cfg_s = jobs[i]
             record, _ = _run_on_world(world_spec, cfg_s, world)
             record["arm"] = name
             record["seed"] = cfg_s.seed
-            done.append((i, record))
-        return done
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finished = list(pool.map(_execute_group, groups.items()))
-    else:
-        finished = [_execute_group(g) for g in groups.items()]
-    records: list[dict] = [{}] * len(jobs)
-    for done in finished:
-        for i, record in done:
             records[i] = record
+        del world
 
     out = list(records)
     by_arm: dict[str, list[dict]] = {}

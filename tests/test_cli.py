@@ -95,6 +95,49 @@ class TestEncodeCommand:
         assert bank.dim == 16
 
 
+def _assert_malformed(out, out_path):
+    assert out.returncode == 3
+    error = json.loads(out.stderr.strip().splitlines()[-1])
+    assert error["error"] == "MalformedResponse" and error["exit"] == 3
+    assert not out_path.exists()
+
+
+_GOOD_DESC = {"generic": "a cat", "states": ["a sleeping cat"],
+              "scenes": ["cat on a sofa"]}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("record", [
+        {k: v for k, v in _GOOD_DESC.items() if k != "states"},
+        {k: v for k, v in _GOOD_DESC.items() if k != "scenes"},
+        {k: v for k, v in _GOOD_DESC.items() if k != "generic"},
+        {**_GOOD_DESC, "states": "a sleeping cat"},
+        ["a cat"],
+    ])
+    def test_description_file_exits_3(self, tmp_path, record):
+        desc_path = tmp_path / "desc.json"
+        desc_path.write_text(json.dumps({"cat": record}))
+        out_path = tmp_path / "emb.json"
+        out = run_cli("encode", "--descriptions", str(desc_path), "--encoder", "toy",
+                      "--out", str(out_path), check=False)
+        _assert_malformed(out, out_path)
+
+    @pytest.mark.parametrize("records", [
+        [{"text": "a cat"}],
+        [{"vector": [1.0, 0.0]}],
+        [{"text": "a cat", "vector": 1.0}],
+        ["a cat"],
+        {"a cat": [1.0, 0.0]},
+    ])
+    def test_embedding_fixture_exits_3(self, tmp_path, records):
+        emb_path = tmp_path / "emb.json"
+        emb_path.write_text(json.dumps({"dim": 2, "records": records}))
+        out_path = tmp_path / "bank.json"
+        out = run_cli("build-bank", "--encoder", "fixture", "--embeddings",
+                      str(emb_path), "--out", str(out_path), check=False)
+        _assert_malformed(out, out_path)
+
+
 class TestSimulateCommand:
     def test_summary_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -205,13 +248,11 @@ class TestAblateCommand:
         run_cli("ablate", *SMALL, "--grid", "tau", "--seeds", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run_cli("ablate", *SMALL, "--grid", "l", "--seeds", "2",
-                "--workers", "1", "--out", str(a))
-        run_cli("ablate", *SMALL, "--grid", "l", "--seeds", "2",
-                "--workers", "3", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+    def test_workers_flag_is_gone(self, tmp_path):
+        out = run_cli("ablate", "--workers", "2", "--out", str(tmp_path / "x.jsonl"),
+                      check=False)
+        assert out.returncode == 2
+        assert "unrecognized arguments: --workers" in out.stderr
 
     def test_sweep_configs_echo_their_axis(self, tmp_path):
         out_path = tmp_path / "results.jsonl"

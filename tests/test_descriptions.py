@@ -1,5 +1,8 @@
 import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +238,114 @@ class TestRemoteClients:
         cfg = RemoteClientConfig(endpoint="http://127.0.0.1:9/none", timeout_s=0.5)
         with pytest.raises(EncoderUnavailable):
             RemoteEncoder(cfg, dim=8).encode("cat")
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """A loopback-only HTTP service answering every POST with `stub.body`
+    (announced as `stub.content_length` bytes, if set), after waiting up
+    to `stub.delay_s`; it records each request."""
+    state = SimpleNamespace(body=b"{}", content_length=None, delay_s=0.0,
+                            requests=[], release=threading.Event())
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            state.requests.append((self.headers["Authorization"],
+                                   json.loads(self.rfile.read(length))))
+            state.release.wait(state.delay_s)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length",
+                             str(state.content_length or len(state.body)))
+            self.end_headers()
+            try:
+                self.wfile.write(state.body)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client gave up waiting
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("SEMPROTO_API_KEY", "secret")
+    state.config = RemoteClientConfig(
+        endpoint=f"http://127.0.0.1:{server.server_address[1]}/", timeout_s=5.0)
+    try:
+        yield state
+    finally:
+        state.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _describe(config):
+    return RemoteDescriptionClient(config).describe("cat")
+
+
+def _encode(config):
+    return RemoteEncoder(config, dim=2).encode("a cat")
+
+
+# (call, the client's "unavailable" error, a valid body, a body missing a key)
+REMOTE_CLIENTS = {
+    "descriptions": (_describe, ClientUnavailable,
+                     b'{"generic": "a cat", "states": ["a sleeping cat"], '
+                     b'"scenes": ["cat on a sofa"]}',
+                     b'{"generic": "a cat", "states": ["a sleeping cat"]}'),
+    "encoder": (_encode, EncoderUnavailable, b'{"vector": [3.0, 4.0]}',
+                b'{"embedding": [3.0, 4.0]}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REMOTE_CLIENTS))
+class TestRemoteClientsAgainstStub:
+    def test_valid_response(self, stub, kind):
+        call, _, good, _ = REMOTE_CLIENTS[kind]
+        stub.body = good
+        result = call(stub.config)
+        if kind == "encoder":
+            np.testing.assert_array_equal(result, [3.0, 4.0])
+        else:
+            assert result["scenes"] == ["cat on a sofa"]
+        assert [auth for auth, _ in stub.requests] == ["Bearer secret"]
+
+    def test_timeout(self, stub, kind):
+        call, unavailable, good, _ = REMOTE_CLIENTS[kind]
+        stub.body, stub.delay_s = good, 5.0
+        with pytest.raises(unavailable, match="timed out"):
+            call(RemoteClientConfig(endpoint=stub.config.endpoint, timeout_s=0.2))
+
+    def test_truncated_body(self, stub, kind):
+        call, unavailable, good, _ = REMOTE_CLIENTS[kind]
+        stub.body, stub.content_length = good[:10], len(good)
+        with pytest.raises(unavailable, match="IncompleteRead"):
+            call(stub.config)
+
+    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}", b"[1, 2]", b'"text"'])
+    def test_bad_body_is_malformed(self, stub, kind, body):
+        call = REMOTE_CLIENTS[kind][0]
+        stub.body = body
+        with pytest.raises(MalformedResponse):
+            call(stub.config)
+
+    def test_missing_key_is_malformed(self, stub, kind):
+        call, _, _, missing = REMOTE_CLIENTS[kind]
+        stub.body = missing
+        with pytest.raises(MalformedResponse, match="missing"):
+            call(stub.config)
+
+    def test_unset_api_key_sends_nothing(self, stub, kind, monkeypatch):
+        call, unavailable, _, _ = REMOTE_CLIENTS[kind]
+        monkeypatch.delenv("SEMPROTO_API_KEY")
+        with pytest.raises(unavailable, match="SEMPROTO_API_KEY"):
+            call(stub.config)
+        assert stub.requests == []
 
 
 class TestDeterministicToyEncoder:

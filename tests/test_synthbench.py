@@ -392,13 +392,6 @@ class TestRunAblation:
                          "components", seeds=[0])
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        a = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
-                         "components", seeds=[0, 1], workers=1)
-        b = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
-                         "components", seeds=[0, 1], workers=3)
-        assert a == b
-
     def test_flag_off_indistinguishable_from_lambda_zero(self):
         spec = _small_spec()
         rec_off = run_single(spec, TrainConfig(**SMALL_CFG, use_sapp=False))
@@ -423,10 +416,9 @@ class TestSharedWorlds:
     """run_ablation generates each distinct world once and shares it
     across the arms that run on it."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_records_equal_run_single(self, workers):
+    def test_records_equal_run_single(self):
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
-                               "components", seeds=[0, 1], workers=workers)
+                               "components", seeds=[0, 1])
         runs = [r for r in records if r["kind"] == "run"]
         arms = ABLATION_GRIDS["components"]
         assert [(r["arm"], r["seed"]) for r in runs] == [
@@ -438,8 +430,7 @@ class TestSharedWorlds:
             expected = run_single(_small_spec(), cfg)
             assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_world_per_distinct_spec(self, monkeypatch, workers):
+    def test_one_world_per_distinct_spec(self, monkeypatch):
         generated = []
         original = synthbench.generate_world
 
@@ -449,7 +440,7 @@ class TestSharedWorlds:
 
         monkeypatch.setattr(synthbench, "generate_world", counting)
         run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
-                     seeds=[0, 1], workers=workers)
+                     seeds=[0, 1])
         assert sorted(s.seed for s in generated) == [5, 6]
 
 
@@ -494,7 +485,7 @@ class TestConfigHandling:
 
     def test_flat_echo_is_reloadable(self, tmp_path):
         world, cfg = load_config(None, ["world.dim=32", "train.steps=7"])
-        echo = resolved_config(world, cfg, backend.active_backend())
+        echo = resolved_config(world, cfg)
         path = tmp_path / "echo.json"
         import json
 
