@@ -45,7 +45,6 @@ from .alignment import (
 )
 from .synthbench import (
     ProbeModel,
-    ToySample,
     ToyWorld,
     build_toy_bank,
     evaluate,

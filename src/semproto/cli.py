@@ -47,7 +47,6 @@ from .errors import (
     InsufficientDescriptions,
     InvalidEmbedding,
     MalformedResponse,
-    NotWeakImage,
     SemprotoError,
     ZeroNorm,
 )
@@ -57,7 +56,6 @@ from .prototypes import Aggregation, build_bank
 from .synthbench import (  # noqa: F401
     ABLATION_GRIDS,
     ProbeModel,
-    _run_with_probe,
     build_run_bank,
     build_toy_bank,
     effective_world,
@@ -65,6 +63,8 @@ from .synthbench import (  # noqa: F401
     generate_world,
     initial_probe,
     run_ablation,
+    select_max_size_proposal,
+    train_and_evaluate,
 )
 
 EXIT_CONFIG = 2
@@ -83,7 +83,6 @@ _DATA_ERRORS = (
     EmptyStateList,
     EmptyTestSet,
     EmptyProposals,
-    NotWeakImage,
     OSError,
 )
 
@@ -181,41 +180,37 @@ def cmd_build_bank(args) -> int:
 
 
 def _world_checksum(world) -> str:
+    """sha256 over every row, split by split: its feature and its label as
+    4 little-endian bytes; a weak row adds each proposal's area and feature."""
+    weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
+    weak_extra = np.concatenate([world.weak_areas[..., None], world.weak_proposals],
+                                axis=2)
     h = hashlib.sha256()
-    for split in (world.train_det, world.train_weak, world.test):
-        for sample in split:
-            h.update(sample.feature.tobytes())
-            h.update(int(sample.label).to_bytes(4, "little"))
-            if sample.proposals:
-                for p in sample.proposals:
-                    h.update(np.float64(p.area).tobytes())
-                    h.update(p.feature.tobytes())
+    for x, y, extra in ((world.det_x, world.det_y, None),
+                        (weak_x, world.weak_y, weak_extra),
+                        (world.test_x, world.test_y, None)):
+        for i, label in enumerate(y):
+            h.update(x[i].tobytes())
+            h.update(int(label).to_bytes(4, "little"))
+            if extra is not None:
+                h.update(extra[i].tobytes())
     return h.hexdigest()
+
+
+def _histogram(labels) -> dict:
+    values, counts = np.unique(labels, return_counts=True)
+    return {str(v): int(n) for v, n in zip(values, counts)}
 
 
 def cmd_simulate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
     world = generate_world(effective_world(world_spec, cfg))
-
-    def _hist(samples):
-        counts = {}
-        for s in samples:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        return {str(k): counts[k] for k in sorted(counts)}
-
+    splits = {"train_det": world.det_y, "train_weak": world.weak_y, "test": world.test_y}
     summary = {
         "kind": "world_summary",
         "config": resolved_config(world_spec, cfg),
-        "sizes": {
-            "train_det": len(world.train_det),
-            "train_weak": len(world.train_weak),
-            "test": len(world.test),
-        },
-        "label_histograms": {
-            "train_det": _hist(world.train_det),
-            "train_weak": _hist(world.train_weak),
-            "test": _hist(world.test),
-        },
+        "sizes": {name: len(y) for name, y in splits.items()},
+        "label_histograms": {name: _histogram(y) for name, y in splits.items()},
         "feature_sha256": _world_checksum(world),
         "version": __version__,
     }
@@ -227,7 +222,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
-    record, probe = _run_with_probe(world_spec, cfg)
+    record, probe = train_and_evaluate(world_spec, cfg)
     _write_jsonl(args.out, [record])
     if args.save_probe:
         buf = io.BytesIO()
@@ -258,7 +253,7 @@ def cmd_evaluate(args) -> int:
     else:
         probe = initial_probe(world, cfg)
         probe_src = "fresh"
-    metrics = evaluate(probe, bank, world.test, world_spec.n_base)
+    metrics = evaluate(probe, bank, world.test_x, world.test_y, world_spec.n_base)
     result = {
         "kind": "evaluation",
         "config": resolved_config(world_spec, cfg),

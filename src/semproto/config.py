@@ -30,38 +30,40 @@ class Field:
     help: str
 
 
-CONFIG_SCHEMA: dict[str, Field] = {
-    "world.dim": Field(28, "artifact", "embedding dimension of the synthetic world"),
-    "world.n_classes": Field(16, "artifact", "total number of classes"),
-    "world.n_base": Field(10, "artifact", "classes with box supervision; the rest are novel"),
-    "world.k_states": Field(5, "artifact", "true per-class state factor directions"),
-    "world.l_scenes": Field(5, "artifact", "true shared scene-context factor directions"),
-    "world.state_strength": Field(1.4, "artifact", "magnitude of the state term in features (calibrated)"),
-    "world.context_strength": Field(1.0, "artifact", "magnitude of the scene term in proposals/test (calibrated)"),
-    "world.noise_sigma": Field(0.85, "artifact", "isotropic feature noise scale (calibrated)"),
-    "world.seed": Field(77, "artifact", "root seed for world generation (calibrated default world)"),
-    "world.det_per_class": Field(20, "artifact", "box-supervised samples per base class"),
-    "world.weak_per_class": Field(10, "artifact", "weakly labeled images per class"),
-    "world.test_per_class": Field(300, "artifact", "held-out samples per class"),
-    "world.proposals_per_image": Field(4, "artifact", "region proposals per weak image"),
-    "train.lam": Field(0.1, "paper", "weight of the scene alignment loss in the combined objective"),
-    "train.tau": Field(0.25, "artifact", "pseudo-label similarity threshold (value never reported; sweep it)"),
-    "train.temperature": Field(0.2, "artifact", "softmax temperature for cosine classification"),
-    "train.k": Field(5, "paper", "number of state descriptions aggregated per class"),
-    "train.l": Field(5, "paper", "number of scene phrases (pseudo-prototype slots) per class"),
-    "train.aggregation": Field("mean", "paper", f"prototype aggregation strategy, one of {AGGREGATIONS}"),
-    "train.lr": Field(0.5, "artifact", "gradient-descent learning rate"),
-    "train.steps": Field(300, "artifact", "full-batch gradient-descent steps"),
-    "train.seed": Field(0, "artifact", "run seed; ablations use seed..seed+n_seeds-1"),
-    "train.use_sesp": Field(True, "artifact", "state-enhanced prototypes on/off (off = name-only bank)"),
-    "train.use_sapp": Field(True, "artifact", "scene alignment loss on/off (off = effective lambda 0)"),
-    "train.logit_scale": Field(1.0, "paper", "pre-sigmoid multiplier on similarities; 1.0 is the written formula"),
-    "train.detach_weights": Field(False, "artifact", "treat confidence weights as constants during differentiation"),
-    "train.enc_noise_sigma": Field(0.15, "artifact", "encoder noise added to true-direction bank vectors"),
-    "train.desc_mode": Field("true-directions", "artifact", f"toy bank construction mode, one of {DESC_MODES}"),
-    "train.normalize_prototypes": Field(True, "artifact", "l2-normalize prototypes after aggregation"),
-    "train.clamp_negative_weights": Field(True, "artifact", "clamp negative similarity weights to zero"),
-    "train.probe_jitter": Field(0.5, "artifact", "scale of the probe's init deviation from identity"),
+# Provenance and help per config key; each default is written once, on
+# its WorldSpec or TrainConfig field.
+_FIELD_DOCS: dict[str, tuple[str, str]] = {
+    "world.dim": ("artifact", "embedding dimension of the synthetic world"),
+    "world.n_classes": ("artifact", "total number of classes"),
+    "world.n_base": ("artifact", "classes with box supervision; the rest are novel"),
+    "world.k_states": ("artifact", "true per-class state factor directions"),
+    "world.l_scenes": ("artifact", "true shared scene-context factor directions"),
+    "world.state_strength": ("artifact", "magnitude of the state term in features (calibrated)"),
+    "world.context_strength": ("artifact", "magnitude of the scene term in proposals/test (calibrated)"),
+    "world.noise_sigma": ("artifact", "isotropic feature noise scale (calibrated)"),
+    "world.seed": ("artifact", "root seed for world generation (calibrated default world)"),
+    "world.det_per_class": ("artifact", "box-supervised samples per base class"),
+    "world.weak_per_class": ("artifact", "weakly labeled images per class"),
+    "world.test_per_class": ("artifact", "held-out samples per class"),
+    "world.proposals_per_image": ("artifact", "region proposals per weak image"),
+    "train.lam": ("paper", "weight of the scene alignment loss in the combined objective"),
+    "train.tau": ("artifact", "pseudo-label similarity threshold (value never reported; sweep it)"),
+    "train.temperature": ("artifact", "softmax temperature for cosine classification"),
+    "train.k": ("paper", "number of state descriptions aggregated per class"),
+    "train.l": ("paper", "number of scene phrases (pseudo-prototype slots) per class"),
+    "train.aggregation": ("paper", f"prototype aggregation strategy, one of {AGGREGATIONS}"),
+    "train.lr": ("artifact", "gradient-descent learning rate"),
+    "train.steps": ("artifact", "full-batch gradient-descent steps"),
+    "train.seed": ("artifact", "run seed; ablations use seed..seed+n_seeds-1"),
+    "train.use_sesp": ("artifact", "state-enhanced prototypes on/off (off = name-only bank)"),
+    "train.use_sapp": ("artifact", "scene alignment loss on/off (off = effective lambda 0)"),
+    "train.logit_scale": ("paper", "pre-sigmoid multiplier on similarities; 1.0 is the written formula"),
+    "train.detach_weights": ("artifact", "treat confidence weights as constants during differentiation"),
+    "train.enc_noise_sigma": ("artifact", "encoder noise added to true-direction bank vectors"),
+    "train.desc_mode": ("artifact", f"toy bank construction mode, one of {DESC_MODES}"),
+    "train.normalize_prototypes": ("artifact", "l2-normalize prototypes after aggregation"),
+    "train.clamp_negative_weights": ("artifact", "clamp negative similarity weights to zero"),
+    "train.probe_jitter": ("artifact", "scale of the probe's init deviation from identity"),
 }
 
 # Informational keys tolerated (but not applied) when re-loading an echo.
@@ -159,6 +161,13 @@ class TrainConfig:
 
 
 _SECTIONS = {"world": WorldSpec, "train": TrainConfig}
+
+# Every key, in field order, which is the echo and --help order.
+CONFIG_SCHEMA: dict[str, Field] = {
+    f"{section}.{f.name}": Field(f.default, *_FIELD_DOCS[f"{section}.{f.name}"])
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+}
 
 
 def _flatten_file(data: dict) -> dict:

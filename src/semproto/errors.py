@@ -62,12 +62,8 @@ class InfeasibleWorld(SemprotoError):
     """A WorldSpec violates its own feasibility invariants."""
 
 
-class NotWeakImage(SemprotoError):
-    """A proposal-level operation was applied to a non-weak sample."""
-
-
 class EmptyProposals(SemprotoError):
-    """A weak-image sample carries no proposals."""
+    """Weak images carry no proposals to select a pseudo-box from."""
 
 
 class EmptyTestSet(SemprotoError):

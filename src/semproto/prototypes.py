@@ -208,9 +208,18 @@ class PrototypeBank:
 
     @classmethod
     def load(cls, path: str) -> "PrototypeBank":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """Read a bank file written by save(). A missing file raises
+        FileNotFoundError; content that is not a bank raises
+        MalformedResponse naming the file."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
         try:
+            payload = json.loads(raw.decode("utf-8"))
+            if not isinstance(payload, dict):
+                raise TypeError("top level is not a JSON object")
+            dim = payload["dim"]
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise TypeError(f"dim must be an integer, got {dim!r}")
             bank = cls(
                 vocab=tuple(payload["vocab"]),
                 sesp=np.array(payload["sesp"], dtype=np.float64),
@@ -221,7 +230,7 @@ class PrototypeBank:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedResponse(f"bank file {path} is malformed: {exc}") from exc
-        if bank.dim != int(payload["dim"]):
+        if bank.dim != dim:
             raise DimensionMismatch(f"bank file {path}: declared dim disagrees with arrays")
         return bank
 

@@ -25,55 +25,30 @@ from .alignment import (
 from .config import TrainConfig, WorldSpec, __version__, derive_seed, replace, resolved_config
 from .core import l2_normalize
 from .descriptions import DescriptionSet, DeterministicToyEncoder
-from .errors import (
-    DimensionMismatch,
-    DivergenceDetected,
-    EmptyProposals,
-    EmptyTestSet,
-    NotWeakImage,
-)
+from .errors import DimensionMismatch, DivergenceDetected, EmptyProposals, EmptyTestSet
 from .prototypes import Aggregation, PrototypeBank, aggregate, build_bank
-
-DET_BOX = "det_box"
-WEAK_IMAGE = "weak_image"
-
-
-@dataclass(frozen=True)
-class Proposal:
-    area: float
-    feature: np.ndarray
-
-
-@dataclass(frozen=True)
-class ToySample:
-    """One synthetic sample: a box feature, or a weak image whose
-    feature is its max-size proposal's feature."""
-
-    kind: str
-    feature: np.ndarray
-    label: int
-    proposals: tuple[Proposal, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in (DET_BOX, WEAK_IMAGE):
-            raise ValueError(f"unknown sample kind '{self.kind}'")
-        if self.kind == DET_BOX and self.proposals is not None:
-            raise ValueError("box samples carry no proposals")
-        if self.kind == WEAK_IMAGE and not self.proposals:
-            raise EmptyProposals("weak samples need at least one proposal")
 
 
 @dataclass(frozen=True)
 class ToyWorld:
-    """Generated datasets plus the ground-truth factor directions."""
+    """Generated splits plus the ground-truth factor directions.
+
+    Each split is one feature matrix and one int64 label vector. A weak
+    image holds its region proposals, not a pseudo-box: training picks
+    one per image with select_max_size_proposal(weak_areas, weak_proposals).
+    """
 
     spec: WorldSpec
     class_dirs: np.ndarray       # (n_classes, dim)
     state_dirs: np.ndarray       # (n_classes, k_states, dim)
     scene_dirs: np.ndarray       # (l_scenes, dim)
-    train_det: tuple[ToySample, ...]
-    train_weak: tuple[ToySample, ...]
-    test: tuple[ToySample, ...]
+    det_x: np.ndarray            # (n_det, dim) box features, base classes only
+    det_y: np.ndarray            # (n_det,)
+    weak_areas: np.ndarray       # (n_weak, proposals_per_image)
+    weak_proposals: np.ndarray   # (n_weak, proposals_per_image, dim)
+    weak_y: np.ndarray           # (n_weak,) image-level labels
+    test_x: np.ndarray           # (n_test, dim)
+    test_y: np.ndarray           # (n_test,)
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -107,7 +82,12 @@ def _compose(base_unit: np.ndarray, terms) -> np.ndarray:
         if scale != 0.0:
             v = v + scale * vec
             added = True
-    return l2_normalize(v) if added else base_unit.copy()
+    return l2_normalize(v) if added else base_unit
+
+
+def _labels(n_classes: int, per_class: int) -> np.ndarray:
+    """Class ids 0..n_classes-1, each repeated per_class times."""
+    return np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
 
 
 def generate_world(spec: WorldSpec) -> ToyWorld:
@@ -132,79 +112,77 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
     def noise() -> np.ndarray:
         return rng.standard_normal(dim) / sqrt_dim
 
-    train_det = []
-    for c in range(spec.n_base):
-        for _ in range(spec.det_per_class):
-            k_idx = int(rng.integers(spec.k_states))
-            feat = _compose(class_dirs[c], [
-                (spec.state_strength, state_dirs[c, k_idx]),
-                (spec.noise_sigma, noise()),
-            ])
-            train_det.append(ToySample(DET_BOX, feat, c))
+    det_y = _labels(spec.n_base, spec.det_per_class)
+    det_x = np.empty((len(det_y), dim))
+    for i, c in enumerate(det_y):
+        k_idx = int(rng.integers(spec.k_states))
+        det_x[i] = _compose(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.noise_sigma, noise()),
+        ])
 
-    train_weak = []
-    for c in range(spec.n_classes):
-        for _ in range(spec.weak_per_class):
-            k_idx = int(rng.integers(spec.k_states))
-            scene_idx = int(rng.integers(spec.l_scenes))
-            ctx_feat = _compose(class_dirs[c], [
-                (spec.state_strength, state_dirs[c, k_idx]),
-                (spec.context_strength, scene_dirs[scene_idx]),
-                (spec.noise_sigma, noise()),
-            ])
-            n_prop = spec.proposals_per_image
-            areas = rng.uniform(0.2, 1.0, n_prop)
-            ctx_pos = int(rng.integers(n_prop))
-            feats = []
-            for j in range(n_prop):
-                if j == ctx_pos:
-                    feats.append(ctx_feat)
-                else:
-                    d_scene = int(rng.integers(spec.l_scenes))
-                    feats.append(_compose(scene_dirs[d_scene],
-                                          [(spec.noise_sigma, noise())]))
-            areas[ctx_pos] = areas.max() * 1.5
-            proposals = tuple(Proposal(float(a), f) for a, f in zip(areas, feats))
-            sample = ToySample(WEAK_IMAGE, ctx_feat, c, proposals)
-            train_weak.append(sample)
+    n_prop = spec.proposals_per_image
+    weak_y = _labels(spec.n_classes, spec.weak_per_class)
+    weak_areas = np.empty((len(weak_y), n_prop))
+    weak_proposals = np.empty((len(weak_y), n_prop, dim))
+    for i, c in enumerate(weak_y):
+        k_idx = int(rng.integers(spec.k_states))
+        scene_idx = int(rng.integers(spec.l_scenes))
+        ctx_feat = _compose(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.context_strength, scene_dirs[scene_idx]),
+            (spec.noise_sigma, noise()),
+        ])
+        areas = rng.uniform(0.2, 1.0, n_prop)
+        ctx_pos = int(rng.integers(n_prop))
+        for j in range(n_prop):
+            if j == ctx_pos:
+                weak_proposals[i, j] = ctx_feat
+            else:
+                d_scene = int(rng.integers(spec.l_scenes))
+                weak_proposals[i, j] = _compose(scene_dirs[d_scene],
+                                                [(spec.noise_sigma, noise())])
+        areas[ctx_pos] = areas.max() * 1.5
+        weak_areas[i] = areas
 
-    test = []
-    for c in range(spec.n_classes):
-        for _ in range(spec.test_per_class):
-            k_idx = int(rng.integers(spec.k_states))
-            scene_idx = int(rng.integers(spec.l_scenes))
-            feat = _compose(class_dirs[c], [
-                (spec.state_strength, state_dirs[c, k_idx]),
-                (spec.context_strength, scene_dirs[scene_idx]),
-                (spec.noise_sigma, noise()),
-            ])
-            test.append(ToySample(DET_BOX, feat, c))
+    test_y = _labels(spec.n_classes, spec.test_per_class)
+    test_x = np.empty((len(test_y), dim))
+    for i, c in enumerate(test_y):
+        k_idx = int(rng.integers(spec.k_states))
+        scene_idx = int(rng.integers(spec.l_scenes))
+        test_x[i] = _compose(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.context_strength, scene_dirs[scene_idx]),
+            (spec.noise_sigma, noise()),
+        ])
 
     return ToyWorld(
         spec=spec,
         class_dirs=class_dirs,
         state_dirs=state_dirs,
         scene_dirs=scene_dirs,
-        train_det=tuple(train_det),
-        train_weak=tuple(train_weak),
-        test=tuple(test),
+        det_x=det_x,
+        det_y=det_y,
+        weak_areas=weak_areas,
+        weak_proposals=weak_proposals,
+        weak_y=weak_y,
+        test_x=test_x,
+        test_y=test_y,
     )
 
 
-def select_max_size_proposal(sample: ToySample) -> np.ndarray:
-    """Feature of the largest-area proposal; ties go to the lowest index."""
-    if sample.kind != WEAK_IMAGE:
-        raise NotWeakImage(f"sample kind is '{sample.kind}'")
-    if not sample.proposals:
-        raise EmptyProposals("sample has no proposals")
-    areas = np.array([p.area for p in sample.proposals])
-    return sample.proposals[int(np.argmax(areas))].feature
-
-
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    feats = np.stack([s.feature for s in samples]) if samples else np.zeros((0, 0))
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return feats, labels
+def select_max_size_proposal(areas, proposals) -> np.ndarray:
+    """Each image's largest-area proposal feature: (N, P) areas and
+    (N, P, D) proposals give (N, D). Ties go to the lowest index."""
+    areas = np.asarray(areas, dtype=np.float64)
+    proposals = np.asarray(proposals, dtype=np.float64)
+    if areas.ndim != 2 or proposals.ndim != 3 or proposals.shape[:2] != areas.shape:
+        raise DimensionMismatch(
+            f"areas {areas.shape} do not index proposals {proposals.shape}"
+        )
+    if areas.shape[1] == 0:
+        raise EmptyProposals("images have no proposals")
+    return proposals[np.arange(len(areas)), areas.argmax(axis=1)]
 
 
 def build_toy_bank(world: ToyWorld, mode: str = "true-directions", k: int = 5,
@@ -333,14 +311,14 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
           config: TrainConfig) -> tuple[ProbeModel, list[LossReport]]:
     """Full-batch gradient descent on det + weak + lam * scene.
 
-    The scene term is skipped (and recorded as 0 with effective lambda
-    0) when disabled or weightless, so flag-off and lam=0 runs produce
-    identical traces. Raises DivergenceDetected on non-finite loss.
+    The weak batch is each weak image's max-size proposal. The scene
+    term is skipped (and recorded as 0 with effective lambda 0) when
+    disabled or weightless, so flag-off and lam=0 runs produce identical
+    traces. Raises DivergenceDetected on non-finite loss.
     """
-    x_det, y_det = samples_to_arrays(world.train_det)
-    if x_det.shape[0] == 0:
-        x_det = np.zeros((0, world.spec.dim))
-    x_weak, y_weak = samples_to_arrays(world.train_weak)
+    x_det, y_det = world.det_x, world.det_y
+    x_weak = select_max_size_proposal(world.weak_areas, world.weak_proposals)
+    y_weak = world.weak_y
 
     lam_eff = config.lam if config.use_sapp else 0.0
     w = probe.weight.copy()
@@ -373,14 +351,13 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     return ProbeModel(weight=w, bias=b), reports
 
 
-def evaluate(probe: ProbeModel, bank: PrototypeBank, test_samples,
-             n_base: int) -> dict:
+def evaluate(probe: ProbeModel, bank: PrototypeBank, features: np.ndarray,
+             labels: np.ndarray, n_base: int) -> dict:
     """Top-1 accuracy of cosine argmax classification, split by
     base/novel membership (novel = class_id >= n_base)."""
-    if not test_samples:
+    if len(labels) == 0:
         raise EmptyTestSet("no test samples")
-    feats, labels = samples_to_arrays(test_samples)
-    proj = probe.apply(feats)
+    proj = probe.apply(features)
     fn = np.linalg.norm(proj, axis=1)
     pn = np.linalg.norm(bank.sesp, axis=1)
     cosm = (proj @ bank.sesp.T) / (fn[:, None] * pn[None, :])
@@ -442,17 +419,19 @@ def initial_probe(world: ToyWorld, config: TrainConfig) -> ProbeModel:
                                     jitter=config.probe_jitter)
 
 
-def _run_on_world(world_spec: WorldSpec, config: TrainConfig,
-                  world: ToyWorld) -> tuple[dict, ProbeModel]:
-    """Build the bank, train, evaluate on an already generated world.
+def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
+                       world: ToyWorld | None = None) -> tuple[dict, ProbeModel]:
+    """Run one configuration end to end: its record and its trained probe.
 
-    `world` must be generate_world(effective_world(world_spec, config)).
-    The record echoes the *input* config, so re-running from an echo
-    reproduces the run.
+    Generates the run's world unless `world` is given, which must then be
+    generate_world(effective_world(world_spec, config)). The record echoes
+    the *input* config, so re-running from an echo reproduces the run.
     """
+    if world is None:
+        world = generate_world(effective_world(world_spec, config))
     bank = build_run_bank(world, config)
     probe, reports = train(initial_probe(world, config), world, bank, config)
-    metrics = evaluate(probe, bank, world.test, world.spec.n_base)
+    metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
     totals = [r.total for r in reports]
     record = {
         "kind": "run",
@@ -469,16 +448,9 @@ def _run_on_world(world_spec: WorldSpec, config: TrainConfig,
     return record, probe
 
 
-def _run_with_probe(world_spec: WorldSpec,
-                    config: TrainConfig) -> tuple[dict, ProbeModel]:
-    """Generate the run's world, then build the bank, train, evaluate."""
-    world = generate_world(effective_world(world_spec, config))
-    return _run_on_world(world_spec, config, world)
-
-
 def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
     """Run one configuration end to end and return its record."""
-    return _run_with_probe(world_spec, config)[0]
+    return train_and_evaluate(world_spec, config)[0]
 
 
 def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
@@ -521,7 +493,7 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
         world = generate_world(spec)
         for i in indices:
             name, cfg_s = jobs[i]
-            record, _ = _run_on_world(world_spec, cfg_s, world)
+            record, _ = train_and_evaluate(world_spec, cfg_s, world)
             record["arm"] = name
             record["seed"] = cfg_s.seed
             records[i] = record

@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from semproto import cli
 from semproto.prototypes import PrototypeBank
+
+from .test_synthbench import SMALL_WORLD
 
 SMALL = [
     "--set", "world.dim=20",
@@ -149,6 +152,22 @@ class TestSimulateCommand:
                                     "test": 72}
         assert summary["label_histograms"]["train_det"] == {
             "0": 6, "1": 6, "2": 6, "3": 6}
+
+    @pytest.mark.parametrize("overrides, sha256", [
+        ({}, "6e017af9f052d108985cb84b169fdd1b02b2c9b6857a3fe19cb7d884c8942fad"),
+        ({"det_per_class": 0},
+         "6d21265b06a7b77e5745dcbe0fef5ab28263f4b587b455986a5a2f41e133a750"),
+    ])
+    def test_world_bytes_are_pinned(self, tmp_path, capsys, overrides, sha256):
+        # any change to the random-draw order or the per-row arithmetic of
+        # generate_world moves this digest
+        sets = []
+        for key, value in {**SMALL_WORLD, **overrides}.items():
+            sets += ["--set", f"world.{key}={value}"]
+        out_path = tmp_path / "world.json"
+        assert cli.main(["simulate", *sets, "--out", str(out_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["feature_sha256"] == sha256
+        assert json.loads(out_path.read_text())["feature_sha256"] == sha256
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         out = run_cli("simulate", "--set", "world.moons=3",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,21 @@ class TestBuildBank:
         assert bank.class_id("dog") == 1
 
 
+def _bank_body(**changes) -> bytes:
+    """A valid 1-class, dim-2 bank file; a change to None drops the key."""
+    payload = {"dim": 2, "vocab": ["a"], "strategy": "mean", "k": 1, "l": 1,
+               "sesp": [[1.0, 0.0]], "sapp": [[[0.0, 1.0]]]}
+    payload.update(changes)
+    payload = {k: v for k, v in payload.items() if v is not None}
+    return json.dumps(payload).encode("utf-8")
+
+
+def _write(tmp_path, body: bytes):
+    path = tmp_path / "bank.json"
+    path.write_bytes(body)
+    return path
+
+
 class TestBankPersistence:
     def test_round_trip_value_exact(self, tmp_path):
         desc = _fixture_descriptions()
@@ -263,11 +280,26 @@ class TestBankPersistence:
         np.testing.assert_array_equal(loaded.sesp, bank.sesp)
         np.testing.assert_array_equal(loaded.sapp, bank.sapp)
 
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "bank.json"
-        path.write_text('{"vocab": ["a"], "strategy": "mean"}')
-        with pytest.raises(MalformedResponse):
+    @pytest.mark.parametrize("body", [
+        b'{"vocab": ["a"], "strategy": "mean"}',
+        _bank_body(dim=None),
+        _bank_body(dim="x"),
+        _bank_body(dim=2.5),
+        _bank_body(dim=True),
+        b'not json at all',
+        b'["a", "list"]',
+        b'\xff\xfe{"dim": 2}',
+    ], ids=["missing-arrays", "missing-dim", "string-dim", "float-dim",
+            "bool-dim", "not-json", "not-an-object", "not-utf8"])
+    def test_malformed_file(self, tmp_path, body):
+        assert PrototypeBank.load(str(_write(tmp_path, _bank_body()))).dim == 2
+        path = _write(tmp_path, body)
+        with pytest.raises(MalformedResponse, match="bank.json"):
             PrototypeBank.load(str(path))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            PrototypeBank.load(str(tmp_path / "absent.json"))
 
     def test_declared_dim_mismatch(self, tmp_path):
         desc = _fixture_descriptions()
@@ -275,8 +307,6 @@ class TestBankPersistence:
         bank = build_bank(desc, enc)
         path = tmp_path / "bank.json"
         bank.save(str(path))
-        import json
-
         payload = json.loads(path.read_text())
         payload["dim"] = 99
         path.write_text(json.dumps(payload))

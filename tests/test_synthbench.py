@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semproto.config import (
     CONFIG_SCHEMA,
@@ -13,26 +17,21 @@ from semproto.config import (
 )
 from semproto.errors import (
     ConfigError,
+    DimensionMismatch,
     DivergenceDetected,
     EmptyProposals,
     EmptyTestSet,
     InfeasibleWorld,
-    NotWeakImage,
 )
 from semproto.prototypes import Aggregation
 from semproto.synthbench import (
     ABLATION_GRIDS,
-    DET_BOX,
-    WEAK_IMAGE,
     ProbeModel,
-    Proposal,
-    ToySample,
     build_toy_bank,
     evaluate,
     generate_world,
     run_ablation,
     run_single,
-    samples_to_arrays,
     select_max_size_proposal,
     train,
 )
@@ -44,12 +43,11 @@ SMALL_WORLD = dict(dim=20, n_classes=6, n_base=4, k_states=3, l_scenes=3,
 FAST_TRAIN = dict(steps=40, temperature=0.2)
 
 
-def _stack_world(world):
-    parts = []
-    for split in (world.train_det, world.train_weak, world.test):
-        feats, labels = samples_to_arrays(split)
-        parts.append((feats, labels))
-    return parts
+def _splits(world):
+    """(features, labels) per split; the weak split's are its pseudo-boxes."""
+    weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
+    return ((world.det_x, world.det_y), (weak_x, world.weak_y),
+            (world.test_x, world.test_y))
 
 
 class TestGenerateWorld:
@@ -57,30 +55,25 @@ class TestGenerateWorld:
         spec = WorldSpec(**SMALL_WORLD)
         a = generate_world(spec)
         b = generate_world(spec)
-        for (fa, la), (fb, lb) in zip(_stack_world(a), _stack_world(b)):
+        for (fa, la), (fb, lb) in zip(_splits(a), _splits(b)):
             np.testing.assert_array_equal(fa, fb)
             np.testing.assert_array_equal(la, lb)
-        for sa, sb in zip(a.train_weak, b.train_weak):
-            for pa, pb in zip(sa.proposals, sb.proposals):
-                assert pa.area == pb.area
-                np.testing.assert_array_equal(pa.feature, pb.feature)
+        np.testing.assert_array_equal(a.weak_areas, b.weak_areas)
+        np.testing.assert_array_equal(a.weak_proposals, b.weak_proposals)
 
     def test_degenerate_world_reproduces_class_directions(self):
         spec = WorldSpec(**{**SMALL_WORLD, "state_strength": 0.0,
                             "context_strength": 0.0, "noise_sigma": 0.0})
         world = generate_world(spec)
-        for split in (world.train_det, world.train_weak, world.test):
-            for sample in split:
-                np.testing.assert_array_equal(
-                    sample.feature, world.class_dirs[sample.label]
-                )
+        for feats, labels in _splits(world):
+            np.testing.assert_array_equal(feats, world.class_dirs[labels])
 
     def test_base_novel_split_contract(self):
         spec = WorldSpec(**{**SMALL_WORLD, "n_classes": 3, "n_base": 2})
         world = generate_world(spec)
-        assert set(s.label for s in world.train_det) == {0, 1}
-        assert set(s.label for s in world.train_weak) == {0, 1, 2}
-        assert set(s.label for s in world.test) == {0, 1, 2}
+        assert set(world.det_y.tolist()) == {0, 1}
+        assert set(world.weak_y.tolist()) == {0, 1, 2}
+        assert set(world.test_y.tolist()) == {0, 1, 2}
 
     def test_factor_direction_shapes_and_norms(self):
         spec = WorldSpec(**SMALL_WORLD)
@@ -100,14 +93,19 @@ class TestGenerateWorld:
         assert np.linalg.norm(world.scene_dirs.sum(0)) < 0.6
 
     def test_weak_proposal_areas_distinct_and_context_largest(self):
-        spec = WorldSpec(**SMALL_WORLD)
+        # noise_sigma draws the same random stream at any scale, so this
+        # world has SMALL_WORLD's areas, and without noise a distractor
+        # proposal is exactly a scene direction
+        spec = WorldSpec(**{**SMALL_WORLD, "noise_sigma": 0.0})
         world = generate_world(spec)
-        for sample in world.train_weak:
-            areas = [p.area for p in sample.proposals]
-            assert len(set(areas)) == len(areas)
-            np.testing.assert_array_equal(
-                sample.feature, select_max_size_proposal(sample)
-            )
+        pseudo = select_max_size_proposal(world.weak_areas, world.weak_proposals)
+        for areas, props, feature in zip(world.weak_areas, world.weak_proposals,
+                                         pseudo):
+            assert len(set(areas.tolist())) == len(areas)
+            context_only = [any(np.array_equal(p, d) for d in world.scene_dirs)
+                            for p in props]
+            assert context_only.count(False) == 1
+            np.testing.assert_array_equal(feature, props[context_only.index(False)])
 
     def test_infeasible_specs_rejected(self):
         with pytest.raises(InfeasibleWorld):
@@ -121,41 +119,62 @@ class TestGenerateWorld:
 class TestSelectMaxSizeProposal:
     def _weak(self, areas):
         rng = np.random.default_rng(0)
-        props = tuple(
-            Proposal(a, rng.standard_normal(4)) for a in areas
-        )
-        return ToySample(WEAK_IMAGE, props[int(np.argmax(areas))].feature,
-                         0, props)
+        areas = np.array([areas], dtype=np.float64)
+        return areas, rng.standard_normal((1, areas.shape[1], 4))
 
     def test_picks_largest(self):
-        sample = self._weak([3.0, 7.0, 1.0])
+        areas, props = self._weak([3.0, 7.0, 1.0])
         np.testing.assert_array_equal(
-            select_max_size_proposal(sample), sample.proposals[1].feature
+            select_max_size_proposal(areas, props), props[:, 1]
         )
 
     def test_single_proposal(self):
-        sample = self._weak([2.0])
+        areas, props = self._weak([2.0])
         np.testing.assert_array_equal(
-            select_max_size_proposal(sample), sample.proposals[0].feature
+            select_max_size_proposal(areas, props), props[:, 0]
         )
 
     def test_tie_breaks_to_lowest_index(self):
-        rng = np.random.default_rng(1)
-        props = (Proposal(5.0, rng.standard_normal(4)),
-                 Proposal(5.0, rng.standard_normal(4)))
-        sample = ToySample(WEAK_IMAGE, props[0].feature, 0, props)
+        areas, props = self._weak([5.0, 5.0])
         np.testing.assert_array_equal(
-            select_max_size_proposal(sample), props[0].feature
+            select_max_size_proposal(areas, props), props[:, 0]
         )
-
-    def test_rejects_det_sample(self):
-        det = ToySample(DET_BOX, np.ones(4), 0)
-        with pytest.raises(NotWeakImage):
-            select_max_size_proposal(det)
 
     def test_weak_sample_needs_proposals(self):
         with pytest.raises(EmptyProposals):
-            ToySample(WEAK_IMAGE, np.ones(4), 0, ())
+            select_max_size_proposal(np.zeros((2, 0)), np.zeros((2, 0, 4)))
+
+    @pytest.mark.parametrize("areas_shape, props_shape", [
+        ((2, 3), (2, 4, 5)),
+        ((2, 3), (3, 3, 5)),
+        ((2, 3), (2, 3)),
+        ((6,), (2, 3, 5)),
+    ])
+    def test_shapes_must_agree(self, areas_shape, props_shape):
+        with pytest.raises(DimensionMismatch):
+            select_max_size_proposal(np.ones(areas_shape), np.ones(props_shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_first_max_loop(self, data):
+        n = data.draw(st.integers(0, 6), label="N")
+        p = data.draw(st.integers(1, 5), label="P")
+        d = data.draw(st.integers(1, 4), label="D")
+        # a small set of areas, so that ties are common
+        areas = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=p, max_size=p),
+            min_size=n, max_size=n), label="areas"), dtype=np.float64).reshape(n, p)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        props = np.random.default_rng(seed).standard_normal((n, p, d))
+        expected = np.empty((n, d))
+        for i in range(n):
+            best = 0
+            for j in range(1, p):
+                if areas[i, j] > areas[i, best]:
+                    best = j
+            expected[i] = props[i, best]
+        np.testing.assert_array_equal(select_max_size_proposal(areas, props),
+                                      expected)
 
 
 class TestBuildToyBank:
@@ -176,7 +195,7 @@ class TestBuildToyBank:
                                        enc_noise_sigma=0.1, seed=7)
             sesp = build_toy_bank(world, k=spec.k_states, l=3,
                                   enc_noise_sigma=0.1, seed=7)
-            feats, labels = samples_to_arrays(world.test)
+            feats, labels = world.test_x, world.test_y
             fhat = feats / np.linalg.norm(feats, axis=1, keepdims=True)
 
             def mean_cos(bank):
@@ -276,16 +295,9 @@ class TestTrain:
         # cosine-space losses are bounded, so the guard can only fire on
         # non-finite inputs; corrupt one detection feature to exercise it
         world, bank, probe, cfg = self._setup()
-        bad_det = list(world.train_det)
-        feat = bad_det[0].feature.copy()
-        feat[0] = np.inf
-        bad_det[0] = ToySample(DET_BOX, feat, bad_det[0].label)
-        corrupted = type(world)(
-            spec=world.spec, class_dirs=world.class_dirs,
-            state_dirs=world.state_dirs, scene_dirs=world.scene_dirs,
-            train_det=tuple(bad_det), train_weak=world.train_weak,
-            test=world.test,
-        )
+        bad_det = world.det_x.copy()
+        bad_det[0, 0] = np.inf
+        corrupted = dataclasses.replace(world, det_x=bad_det)
         with pytest.raises(DivergenceDetected):
             train(probe, corrupted, bank, cfg)
 
@@ -303,8 +315,8 @@ class TestEvaluate:
                             "context_strength": 0.0, "noise_sigma": 0.0})
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, enc_noise_sigma=0.0, seed=0)
-        metrics = evaluate(ProbeModel.identity(spec.dim), bank, world.test,
-                           spec.n_base)
+        metrics = evaluate(ProbeModel.identity(spec.dim), bank, world.test_x,
+                           world.test_y, spec.n_base)
         assert metrics == {"acc_novel": 1.0, "acc_base": 1.0, "acc_all": 1.0}
 
     def test_random_probe_sits_at_chance(self):
@@ -315,7 +327,8 @@ class TestEvaluate:
         accs = []
         for seed in range(4):
             probe = ProbeModel.random(spec.dim, spec.dim, seed=seed)
-            accs.append(evaluate(probe, bank, world.test, 4)["acc_all"])
+            accs.append(evaluate(probe, bank, world.test_x, world.test_y,
+                                 4)["acc_all"])
         n = 8 * 150
         p = 1.0 / 8
         sigma = np.sqrt(p * (1 - p) / n)
@@ -326,8 +339,8 @@ class TestEvaluate:
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, seed=0)
         probe = ProbeModel.near_identity(spec.dim, seed=2)
-        m = evaluate(probe, bank, world.test, spec.n_base)
-        feats, labels = samples_to_arrays(world.test)
+        m = evaluate(probe, bank, world.test_x, world.test_y, spec.n_base)
+        labels = world.test_y
         n_base_samples = int((labels < spec.n_base).sum())
         n_novel = len(labels) - n_base_samples
         mixed = (m["acc_base"] * n_base_samples + m["acc_novel"] * n_novel) / len(labels)
@@ -338,7 +351,9 @@ class TestEvaluate:
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, seed=0)
         with pytest.raises(EmptyTestSet):
-            evaluate(ProbeModel.identity(spec.dim), bank, [], spec.n_base)
+            evaluate(ProbeModel.identity(spec.dim), bank,
+                     np.zeros((0, spec.dim)), np.zeros(0, dtype=np.int64),
+                     spec.n_base)
 
 
 SMALL_CFG = dict(steps=40, temperature=0.2)
