@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backend
 from .core import log_sigmoid, sigmoid, validate_similarity_tensor
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .prototypes import PrototypeBank
 
 
@@ -89,7 +89,7 @@ def total_loss(det_part: float, weak_part: float, scene_part: float,
                lam: float) -> LossReport:
     """Combine the three loss terms; lam weights the scene term."""
     if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+        raise ConfigError(f"lambda must be >= 0, got {lam}")
     det_part = float(det_part)
     weak_part = float(weak_part)
     scene_part = float(scene_part)
@@ -123,7 +123,7 @@ def assign_pseudo_labels(s, labels, tau: float,
     w = sigmoid(logit_scale * s) everywhere.
     """
     if not -1.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [-1, 1], got {tau}")
+        raise ConfigError(f"tau must lie in [-1, 1], got {tau}")
     s = validate_similarity_tensor(s)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n_classes = s.shape[1]
@@ -170,7 +170,7 @@ def scene_loss_and_grad(batch: WeakBatch, bank: PrototypeBank, tau: float,
             f"batch dim {batch.features.shape[1]} != bank dim {bank.dim}"
         )
     if not -1.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [-1, 1], got {tau}")
+        raise ConfigError(f"tau must lie in [-1, 1], got {tau}")
     _check_labels(batch.labels, bank.n_classes)
     return backend.scene_loss_grad_kernel(
         batch.features, bank.unit_sapp, batch.labels, tau,
@@ -190,7 +190,7 @@ def det_cls_loss(features, labels, bank: PrototypeBank, temperature: float):
     An empty feature list yields loss 0 with zero gradients.
     """
     if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     features = np.asarray(features, dtype=np.float64)
     if features.size == 0:
         features = features.reshape(0, bank.dim)
@@ -200,6 +200,10 @@ def det_cls_loss(features, labels, bank: PrototypeBank, temperature: float):
             f"features must be (B, {bank.dim}), got {features.shape}"
         )
     labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (features.shape[0],):
+        raise DimensionMismatch(
+            f"labels shape {labels.shape} != batch size {features.shape[0]}"
+        )
     _check_labels(labels, bank.n_classes)
     return backend.softmax_ce_kernel(features, bank.unit_sesp, labels,
                                      1.0 / temperature)

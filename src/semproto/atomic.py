@@ -8,9 +8,10 @@ import os
 
 def atomic_write(path, data: bytes) -> None:
     """Replace the file at `path` with `data`: write a uniquely named temp
-    file beside it, fsync, rename it over `path`. The new file gets mode
-    0o666 & ~umask, as open(path, "w") gives. On any error the temp file
-    is removed and the error propagates."""
+    file beside it, fsync, rename it over `path`, then fsync the directory
+    so the rename itself is durable. The new file gets mode 0o666 & ~umask,
+    as open(path, "w") gives. On any error before the rename the temp file
+    is removed; every error propagates."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
@@ -24,3 +25,8 @@ def atomic_write(path, data: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

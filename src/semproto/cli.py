@@ -5,7 +5,8 @@ evaluate, ablate. Behavior is driven by a JSON config file plus --set
 key=value overrides (later sources win); every run prints a single-line
 JSON record with the fully resolved config, and every output file is
 written atomically. Errors exit with distinct codes: config 2, data 3,
-numerical 4, and emit one machine-parsable JSON line on stderr.
+numerical 4, and emit one machine-parsable JSON line on stderr. Any
+other exception is a bug: it propagates with its traceback (exit 1).
 """
 
 import argparse
@@ -34,18 +35,11 @@ from .descriptions import (
 )
 from .errors import (
     AllWeightsZero,
-    ClientUnavailable,
     ConfigError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyClassName,
-    EmptyProposals,
-    EmptyStateList,
-    EmptyTestSet,
-    EncoderUnavailable,
     InfeasibleWorld,
-    InsufficientDescriptions,
-    InvalidEmbedding,
     MalformedResponse,
     SemprotoError,
     ZeroNorm,
@@ -71,20 +65,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName, ValueError)
-_NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected, FloatingPointError)
-_DATA_ERRORS = (
-    ClientUnavailable,
-    InsufficientDescriptions,
-    MalformedResponse,
-    EncoderUnavailable,
-    DimensionMismatch,
-    InvalidEmbedding,
-    EmptyStateList,
-    EmptyTestSet,
-    EmptyProposals,
-    OSError,
-)
+_CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName)
+_NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected)
+_DATA_ERRORS = (OSError,)
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -251,7 +234,7 @@ def cmd_evaluate(args) -> int:
             )
         probe_src = args.probe
     else:
-        probe = initial_probe(world, cfg)
+        probe = initial_probe(world)
         probe_src = "fresh"
     metrics = evaluate(probe, bank, world.test_x, world.test_y, world_spec.n_base)
     result = {

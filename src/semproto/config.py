@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from .backend import active_backend
 from .errors import ConfigError, InfeasibleWorld
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-DESC_MODES = ("true-directions", "toy-text")
 AGGREGATIONS = ("mean", "median", "two_stage", "similarity_weighted")
 
 
@@ -57,13 +56,6 @@ _FIELD_DOCS: dict[str, tuple[str, str]] = {
     "train.seed": ("artifact", "run seed; ablations use seed..seed+n_seeds-1"),
     "train.use_sesp": ("artifact", "state-enhanced prototypes on/off (off = name-only bank)"),
     "train.use_sapp": ("artifact", "scene alignment loss on/off (off = effective lambda 0)"),
-    "train.logit_scale": ("paper", "pre-sigmoid multiplier on similarities; 1.0 is the written formula"),
-    "train.detach_weights": ("artifact", "treat confidence weights as constants during differentiation"),
-    "train.enc_noise_sigma": ("artifact", "encoder noise added to true-direction bank vectors"),
-    "train.desc_mode": ("artifact", f"toy bank construction mode, one of {DESC_MODES}"),
-    "train.normalize_prototypes": ("artifact", "l2-normalize prototypes after aggregation"),
-    "train.clamp_negative_weights": ("artifact", "clamp negative similarity weights to zero"),
-    "train.probe_jitter": ("artifact", "scale of the probe's init deviation from identity"),
 }
 
 # Informational keys tolerated (but not applied) when re-loading an echo.
@@ -123,13 +115,6 @@ class TrainConfig:
     seed: int = 0
     use_sesp: bool = True
     use_sapp: bool = True
-    logit_scale: float = 1.0
-    detach_weights: bool = False
-    enc_noise_sigma: float = 0.15
-    desc_mode: str = "true-directions"
-    normalize_prototypes: bool = True
-    clamp_negative_weights: bool = True
-    probe_jitter: float = 0.5
 
     def __post_init__(self):
         if self.lam < 0:
@@ -144,19 +129,9 @@ class TrainConfig:
             raise ConfigError(f"train.lr must be >= 0, got {self.lr}")
         if self.steps < 1:
             raise ConfigError(f"train.steps must be >= 1, got {self.steps}")
-        if self.logit_scale <= 0:
-            raise ConfigError(f"train.logit_scale must be > 0, got {self.logit_scale}")
-        if self.enc_noise_sigma < 0:
-            raise ConfigError("train.enc_noise_sigma must be >= 0")
-        if self.probe_jitter < 0:
-            raise ConfigError("train.probe_jitter must be >= 0")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(
                 f"train.aggregation must be one of {AGGREGATIONS}, got '{self.aggregation}'"
-            )
-        if self.desc_mode not in DESC_MODES:
-            raise ConfigError(
-                f"train.desc_mode must be one of {DESC_MODES}, got '{self.desc_mode}'"
             )
 
 
@@ -268,11 +243,6 @@ def resolved_config(world: WorldSpec, train: TrainConfig) -> dict:
     out["backend"] = active_backend()
     out["version"] = __version__
     return out
-
-
-def replace(spec, **changes):
-    """dataclasses.replace that re-runs validation."""
-    return dataclasses.replace(spec, **changes)
 
 
 def derive_seed(root: int, label: str) -> int:

@@ -15,10 +15,13 @@ ZERO_NORM_EPS = 1e-12
 def as_embedding(values, dim: int | None = None) -> np.ndarray:
     """Validate and return a 1-D float64 embedding vector.
 
-    Raises InvalidEmbedding on NaN/inf or wrong rank, DimensionMismatch
-    if `dim` is given and does not match.
+    Raises InvalidEmbedding on non-numeric entries, NaN/inf or wrong
+    rank, DimensionMismatch if `dim` is given and does not match.
     """
-    v = np.asarray(values, dtype=np.float64)
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidEmbedding(f"embedding is not numeric: {exc}") from exc
     if v.ndim != 1 or v.size < 1:
         raise InvalidEmbedding(f"expected a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

@@ -25,6 +25,7 @@ from .atomic import atomic_write
 from .core import as_embedding, l2_normalize
 from .errors import (
     ClientUnavailable,
+    ConfigError,
     DimensionMismatch,
     EmptyClassName,
     EncoderUnavailable,
@@ -288,7 +289,7 @@ def generate_descriptions(class_names, k: int, l: int, client) -> dict:
     queried concurrently.
     """
     if k < 1 or l < 1:
-        raise ValueError(f"k and l must be >= 1, got k={k}, l={l}")
+        raise ConfigError(f"k and l must be >= 1, got k={k}, l={l}")
     names = [_require_name(n) for n in class_names]
     ordered = sorted(set(names))
     parallel = int(getattr(client, "max_parallel", 1))
@@ -312,7 +313,7 @@ class DeterministicToyEncoder:
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         self.seed = int(seed)
 
@@ -341,8 +342,10 @@ class FixtureEncoder:
         try:
             self.dim = int(data["dim"])
             records = data["records"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedResponse(f"embedding fixture {path} missing dim/records") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedResponse(
+                f"embedding fixture {path} has no integer dim or no records: {exc}"
+            ) from exc
         if not isinstance(records, list) or not all(
                 isinstance(r, dict) and isinstance(r.get("text"), str)
                 and isinstance(r.get("vector"), list) for r in records):
@@ -402,7 +405,7 @@ def encode(text: str, encoder) -> np.ndarray:
     norm >= 1e-6 and match the declared dimension.
     """
     if not isinstance(text, str) or not text:
-        raise ValueError("text must be a nonempty string")
+        raise ConfigError("text must be a nonempty string")
     raw = as_embedding(encoder.encode(text))
     if raw.shape[0] != encoder.dim:
         raise DimensionMismatch(

@@ -74,5 +74,6 @@ class DivergenceDetected(SemprotoError):
     """The training loss became non-finite."""
 
 
-class ConfigError(SemprotoError):
-    """A config file or override references unknown keys or bad values."""
+class ConfigError(SemprotoError, ValueError):
+    """A config file, override, flag or argument has an unknown key or a
+    bad value. Also a ValueError, for callers that catch bad arguments."""

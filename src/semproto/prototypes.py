@@ -19,6 +19,7 @@ from .core import ZERO_NORM_EPS, as_embedding, cosine, l2_normalize
 from .descriptions import DescriptionSet, encode
 from .errors import (
     AllWeightsZero,
+    ConfigError,
     DimensionMismatch,
     EmptyStateList,
     MalformedResponse,
@@ -247,12 +248,12 @@ def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
     """
     strategy = Aggregation(strategy)
     if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+        raise ConfigError(f"l must be >= 1, got {l}")
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ConfigError(f"k must be >= 0, got {k}")
     vocab = tuple(sorted(desc))
     if not vocab:
-        raise ValueError("no classes to build a bank from")
+        raise ConfigError("no classes to build a bank from")
     sesp_rows = []
     sapp_rows = []
     for name in vocab:
@@ -289,7 +290,7 @@ def classify(feature, bank: PrototypeBank, temperature: float) -> np.ndarray:
     positive rescaling of the feature and to the temperature.
     """
     if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     f = as_embedding(feature)
     if f.shape[0] != bank.dim:
         raise DimensionMismatch(f"feature dim {f.shape[0]} != bank dim {bank.dim}")

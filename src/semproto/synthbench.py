@@ -9,6 +9,7 @@ mismatch the scene alignment loss targets. Everything is deterministic
 per seed.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,11 +23,18 @@ from .alignment import (
     total_loss,
     weak_cls_loss,
 )
-from .config import TrainConfig, WorldSpec, __version__, derive_seed, replace, resolved_config
+from .config import TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
 from .core import l2_normalize
-from .descriptions import DescriptionSet, DeterministicToyEncoder
-from .errors import DimensionMismatch, DivergenceDetected, EmptyProposals, EmptyTestSet
-from .prototypes import Aggregation, PrototypeBank, aggregate, build_bank
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    DivergenceDetected,
+    EmptyProposals,
+    EmptyTestSet,
+)
+# build_bank stays bound here for perfbench/spans.py, which patches the
+# prototypes functions in every module that imports them by name.
+from .prototypes import Aggregation, PrototypeBank, aggregate, build_bank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -185,42 +193,19 @@ def select_max_size_proposal(areas, proposals) -> np.ndarray:
     return proposals[np.arange(len(areas)), areas.argmax(axis=1)]
 
 
-def build_toy_bank(world: ToyWorld, mode: str = "true-directions", k: int = 5,
-                   l: int = 5, strategy=Aggregation.MEAN,
-                   enc_noise_sigma: float = 0.15, seed: int = 0,
-                   normalize: bool = True,
-                   clamp_negative: bool = True) -> PrototypeBank:
+def build_toy_bank(world: ToyWorld, k: int = 5, l: int = 5,
+                   strategy=Aggregation.MEAN, enc_noise_sigma: float = 0.15,
+                   seed: int = 0) -> PrototypeBank:
     """Bank for the toy vocabulary.
 
-    "true-directions": description embeddings are the world's factor
-    directions plus seeded encoder noise (calibration mode; this is what
-    the ablation harness measures). k/l beyond the world's true factor
-    counts synthesize surplus descriptions from fresh random directions,
-    the desk analogue of redundant or noisy LLM output. k=0 builds
-    name-only prototypes from the generic embedding alone.
-
-    "toy-text": synthetic description strings run through the
-    deterministic hash encoder; exercises the real text pipeline but
-    carries no visual structure.
+    Description embeddings are the world's factor directions plus seeded
+    encoder noise (the calibration the ablation harness measures). k/l
+    beyond the world's true factor counts synthesize surplus descriptions
+    from fresh random directions, the desk analogue of redundant or noisy
+    LLM output. k=0 builds name-only prototypes from the generic
+    embedding alone.
     """
     spec = world.spec
-    names = world.class_names
-    if mode == "toy-text":
-        desc = {}
-        for name in names:
-            n_states = max(k, 1)
-            desc[name] = DescriptionSet(
-                class_name=name,
-                generic=f"a photo of a {name}",
-                states=tuple(f"{name} in state {i:02d}" for i in range(n_states)),
-                scenes=tuple(f"{name} + context {i:02d}" for i in range(l)),
-            )
-        enc = DeterministicToyEncoder(dim=spec.dim, seed=seed)
-        return build_bank(desc, enc, strategy=strategy, k=k, l=l,
-                          normalize=normalize, clamp_negative=clamp_negative)
-    if mode != "true-directions":
-        raise ValueError(f"unknown bank mode '{mode}'")
-
     rng = np.random.default_rng(seed)
     sqrt_dim = math.sqrt(spec.dim)
 
@@ -249,15 +234,12 @@ def build_toy_bank(world: ToyWorld, mode: str = "true-directions", k: int = 5,
             slots.append(l2_normalize(
                 world.class_dirs[c] + spec.context_strength * gdir + noise()
             ))
-        proto = generic if k == 0 else aggregate(
-            strategy, generic, states, normalize=normalize,
-            clamp_negative=clamp_negative,
-        )
+        proto = generic if k == 0 else aggregate(strategy, generic, states)
         sesp_rows.append(proto)
         sapp_rows.append(np.stack(slots))
 
     return PrototypeBank(
-        vocab=names,
+        vocab=world.class_names,
         sesp=np.stack(sesp_rows),
         sapp=np.stack(sapp_rows),
         strategy=Aggregation(strategy),
@@ -331,11 +313,7 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
         weak_batch = WeakBatch(p_weak, y_weak)
         weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
         if lam_eff > 0.0:
-            scene_val, g_scene = scene_loss_and_grad(
-                weak_batch, bank, config.tau,
-                logit_scale=config.logit_scale,
-                detach_weights=config.detach_weights,
-            )
+            scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
             g_weak = g_weak + lam_eff * g_scene
         else:
             scene_val = 0.0
@@ -394,29 +372,24 @@ ABLATION_GRIDS = {
 
 def effective_world(world_spec: WorldSpec, config: TrainConfig) -> WorldSpec:
     """The world a run actually samples: the run seed offsets the world seed."""
-    return replace(world_spec, seed=world_spec.seed + config.seed)
+    return dataclasses.replace(world_spec, seed=world_spec.seed + config.seed)
 
 
 def build_run_bank(world: ToyWorld, config: TrainConfig) -> PrototypeBank:
     """The bank a run trains and evaluates against, seeded from its world."""
     return build_toy_bank(
         world,
-        mode=config.desc_mode,
         k=config.k if config.use_sesp else 0,
         l=config.l,
         strategy=Aggregation(config.aggregation),
-        enc_noise_sigma=config.enc_noise_sigma,
         seed=derive_seed(world.spec.seed, "bank"),
-        normalize=config.normalize_prototypes,
-        clamp_negative=config.clamp_negative_weights,
     )
 
 
-def initial_probe(world: ToyWorld, config: TrainConfig) -> ProbeModel:
+def initial_probe(world: ToyWorld) -> ProbeModel:
     """The untrained probe a run starts from, seeded from its world."""
     return ProbeModel.near_identity(world.spec.dim,
-                                    derive_seed(world.spec.seed, "probe"),
-                                    jitter=config.probe_jitter)
+                                    derive_seed(world.spec.seed, "probe"))
 
 
 def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
@@ -430,7 +403,7 @@ def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
     if world is None:
         world = generate_world(effective_world(world_spec, config))
     bank = build_run_bank(world, config)
-    probe, reports = train(initial_probe(world, config), world, bank, config)
+    probe, reports = train(initial_probe(world), world, bank, config)
     metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
     totals = [r.total for r in reports]
     record = {
@@ -467,23 +440,23 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
         try:
             arms = ABLATION_GRIDS[grid]
         except KeyError:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown grid '{grid}', expected one of {sorted(ABLATION_GRIDS)}"
             ) from None
     else:
         arms = tuple(grid)
     if not arms:
-        raise ValueError("ablation grid is empty")
+        raise ConfigError("ablation grid is empty")
     seeds = list(seeds)
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
 
     jobs = []
     for arm in arms:
         overrides = {k: v for k, v in arm.items() if k != "arm"}
-        cfg_arm = replace(config, **overrides)
+        cfg_arm = dataclasses.replace(config, **overrides)
         for s in seeds:
-            jobs.append((arm.get("arm", "run"), replace(cfg_arm, seed=s)))
+            jobs.append((arm.get("arm", "run"), dataclasses.replace(cfg_arm, seed=s)))
     groups: dict[WorldSpec, list[int]] = {}
     for i, (_, cfg_s) in enumerate(jobs):
         groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)

@@ -345,6 +345,14 @@ class TestClassificationLosses:
         assert loss == 0.0
         assert grad.shape == (0, 8)
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_det_label_count_must_match_batch(self, n_labels):
+        rng = np.random.default_rng(23)
+        bank = _random_bank(rng, 3, 2, 8)
+        with pytest.raises(DimensionMismatch, match="batch size 2"):
+            det_cls_loss(rng.standard_normal((2, 8)), np.zeros(n_labels, dtype=np.int64),
+                         bank, 0.2)
+
     def test_det_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20)
         bank = _random_bank(rng, 3, 2, 6)

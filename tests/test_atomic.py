@@ -1,4 +1,5 @@
 import os
+import stat
 
 import pytest
 
@@ -67,6 +68,21 @@ class TestAtomicWrite:
         # the first writer renamed last, and its bytes were not clobbered
         assert path.read_bytes() == b"first\n"
         assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        real_fsync = os.fsync
+        synced = []
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_mode)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        atomic_write(path, b"x")
+        monkeypatch.undo()
+        assert len(synced) == 2
+        assert stat.S_ISREG(synced[0]) and stat.S_ISDIR(synced[-1])
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
     def test_mode_follows_umask(self, tmp_path, umask):

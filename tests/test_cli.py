@@ -140,6 +140,44 @@ class TestMalformedInputFiles:
                       str(emb_path), "--out", str(out_path), check=False)
         _assert_malformed(out, out_path)
 
+    @pytest.mark.parametrize("fixture, error", [
+        ({"dim": "x", "records": []}, "MalformedResponse"),
+        ({"dim": 2, "records": [{"text": "a cat", "vector": ["x", 0.0]}]},
+         "InvalidEmbedding"),
+    ])
+    def test_embedding_fixture_bad_value_exits_3(self, tmp_path, fixture, error):
+        emb_path = tmp_path / "emb.json"
+        emb_path.write_text(json.dumps(fixture))
+        out_path = tmp_path / "bank.json"
+        out = run_cli("build-bank", "--encoder", "fixture", "--embeddings",
+                      str(emb_path), "--out", str(out_path), check=False)
+        assert out.returncode == 3
+        err = json.loads(out.stderr.strip().splitlines()[-1])
+        assert err["error"] == error and err["exit"] == 3
+        assert not out_path.exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--seeds", "0"],
+        ["gen-descriptions", "--classes", "cat", "--k", "0"],
+        ["encode", "--encoder", "toy", "--encoder-dim", "0"],
+    ])
+    def test_bad_argument_exits_2_as_config_error(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and err["exit"] == 2
+        assert not out_path.exists()
+
+    def test_bare_value_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
+        def broken(spec):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "generate_world", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            cli.main(["simulate", "--out", str(tmp_path / "x.json")])
+
 
 class TestSimulateCommand:
     def test_summary_is_deterministic(self, tmp_path):
@@ -169,13 +207,21 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().out)["feature_sha256"] == sha256
         assert json.loads(out_path.read_text())["feature_sha256"] == sha256
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
-        out = run_cli("simulate", "--set", "world.moons=3",
+    # world.moons never existed; the train.* keys were removed in 0.2.0
+    @pytest.mark.parametrize("setting", [
+        "world.moons=3", "train.desc_mode=toy-text",
+        "train.normalize_prototypes=false", "train.clamp_negative_weights=false",
+        "train.detach_weights=true", "train.logit_scale=2.0",
+        "train.enc_noise_sigma=0.0", "train.probe_jitter=0.0",
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, setting):
+        out = run_cli("simulate", "--set", setting,
                       "--out", str(tmp_path / "x.json"), check=False)
         assert out.returncode == 2
         err = json.loads(out.stderr.strip())
         assert err["error"] == "ConfigError"
         assert err["exit"] == 2
+        assert setting.split("=")[0] in err["message"]
 
     def test_infeasible_world_exits_2(self, tmp_path):
         out = run_cli("simulate", "--set", "world.dim=4",
