@@ -8,6 +8,9 @@ feature batches are normalized here, per call, because they change every
 step. Results are bitwise reproducible run to run.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 
 from .core import ZERO_NORM_EPS
@@ -17,6 +20,22 @@ from .errors import DimensionMismatch, ZeroNorm
 def active_backend() -> str:
     """The kernel implementation, as echoed into every run record."""
     return "numpy"
+
+
+def pin_blas_to_one_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    Pool workers call this so that N workers on N cores do not each
+    start N BLAS threads. Does nothing when numpy links another BLAS.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*.so"):
+        set_threads = getattr(ctypes.CDLL(str(path)),
+                              "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
 
 
 def _unit_features(features) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ per seed.
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,14 @@ from .alignment import (
     weak_cls_loss,
 )
 from .config import TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
-from .core import l2_normalize
+from .core import ZERO_NORM_EPS, l2_normalize
 from .errors import (
     ConfigError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyProposals,
     EmptyTestSet,
+    ZeroNorm,
 )
 # build_bank stays bound here for perfbench/spans.py, which patches the
 # prototypes functions in every module that imports them by name.
@@ -83,6 +85,9 @@ def _compose(base_unit: np.ndarray, terms) -> np.ndarray:
 
     Skipping the renormalization in the untouched case keeps degenerate
     worlds (all strengths zero) bitwise equal to their factor directions.
+    The inputs are the generator's own finite arrays, so the norm is
+    taken directly instead of through l2_normalize's validation, which
+    would otherwise run once per generated vector.
     """
     v = base_unit
     added = False
@@ -90,7 +95,12 @@ def _compose(base_unit: np.ndarray, terms) -> np.ndarray:
         if scale != 0.0:
             v = v + scale * vec
             added = True
-    return l2_normalize(v) if added else base_unit
+    if not added:
+        return base_unit
+    norm = math.sqrt(v.dot(v))
+    if norm < ZERO_NORM_EPS:
+        raise ZeroNorm(f"norm {norm:g} below {ZERO_NORM_EPS:g}")
+    return v / norm
 
 
 def _labels(n_classes: int, per_class: int) -> np.ndarray:
@@ -426,16 +436,37 @@ def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
     return train_and_evaluate(world_spec, config)[0]
 
 
+def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
+    """Generate one world and run each (arm name, config) job on it."""
+    world = generate_world(spec)
+    records = []
+    for name, cfg_s in jobs:
+        record, _ = train_and_evaluate(world_spec, cfg_s, world)
+        record["arm"] = name
+        record["seed"] = cfg_s.seed
+        records.append(record)
+    return records
+
+
 def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
                  seeds) -> list[dict]:
     """One run per (grid arm, seed) plus per-arm mean/stddev summaries.
 
     `grid` is a grid name from ABLATION_GRIDS or an explicit sequence of
     override dicts carrying an "arm" label. Each run's world depends only
-    on base seed + run seed, so runs are grouped by that world, which is
-    generated once per group and dropped before the next group starts.
-    Records come out arm-major, in submission order.
+    on base seed + run seed, so runs are grouped by that world. The groups
+    run on a pool of forked worker processes, one per CPU this process
+    may use (at most one per group); a worker generates its group's world
+    once and runs the group's arms on it. Records come out arm-major, in
+    submission order, whatever the worker count. An exception raised in a
+    worker is raised here; a worker that dies raises BrokenProcessPool.
     """
+    # Imported here: the pool modules would add to every CLI start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .backend import pin_blas_to_one_thread
+
     if isinstance(grid, str):
         try:
             arms = ABLATION_GRIDS[grid]
@@ -461,16 +492,24 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     for i, (_, cfg_s) in enumerate(jobs):
         groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)
 
+    # Workers get specs and configs, never worlds: a world's test rows
+    # alone pickle to over a megabyte. fork lets workers inherit the loaded
+    # package instead of importing it again; the package starts no threads
+    # of its own, and OpenBLAS rebuilds its thread pool after a fork.
+    n_workers = min(len(os.sched_getaffinity(0)), len(groups))
+    pool = ProcessPoolExecutor(max_workers=n_workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=pin_blas_to_one_thread)
     records: list[dict] = [{}] * len(jobs)
-    for spec, indices in groups.items():
-        world = generate_world(spec)
-        for i in indices:
-            name, cfg_s = jobs[i]
-            record, _ = train_and_evaluate(world_spec, cfg_s, world)
-            record["arm"] = name
-            record["seed"] = cfg_s.seed
-            records[i] = record
-        del world
+    try:
+        results = pool.map(_run_group, [world_spec] * len(groups), groups,
+                           [[jobs[i] for i in indices] for indices in groups.values()])
+        for indices, group_records in zip(groups.values(), results):
+            for i, record in zip(indices, group_records):
+                records[i] = record
+    finally:
+        # After a failed group, the groups not yet started are dropped.
+        pool.shutdown(cancel_futures=True)
 
     out = list(records)
     by_arm: dict[str, list[dict]] = {}

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +146,27 @@ class TestFusedKernelProperties:
                                     batch.labels, tau, logit_scale=gamma)
         assert fused == pytest.approx(scene_loss(grid, logit_scale=gamma),
                                       rel=1e-12, abs=1e-300)
+
+
+def test_pin_blas_to_one_thread():
+    # In a child process, since the pin holds for the rest of a process.
+    script = textwrap.dedent("""
+        import ctypes
+        from pathlib import Path
+        import numpy as np
+        from semproto.backend import pin_blas_to_one_thread
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        paths = sorted(libs.glob("libscipy_openblas64_*.so"))
+        if not paths:
+            print("absent")
+        else:
+            get_threads = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
+            get_threads.restype = ctypes.c_int
+            pin_blas_to_one_thread()
+            print(get_threads())
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    if out.stdout.strip() == "absent":
+        pytest.skip("numpy does not bundle scipy-openblas")
+    assert out.stdout.strip() == "1"

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from semproto import cli
+from semproto import cli, synthbench
+from semproto.errors import DivergenceDetected
 from semproto.prototypes import PrototypeBank
 
 from .test_synthbench import SMALL_WORLD
@@ -23,10 +25,10 @@ SMALL = [
 ]
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, preexec_fn=None):
     out = subprocess.run(
         [sys.executable, "-m", "semproto", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, preexec_fn=preexec_fn,
     )
     if check and out.returncode != 0:
         raise AssertionError(
@@ -312,6 +314,30 @@ class TestAblateCommand:
         run_cli("ablate", *SMALL, "--grid", "tau", "--seeds", "2", "--out", str(a))
         run_cli("ablate", *SMALL, "--grid", "tau", "--seeds", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_does_not_depend_on_worker_count(self, tmp_path):
+        # The ablation starts one worker per CPU it may use; pinning the
+        # child process to one CPU leaves it one worker.
+        one_cpu = {min(os.sched_getaffinity(0))}
+        a, b = tmp_path / "one_cpu.jsonl", tmp_path / "all_cpus.jsonl"
+        args = ("ablate", *SMALL, "--grid", "components", "--seeds", "2")
+        run_cli(*args, "--out", str(a),
+                preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+        run_cli(*args, "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_divergence_exits_4_without_output(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def diverging(*args, **kwargs):
+            raise DivergenceDetected("total loss became nan")
+
+        monkeypatch.setattr(synthbench, "train", diverging)  # forked workers inherit it
+        out_path = tmp_path / "results.jsonl"
+        assert cli.main(["ablate", *SMALL, "--seeds", "2", "--out", str(out_path)]) == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "DivergenceDetected", "exit": 4,
+                       "message": "total loss became nan"}
+        assert not out_path.exists()
 
     def test_workers_flag_is_gone(self, tmp_path):
         out = run_cli("ablate", "--workers", "2", "--out", str(tmp_path / "x.jsonl"),

@@ -1,4 +1,8 @@
+import contextlib
 import dataclasses
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -431,18 +435,56 @@ class TestSharedWorlds:
             expected = run_single(_small_spec(), cfg)
             assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
 
-    def test_one_world_per_distinct_spec(self, monkeypatch):
-        generated = []
+    def test_one_world_per_distinct_spec(self, monkeypatch, tmp_path):
+        # The forked workers inherit the patch, but a list they append to
+        # never reaches this process; a file does.
+        log = tmp_path / "generated.txt"
         original = synthbench.generate_world
 
         def counting(spec):
-            generated.append(spec)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{spec.seed}\n")
             return original(spec)
 
         monkeypatch.setattr(synthbench, "generate_world", counting)
         run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
                      seeds=[0, 1])
-        assert sorted(s.seed for s in generated) == [5, 6]
+        assert sorted(int(s) for s in log.read_text().split()) == [5, 6]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block outlives `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestAblationWorkers:
+    """run_ablation trains in forked worker processes, which inherit the
+    monkeypatches below; what goes wrong there must reach the caller."""
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise DivergenceDetected("total loss became nan")
+
+        monkeypatch.setattr(synthbench, "train", diverging)
+        with pytest.raises(DivergenceDetected, match="^total loss became nan$"):
+            run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
+                         seeds=[0, 1])
+
+    def test_dead_worker_raises_broken_pool(self, monkeypatch):
+        monkeypatch.setattr(synthbench, "train", lambda *args, **kwargs: os._exit(1))
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
+                         seeds=[0, 1])
 
 
 class TestMonotoneNoiseSanity:

@@ -40,3 +40,18 @@ def test_traced_train_runs_clean(tmp_path, capsys):
     names = {s.name for s in tracer.spans}
     assert {"cli.main", "synthbench.train", "backend.scene_loss_grad_kernel"} <= names
     assert not hasattr(cli.main, "__wrapped__")  # installed() restored the bindings
+
+
+def test_traced_ablation_runs_clean(tmp_path, capsys):
+    # The ablation trains in forked workers: their spans stay in the
+    # workers' copies of the tracer, and only the parent's spans land here.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code = cli.main(["ablate", *SMALL, "--grid", "components", "--seeds", "2",
+                         "--out", str(tmp_path / "ablate.jsonl")])
+    capsys.readouterr()
+    assert code == 0
+    assert [s.name for s in tracer.spans if s.error] == []
+    assert "cli.main" in {s.name for s in tracer.spans}
+    assert not hasattr(cli.main, "__wrapped__")
