@@ -5,16 +5,23 @@ scene similarity tensor, the fused scene loss + gradient, and the fused
 softmax cross-entropy + gradient. Prototype arrays come in with unit-norm
 rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
 feature batches are normalized here, per call, because they change every
-step. Results are bitwise reproducible run to run.
+step. The fused scene kernel works in (B, C*L) buffers that each thread
+keeps and reuses across calls of the same shape, so a training loop does
+not fault fresh pages in every step, and it selects the sigmoid's branch
+with exact arithmetic instead of a masked (where=) ufunc. Results are
+bitwise reproducible run to run.
 """
 
 import ctypes
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from .core import ZERO_NORM_EPS
 from .errors import DimensionMismatch, ZeroNorm
+
+_scratch = threading.local()
 
 
 def active_backend() -> str:
@@ -70,19 +77,41 @@ def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
+def _scene_scratch(n_batch: int, n_cols: int) -> tuple[np.ndarray, ...]:
+    """This thread's four (B, C*L) float64 buffers and one bool buffer.
+
+    Kept across calls of the same shape, so the pages stay mapped;
+    replaced (the old ones released first) when the shape changes.
+    """
+    bufs = getattr(_scratch, "scene", None)
+    if bufs is None or bufs[0].shape != (n_batch, n_cols):
+        _scratch.scene = None
+        bufs = tuple(np.empty((n_batch, n_cols)) for _ in range(4))
+        bufs += (np.empty((n_batch, n_cols), dtype=bool),)
+        _scratch.scene = bufs
+    return bufs
+
+
 def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
                            logit_scale: float = 1.0,
                            detach_weights: bool = False):
     """Confidence-weighted multi-label BCE over scene slots, fused with
     its analytic gradient w.r.t. each feature vector.
 
-    Pseudo-labels are recomputed inside (hard assignment, constant under
+    Pseudo-labels are recomputed inside (hard assignment on cosines
+    clamped to [-1, 1], as in scene_similarity_kernel; constant under
     differentiation); the sigmoid confidence weights receive gradient
     unless detach_weights is set. With z = logit_scale * s and
     t = exp(-|z|), one exp and one log1p per element give
-        sigmoid(z)       = 1 / (1 + t)  if z >= 0 else t / (1 + t)
+        sigmoid(z)       = (t * [z < 0] + [z >= 0]) / (1 + t)
         log_sigmoid(+-z) = min(+-z, 0) - log1p(t).
-    Five (B, C*L) float64 buffers are allocated and reused in place.
+    Multiplying t by 0 or 1 and adding 0 are exact, so the sigmoid is
+    selected without a masked ufunc; so are the sign flips that give
+    -|z| and -z straight from s. Pseudo-positives can only sit in a
+    row's own class block, so every slot first gets the negative terms
+    and only the gathered block entries with s >= tau are overwritten.
+    The (B, C*L) work happens in per-thread buffers that are reused
+    across calls of the same shape; the returned gradient is a new array.
     """
     fhat, fnorm = _unit_features(features)
     _check_protos(unit_sapp, fhat.shape[1], rank=3)
@@ -91,42 +120,52 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     if n_batch == 0:
         return 0.0, np.zeros_like(fhat)
     n_classes, n_slots, dim = unit_sapp.shape
+    n_cols = n_classes * n_slots
     gamma = float(logit_scale)
-    vhat = unit_sapp.reshape(n_classes * n_slots, dim)
+    vhat = unit_sapp.reshape(n_cols, dim)
+    s, t, lp, g, neg = _scene_scratch(n_batch, n_cols)
 
-    s = fhat @ vhat.T  # (B, C*L)
-    rows = np.arange(n_batch)
-    y = np.zeros((n_batch, n_classes, n_slots), dtype=bool)
-    y[rows, labels] = s.reshape(y.shape)[rows, labels] >= float(tau)
-    y = y.reshape(s.shape)
+    np.matmul(fhat, vhat.T, out=s)
+    np.clip(s, -1.0, 1.0, out=s)
+    # flat indices of the pseudo-positives: true-class slots with s >= tau
+    block = ((np.arange(n_batch) * n_cols + labels * n_slots)[:, None]
+             + np.arange(n_slots))
+    pos = block[s.ravel()[block] >= float(tau)]
 
-    z = np.multiply(s, gamma)
-    sig = np.abs(z)
-    np.negative(sig, out=sig)
-    np.exp(sig, out=sig)  # t
-    lp = np.log1p(sig)
-    g = np.add(sig, 1.0)
-    np.divide(sig, g, out=sig)
-    np.divide(1.0, g, out=sig, where=z >= 0.0)  # sigmoid(z)
+    np.abs(s, out=t)
+    t *= -abs(gamma)  # -|z|
+    np.exp(t, out=t)
+    np.log1p(t, out=lp)
 
-    # g = y * log_sigmoid(z) + (1 - y) * log_sigmoid(-z)
-    np.negative(z, out=g)
+    # g = log_sigmoid(-z) everywhere, then log_sigmoid(z) at the positives
+    np.multiply(s, -gamma, out=g)  # -z
+    np.greater(g, 0.0, out=neg)  # z < 0
     np.minimum(g, 0.0, out=g)
-    np.minimum(z, 0.0, out=g, where=y)
     g -= lp
+    g.ravel()[pos] = np.minimum(s.ravel()[pos] * gamma, 0.0) - lp.ravel()[pos]
 
-    work = lp
+    sig = lp
+    np.multiply(t, neg, out=sig)
+    t += 1.0
+    np.logical_not(neg, out=neg)
+    sig += neg
+    sig /= t  # sigmoid(z)
+
+    work = t
     np.multiply(sig, g, out=work)
     loss = -float(work.sum()) / n_batch
 
     # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
-    dlds = z
-    np.subtract(y, sig, out=dlds)
-    dlds *= sig
+    # The weight term comes first, because dlds then takes g's buffer.
     if not detach_weights:
         np.subtract(1.0, sig, out=work)
         work *= sig
         work *= g
+    dlds = g
+    np.subtract(0.0, sig, out=dlds)
+    dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
+    dlds *= sig
+    if not detach_weights:
         dlds += work
     dlds *= -(gamma / n_batch)
 

@@ -71,13 +71,17 @@ _DATA_ERRORS = (OSError,)
 
 
 def _write_jsonl(path: str, records) -> None:
-    """One sorted-key JSON line per record; a .json output is one record."""
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    """One sorted-key JSON line per record; a .json output is one record.
+
+    A non-finite number is a bug: it raises before anything is written.
+    """
+    lines = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                    for r in records)
     atomic_write(path, lines.encode("utf-8"))
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def _remote_config(args) -> RemoteClientConfig:

@@ -1,7 +1,11 @@
+import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,21 @@ class TestKernelEdgeCases:
                              strategy=Aggregation.MEAN, k=1, l=1)
         with pytest.raises(ZeroNorm):
             scene_similarities(WeakBatch(np.ones((1, 4)), np.array([0])), bank)
+
+    def test_fused_kernel_clamps_cosines_like_grid_path(self):
+        # The feature is anti-parallel to its class's only slot; its raw
+        # cosine rounds to -1.0000000000000002, below tau = -1. Both paths
+        # must threshold the clamped cosine, so both assign y = 1.
+        rng = np.random.default_rng(0)
+        bank = PrototypeBank(vocab=("a",), sesp=rng.standard_normal((1, 6)),
+                             sapp=rng.standard_normal((1, 1, 6)),
+                             strategy=Aggregation.MEAN, k=1, l=1)
+        batch = WeakBatch(-bank.sapp[0, 0][None, :], np.array([0]))
+        fused, _ = scene_loss_and_grad(batch, bank, -1.0)
+        grid = assign_pseudo_labels(scene_similarities(batch, bank),
+                                    batch.labels, -1.0)
+        assert grid.y.all()
+        assert fused == pytest.approx(scene_loss(grid), rel=1e-12)
 
 
 class TestPreparedBank:
@@ -146,6 +165,147 @@ class TestFusedKernelProperties:
                                     batch.labels, tau, logit_scale=gamma)
         assert fused == pytest.approx(scene_loss(grid, logit_scale=gamma),
                                       rel=1e-12, abs=1e-300)
+
+
+    @_SETTINGS
+    @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans(), _TEMPERATURE, st.data())
+    def test_losses_equivariant_under_batch_permutation(self, inst, tau, gamma,
+                                                        detach, temperature, data):
+        bank, batch, _ = inst
+        perm = np.array(data.draw(st.permutations(range(len(batch.labels)))))
+        permuted = WeakBatch(batch.features[perm], batch.labels[perm])
+        for fn in (
+            lambda b: scene_loss_and_grad(b, bank, tau, logit_scale=gamma,
+                                          detach_weights=detach),
+            lambda b: weak_cls_loss(b, bank, temperature),
+        ):
+            (loss, grad), (p_loss, p_grad) = fn(batch), fn(permuted)
+            assert p_loss == pytest.approx(loss, rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(p_grad, grad[perm], rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad).max())
+
+
+# ---------------------------------------------------------------------------
+# the scene kernel's bits and its reused per-thread buffers
+# ---------------------------------------------------------------------------
+
+# (B, C, L, D): the default world's weak batch and the train-large one
+_DEFAULT_SHAPE = (160, 16, 5, 28)
+_LARGE_SHAPE = (960, 48, 9, 64)
+
+
+def kernel_inputs(b, c, l, dim, seed=7):
+    # features near one of their class's slots, so every tau fires somewhere
+    rng = np.random.default_rng(seed)
+    sapp = rng.standard_normal((c, l, dim))
+    unit = sapp / np.linalg.norm(sapp, axis=2, keepdims=True)
+    labels = rng.integers(c, size=b)
+    feats = (unit[labels, rng.integers(l, size=b)]
+             + 0.6 / np.sqrt(dim) * rng.standard_normal((b, dim)))
+    feats *= rng.uniform(0.5, 2.0, size=(b, 1))
+    return feats, unit, labels
+
+
+def test_scene_kernel_bytes_are_pinned():
+    # sha256 of (loss, grad) bytes over logit scale x tau, per shape and
+    # detach_weights. Any change to the kernel's arithmetic or summation
+    # order moves a digest. Run in a child with one BLAS thread, because
+    # the matmuls round differently when OpenBLAS splits them over threads.
+    script = textwrap.dedent(f"""
+        import hashlib, json
+        import numpy as np
+        from semproto.backend import scene_loss_grad_kernel
+        from tests.test_backend import kernel_inputs
+        digests = {{}}
+        for shape in ({_DEFAULT_SHAPE}, {_LARGE_SHAPE}):
+            feats, unit, labels = kernel_inputs(*shape)
+            for detach in (False, True):
+                h = hashlib.sha256()
+                for gamma in (0.5, 1.0, 3.0):
+                    for tau in (-0.5, 0.25, 0.9):
+                        loss, grad = scene_loss_grad_kernel(feats, unit, labels, tau,
+                                                            gamma, detach)
+                        h.update(np.float64(loss).tobytes())
+                        h.update(grad.tobytes())
+                digests[f"{{shape[0]}}/{{detach}}"] = h.hexdigest()
+        print(json.dumps(digests))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=Path(__file__).parent.parent,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert json.loads(out.stdout) == {
+        "160/False": "bc1110bd3a14102ba01b2d8b7278e3fea6e464f5730435b3db880239f7e07313",
+        "160/True": "286d89e3a39ee18e325d32070eada952620938eef2a7af2ba13d0069caa63985",
+        "960/False": "2b5135b6cd336416788d6c6a904c36d9c88b7d9d7d95f90df4ed7d26651f2f9d",
+        "960/True": "237340c78cf93e689f28da02e11ac05e01d69c4418fee5ae83cffcf445041704",
+    }
+
+
+def _fresh_thread_call(*args):
+    # a new thread starts with no scratch, so this call allocates its own
+    result = []
+    worker = threading.Thread(target=lambda: result.append(
+        backend.scene_loss_grad_kernel(*(np.copy(a) for a in args[:3]), *args[3:])))
+    worker.start()
+    worker.join()
+    return result[0]
+
+
+class TestSceneScratch:
+    def _cases(self):
+        small = kernel_inputs(*_DEFAULT_SHAPE)
+        other_bank = kernel_inputs(*_DEFAULT_SHAPE, seed=8)
+        return [(*small, 0.25, 1.0, False),
+                (*kernel_inputs(40, 6, 3, 12), 0.5, 3.0, True),
+                (*other_bank, -0.5, 0.5, False),
+                (small[0], other_bank[1], small[2], 0.9, 1.0, True),
+                (*kernel_inputs(40, 16, 5, 28), 0.25, 1.0, False)]  # same C*L as small
+
+    def test_interleaved_calls_equal_fresh_calls(self):
+        cases = self._cases()
+        expected = [_fresh_thread_call(*case) for case in cases]
+        previous = None
+        for i in (0, 1, 0, 4, 2, 3, 4, 1, 2, 0, 3, 3):
+            loss, grad = backend.scene_loss_grad_kernel(*cases[i])
+            assert loss == expected[i][0]
+            np.testing.assert_array_equal(grad, expected[i][1])
+            if previous is not None:
+                assert not np.shares_memory(grad, previous)
+                previous[...] = np.nan  # a caller may write into its gradient
+            previous = grad
+
+    def test_threads_do_not_share_buffers(self):
+        cases = self._cases()
+        expected = [_fresh_thread_call(*case) for case in cases]
+        failures = []
+
+        def run(order):
+            try:
+                for i in order:
+                    loss, grad = backend.scene_loss_grad_kernel(*cases[i])
+                    if loss != expected[i][0] or not np.array_equal(grad, expected[i][1]):
+                        failures.append(i)
+            except Exception as exc:  # a thread's exception would not fail the test
+                failures.append(exc)
+
+        workers = [threading.Thread(target=run, args=([0, 1, 2, 3, 4] * 8,)),
+                   threading.Thread(target=run, args=([4, 1, 0, 3, 2] * 8,))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert failures == []
+
+    def test_large_shape_reuses_its_pages(self):
+        # One (B, C*L) float64 buffer is 810 pages; without reuse, each call
+        # faults all its buffers in again once glibc has trimmed them.
+        feats, unit, labels = kernel_inputs(*_LARGE_SHAPE)
+        backend.scene_loss_grad_kernel(feats, unit, labels, 0.25)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            backend.scene_loss_grad_kernel(feats, unit, labels, 0.25)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 5 < 810, faults
 
 
 def test_pin_blas_to_one_thread():

@@ -181,6 +181,18 @@ class TestExitCodes:
             cli.main(["simulate", "--out", str(tmp_path / "x.json")])
 
 
+    def test_non_finite_value_is_a_bug_and_writes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "_world_checksum", lambda world: float("nan"))
+        out_path = tmp_path / "world.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.main(["simulate", *SMALL, "--out", str(out_path)])
+        assert not out_path.exists()
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"loss": float("inf")})
+
+
 class TestSimulateCommand:
     def test_summary_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
