@@ -149,7 +149,9 @@ def scene_loss(grid: PseudoLabelGrid, logit_scale: float = 1.0) -> float:
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    # the reductions ndarray.min/max run, without their Python wrappers
+    if labels.size and (np.minimum.reduce(labels) < 0
+                        or np.maximum.reduce(labels) >= n_classes):
         raise DimensionMismatch(
             f"labels must lie in [0, {n_classes}), got "
             f"[{labels.min()}, {labels.max()}]"

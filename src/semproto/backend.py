@@ -8,8 +8,12 @@ feature batches are normalized here, per call, because they change every
 step. The fused scene kernel works in (B, C*L) buffers that each thread
 keeps and reuses across calls of the same shape, so a training loop does
 not fault fresh pages in every step, and it selects the sigmoid's branch
-with exact arithmetic instead of a masked (where=) ufunc. Results are
-bitwise reproducible run to run.
+with exact arithmetic instead of a masked (where=) ufunc. The kernels call
+ufuncs and reductions directly rather than numpy's Python-level wrappers
+(np.linalg.norm, np.clip, ndarray.sum/max/mean), with the same bits.
+Results are bitwise reproducible run to run for a fixed OpenBLAS thread
+count; at large shapes the matmuls round differently when OpenBLAS splits
+them over another number of threads.
 """
 
 import ctypes
@@ -46,14 +50,24 @@ def pin_blas_to_one_thread() -> None:
 
 
 def _unit_features(features) -> tuple[np.ndarray, np.ndarray]:
-    """(features / |features| row-wise, the row norms), validated."""
+    """(features / |features| row-wise, the row norms), validated.
+
+    The norms are the ufuncs np.linalg.norm(features, axis=1) runs,
+    called directly: same bits, without its Python wrapper.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionMismatch(f"features must be (B, dim), got {features.shape}")
-    norms = np.linalg.norm(features, axis=1)
-    if features.shape[0] and norms.min() < ZERO_NORM_EPS:
+    norms = np.sqrt(np.add.reduce(features * features, axis=1))
+    if features.shape[0] and np.minimum.reduce(norms) < ZERO_NORM_EPS:
         raise ZeroNorm("a feature vector has near-zero norm")
     return features / norms[:, None], norms
+
+
+def _clamp_cosines(s: np.ndarray) -> None:
+    """Clip s to [-1, 1] in place: np.clip's result, without its wrapper."""
+    np.maximum(s, -1.0, out=s)
+    np.minimum(s, 1.0, out=s)
 
 
 def _check_protos(unit_protos: np.ndarray, dim: int, rank: int) -> None:
@@ -73,7 +87,7 @@ def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     _check_protos(unit_sapp, fhat.shape[1], rank=3)
     n_classes, n_slots, dim = unit_sapp.shape
     s = fhat @ unit_sapp.reshape(n_classes * n_slots, dim).T
-    np.clip(s, -1.0, 1.0, out=s)
+    _clamp_cosines(s)
     return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
@@ -90,6 +104,11 @@ def _scene_scratch(n_batch: int, n_cols: int) -> tuple[np.ndarray, ...]:
         bufs += (np.empty((n_batch, n_cols), dtype=bool),)
         _scratch.scene = bufs
     return bufs
+
+
+def release_scene_scratch() -> None:
+    """Drop this thread's scene-kernel buffers; the next call allocates anew."""
+    _scratch.scene = None
 
 
 def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
@@ -126,7 +145,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     s, t, lp, g, neg = _scene_scratch(n_batch, n_cols)
 
     np.matmul(fhat, vhat.T, out=s)
-    np.clip(s, -1.0, 1.0, out=s)
+    _clamp_cosines(s)
     # flat indices of the pseudo-positives: true-class slots with s >= tau
     block = ((np.arange(n_batch) * n_cols + labels * n_slots)[:, None]
              + np.arange(n_slots))
@@ -153,7 +172,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
 
     work = t
     np.multiply(sig, g, out=work)
-    loss = -float(work.sum()) / n_batch
+    loss = -float(np.add.reduce(work, axis=None)) / n_batch
 
     # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
     # The weight term comes first, because dlds then takes g's buffer.
@@ -171,7 +190,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
 
     grad = dlds @ vhat
     np.multiply(dlds, s, out=work)
-    grad -= work.sum(axis=1)[:, None] * fhat
+    grad -= np.add.reduce(work, axis=1)[:, None] * fhat
     grad /= fnorm[:, None]
     return loss, grad
 
@@ -192,17 +211,21 @@ def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
 
     cosm = fhat @ unit_protos.T
     logits = cosm * inv_temp
-    m = logits.max(axis=1)
+    # Row maxima as elementwise maxima over the C rows of a (C, B) copy,
+    # which beats B short reductions along rows. Order cannot change a
+    # maximum beyond the sign of a zero, and that sign cancels in both
+    # logits - m and m + log(sumexp), where log(sumexp) >= 0.
+    m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
     expd = np.exp(logits - m[:, None])
-    sumexp = expd.sum(axis=1)
+    sumexp = np.add.reduce(expd, axis=1)
     lse = m + np.log(sumexp)
     rows = np.arange(n_batch)
-    loss = float((lse - logits[rows, labels]).mean())
+    loss = float(np.add.reduce(lse - logits[rows, labels])) / n_batch  # the mean
 
     coef = expd / sumexp[:, None]
     coef[rows, labels] -= 1.0
     coef *= inv_temp / n_batch
     grad = coef @ unit_protos
-    grad -= (coef * cosm).sum(axis=1)[:, None] * fhat
+    grad -= np.add.reduce(coef * cosm, axis=1)[:, None] * fhat
     grad /= fnorm[:, None]
     return loss, grad

@@ -10,12 +10,9 @@ default, remote service optionally). Everything shipped runs offline.
 """
 
 import hashlib
-import http.client
 import json
 import os
-import urllib.request
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -215,6 +212,10 @@ def _post_json(config: RemoteClientConfig, payload: dict, unavailable) -> dict:
     caller's error class); a body that is not a UTF-8 JSON object,
     MalformedResponse.
     """
+    # Imported here: http, ssl and email would add to every CLI start.
+    import http.client
+    import urllib.request
+
     key = os.environ.get(config.api_key_env, "")
     if not key:
         raise unavailable(f"API key environment variable {config.api_key_env} is not set")
@@ -294,6 +295,8 @@ def generate_descriptions(class_names, k: int, l: int, client) -> dict:
     ordered = sorted(set(names))
     parallel = int(getattr(client, "max_parallel", 1))
     if parallel > 1 and len(ordered) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(parallel, len(ordered))) as pool:
             recs = list(pool.map(client.describe, ordered))
     else:

@@ -24,6 +24,7 @@ from .alignment import (
     total_loss,
     weak_cls_loss,
 )
+from .backend import pin_blas_to_one_thread, release_scene_scratch
 from .config import TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
 from .core import ZERO_NORM_EPS, l2_normalize
 from .errors import (
@@ -306,7 +307,9 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     The weak batch is each weak image's max-size proposal. The scene
     term is skipped (and recorded as 0 with effective lambda 0) when
     disabled or weightless, so flag-off and lam=0 runs produce identical
-    traces. Raises DivergenceDetected on non-finite loss.
+    traces. Raises DivergenceDetected on non-finite loss. The scene
+    kernel's per-thread buffers are released on the way out, so what
+    runs next does not peak on top of them.
     """
     x_det, y_det = world.det_x, world.det_y
     x_weak = select_max_size_proposal(world.weak_areas, world.weak_proposals)
@@ -316,26 +319,30 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     w = probe.weight.copy()
     b = probe.bias.copy()
     reports: list[LossReport] = []
-    for _ in range(config.steps):
-        p_det = x_det @ w + b
-        det_val, g_det = det_cls_loss(p_det, y_det, bank, config.temperature)
-        p_weak = x_weak @ w + b
-        weak_batch = WeakBatch(p_weak, y_weak)
-        weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
-        if lam_eff > 0.0:
-            scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
-            g_weak = g_weak + lam_eff * g_scene
-        else:
-            scene_val = 0.0
-        report = total_loss(det_val, weak_val, scene_val, lam_eff)
-        if not math.isfinite(report.total):
-            raise DivergenceDetected(f"total loss became {report.total}")
-        reports.append(report)
+    try:
+        for _ in range(config.steps):
+            p_det = x_det @ w + b
+            det_val, g_det = det_cls_loss(p_det, y_det, bank, config.temperature)
+            p_weak = x_weak @ w + b
+            weak_batch = WeakBatch(p_weak, y_weak)
+            weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
+            if lam_eff > 0.0:
+                scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
+                g_weak = g_weak + lam_eff * g_scene
+            else:
+                scene_val = 0.0
+            report = total_loss(det_val, weak_val, scene_val, lam_eff)
+            if not math.isfinite(report.total):
+                raise DivergenceDetected(f"total loss became {report.total}")
+            reports.append(report)
 
-        grad_w = x_det.T @ g_det + x_weak.T @ g_weak
-        grad_b = g_det.sum(axis=0) + g_weak.sum(axis=0)
-        w -= config.lr * grad_w
-        b -= config.lr * grad_b
+            grad_w = x_det.T @ g_det + x_weak.T @ g_weak
+            # ndarray.sum(axis=0)'s reduction, without its Python wrapper
+            grad_b = np.add.reduce(g_det, axis=0) + np.add.reduce(g_weak, axis=0)
+            w -= config.lr * grad_w
+            b -= config.lr * grad_b
+    finally:
+        release_scene_scratch()
     return ProbeModel(weight=w, bias=b), reports
 
 
@@ -436,6 +443,27 @@ def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
     return train_and_evaluate(world_spec, config)[0]
 
 
+def _split_groups(groups: dict[WorldSpec, list[int]],
+                  n_workers: int) -> list[tuple[WorldSpec, list[int]]]:
+    """(world spec, job indices) chunks that share the groups evenly
+    among n_workers.
+
+    With r = len(groups) % n_workers, the first len(groups) - r groups
+    go out whole. Each of the r leftover groups is split by arm,
+    round-robin, into at most n_workers chunks, and the worker of each
+    chunk generates that world itself: a leftover world is generated up
+    to n_workers times so that no worker idles while another runs a
+    whole last group.
+    """
+    items = list(groups.items())
+    n_whole = len(items) - len(items) % n_workers
+    chunks = items[:n_whole]
+    for spec, indices in items[n_whole:]:
+        n_parts = min(n_workers, len(indices))
+        chunks.extend((spec, indices[part::n_parts]) for part in range(n_parts))
+    return chunks
+
+
 def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
     """Generate one world and run each (arm name, config) job on it."""
     world = generate_world(spec)
@@ -457,15 +485,15 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     on base seed + run seed, so runs are grouped by that world. The groups
     run on a pool of forked worker processes, one per CPU this process
     may use (at most one per group); a worker generates its group's world
-    once and runs the group's arms on it. Records come out arm-major, in
-    submission order, whatever the worker count. An exception raised in a
-    worker is raised here; a worker that dies raises BrokenProcessPool.
+    once and runs the group's arms on it. The groups that do not divide
+    evenly among the workers are split by arm (see _split_groups). Records
+    come out arm-major, in submission order, whatever the worker count.
+    An exception raised in a worker is raised here; a worker that dies
+    raises BrokenProcessPool.
     """
     # Imported here: the pool modules would add to every CLI start.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-
-    from .backend import pin_blas_to_one_thread
 
     if isinstance(grid, str):
         try:
@@ -500,15 +528,17 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     pool = ProcessPoolExecutor(max_workers=n_workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=pin_blas_to_one_thread)
+    chunks = _split_groups(groups, n_workers)
     records: list[dict] = [{}] * len(jobs)
     try:
-        results = pool.map(_run_group, [world_spec] * len(groups), groups,
-                           [[jobs[i] for i in indices] for indices in groups.values()])
-        for indices, group_records in zip(groups.values(), results):
-            for i, record in zip(indices, group_records):
+        results = pool.map(_run_group, [world_spec] * len(chunks),
+                           [spec for spec, _ in chunks],
+                           [[jobs[i] for i in indices] for _, indices in chunks])
+        for (_, indices), chunk_records in zip(chunks, results):
+            for i, record in zip(indices, chunk_records):
                 records[i] = record
     finally:
-        # After a failed group, the groups not yet started are dropped.
+        # After a failed chunk, the chunks not yet started are dropped.
         pool.shutdown(cancel_futures=True)
 
     out = list(records)

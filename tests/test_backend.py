@@ -241,6 +241,45 @@ def test_scene_kernel_bytes_are_pinned():
     }
 
 
+def softmax_inputs(b, c, dim, seed=7):
+    # features near their class's prototype, at mixed norms
+    rng = np.random.default_rng(seed)
+    protos = rng.standard_normal((c, dim))
+    unit = protos / np.linalg.norm(protos, axis=1, keepdims=True)
+    labels = rng.integers(c, size=b)
+    feats = unit[labels] + 0.8 / np.sqrt(dim) * rng.standard_normal((b, dim))
+    feats *= rng.uniform(0.5, 2.0, size=(b, 1))
+    return feats, unit, labels
+
+
+def test_softmax_kernel_bytes_are_pinned():
+    # sha256 of (loss, grad) bytes over the inverse temperature, per shape,
+    # in a child with one BLAS thread, as for the scene kernel above.
+    script = textwrap.dedent(f"""
+        import hashlib, json
+        import numpy as np
+        from semproto.backend import softmax_ce_kernel
+        from tests.test_backend import softmax_inputs
+        digests = {{}}
+        for b, c, _, dim in ({_DEFAULT_SHAPE}, {_LARGE_SHAPE}):
+            feats, unit, labels = softmax_inputs(b, c, dim)
+            h = hashlib.sha256()
+            for inv_temp in (0.5, 1.0, 5.0, 20.0):
+                loss, grad = softmax_ce_kernel(feats, unit, labels, inv_temp)
+                h.update(np.float64(loss).tobytes())
+                h.update(grad.tobytes())
+            digests[str(b)] = h.hexdigest()
+        print(json.dumps(digests))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=Path(__file__).parent.parent,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert json.loads(out.stdout) == {
+        "160": "b8b94db089bf441084539389d98b9090288529078b2938d56593ee2eb49c5f35",
+        "960": "2ae436298d04f02886e8fb7fe367423ea50b846dc9893ac4d1541f71bfde9496",
+    }
+
+
 def _fresh_thread_call(*args):
     # a new thread starts with no scratch, so this call allocates its own
     result = []

@@ -37,6 +37,16 @@ def run_cli(*args, check=True, preexec_fn=None):
     return out
 
 
+def test_cli_import_leaves_network_and_pool_modules_unloaded():
+    # They load only on the remote-client and parallel paths.
+    script = ("import json, sys, semproto.cli; print(json.dumps(sorted(m for m in ("
+              "'http.client', 'urllib.request', 'ssl', 'email', 'concurrent.futures')"
+              " if m in sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == []
+
+
 class TestBuildBankCommand:
     def test_shipped_fixture_produces_valid_bank(self, tmp_path):
         bank_path = tmp_path / "bank.json"

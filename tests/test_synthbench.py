@@ -291,6 +291,29 @@ class TestTrain:
         with pytest.raises(DivergenceDetected):
             train(probe, corrupted, bank, cfg)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_scene_scratch_released_when_train_ends(self, monkeypatch):
+        # evaluate runs next and must not peak on top of the buffers
+        world, bank, probe, cfg = self._setup()
+        held = []
+        kernel = backend.scene_loss_grad_kernel
+
+        def recording(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            held.append(getattr(backend._scratch, "scene", None) is not None)
+            return result
+
+        monkeypatch.setattr(backend, "scene_loss_grad_kernel", recording)
+        train(probe, world, bank, cfg)
+        assert held == [True] * cfg.steps
+        assert getattr(backend._scratch, "scene", None) is None
+        bad_det = world.det_x.copy()
+        bad_det[0, 0] = np.inf
+        with pytest.raises(DivergenceDetected):
+            train(probe, dataclasses.replace(world, det_x=bad_det), bank, cfg)
+        assert held[cfg.steps:] == [True]
+        assert getattr(backend._scratch, "scene", None) is None
+
     def test_trace_length_and_report_invariant(self):
         world, bank, probe, cfg = self._setup()
         _, trace = train(probe, world, bank, cfg)
@@ -421,19 +444,23 @@ class TestSharedWorlds:
     """run_ablation generates each distinct world once and shares it
     across the arms that run on it."""
 
-    def test_records_equal_run_single(self):
-        records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
-                               "components", seeds=[0, 1])
+    @staticmethod
+    def _assert_records_equal_run_single(records, seeds):
         runs = [r for r in records if r["kind"] == "run"]
         arms = ABLATION_GRIDS["components"]
         assert [(r["arm"], r["seed"]) for r in runs] == [
-            (a["arm"], s) for a in arms for s in (0, 1)
+            (a["arm"], s) for a in arms for s in seeds
         ]
-        for arm, rec in zip((a for a in arms for _ in (0, 1)), runs):
+        for arm, rec in zip((a for a in arms for _ in seeds), runs):
             overrides = {k: v for k, v in arm.items() if k != "arm"}
             cfg = TrainConfig(**{**SMALL_CFG, **overrides, "seed": rec["seed"]})
             expected = run_single(_small_spec(), cfg)
             assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
+
+    def test_records_equal_run_single(self):
+        records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
+                               "components", seeds=[0, 1])
+        self._assert_records_equal_run_single(records, (0, 1))
 
     def test_one_world_per_distinct_spec(self, monkeypatch, tmp_path):
         # The forked workers inherit the patch, but a list they append to
@@ -450,6 +477,49 @@ class TestSharedWorlds:
         run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
                      seeds=[0, 1])
         assert sorted(int(s) for s in log.read_text().split()) == [5, 6]
+
+    def test_split_group_records_equal_run_single(self, monkeypatch, tmp_path):
+        # At most two CPUs for three worlds: with two, the third world's
+        # arms are split between the workers, and each generates it.
+        cpus = set(sorted(os.sched_getaffinity(0))[:2])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        log = tmp_path / "generated.txt"
+        original = synthbench.generate_world
+
+        def counting(spec):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{spec.seed}\n")
+            return original(spec)
+
+        monkeypatch.setattr(synthbench, "generate_world", counting)
+        records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
+                               "components", seeds=[0, 1, 2])
+        generated = sorted(int(s) for s in log.read_text().split())
+        assert generated == [5, 6, 7] + [7] * (len(cpus) - 1)
+        self._assert_records_equal_run_single(records, (0, 1, 2))
+
+
+class TestSplitGroups:
+    """_split_groups hands whole groups out first and splits only the
+    groups that do not divide evenly among the workers."""
+
+    @pytest.mark.parametrize("n_groups, n_workers",
+                             [(1, 2), (2, 2), (5, 2), (5, 4), (3, 1)])
+    def test_chunks(self, n_groups, n_workers):
+        n_arms = len(ABLATION_GRIDS["components"])
+        # one job per arm and world, numbered arm-major as in run_ablation
+        groups = {f"world{g}": [a * n_groups + g for a in range(n_arms)]
+                  for g in range(n_groups)}
+        chunks = synthbench._split_groups(groups, n_workers)
+        assert sorted(i for _, indices in chunks for i in indices) == list(
+            range(n_groups * n_arms))
+        for world, indices in chunks:
+            assert indices and set(indices) <= set(groups[world])
+        # each chunk generates its world once
+        r = n_groups % n_workers
+        assert len(chunks) == n_groups - r + r * min(n_workers, n_arms)
+        whole = n_groups - r
+        assert chunks[:whole] == list(groups.items())[:whole]
 
 
 @contextlib.contextmanager
