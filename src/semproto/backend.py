@@ -5,15 +5,18 @@ scene similarity tensor, the fused scene loss + gradient, and the fused
 softmax cross-entropy + gradient. Prototype arrays come in with unit-norm
 rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
 feature batches are normalized here, per call, because they change every
-step. The fused scene kernel works in (B, C*L) buffers that each thread
-keeps and reuses across calls of the same shape, so a training loop does
-not fault fresh pages in every step, and it selects the sigmoid's branch
-with exact arithmetic instead of a masked (where=) ufunc. The kernels call
-ufuncs and reductions directly rather than numpy's Python-level wrappers
-(np.linalg.norm, np.clip, ndarray.sum/max/mean), with the same bits.
-Results are bitwise reproducible run to run for a fixed OpenBLAS thread
-count; at large shapes the matmuls round differently when OpenBLAS splits
-them over another number of threads.
+step. The fused scene kernel keeps two full (B, C*L) buffers, for its two
+matrix products, which stay whole so their rounding does not depend on a
+block size; the elementwise work between them runs in row blocks of at
+most SCENE_BLOCK_BYTES per buffer, which stay in L2. Each thread keeps
+and reuses those buffers across calls of the same shape, so a training
+loop does not fault fresh pages in every step, and the kernel selects the
+sigmoid's branch with exact arithmetic instead of a masked (where=) ufunc.
+The kernels call ufuncs and reductions directly rather than numpy's
+Python-level wrappers (np.linalg.norm, np.clip, ndarray.sum/max/mean),
+with the same bits. Results are bitwise reproducible run to run for a
+fixed OpenBLAS thread count; at large shapes the matmuls round
+differently when OpenBLAS splits them over another number of threads.
 """
 
 import ctypes
@@ -26,6 +29,10 @@ from .core import ZERO_NORM_EPS
 from .errors import DimensionMismatch, ZeroNorm
 
 _scratch = threading.local()
+
+# Byte budget of one (rows, C*L) float64 block buffer in the scene kernel:
+# its block buffers and the block's rows of its two full buffers stay in L2.
+SCENE_BLOCK_BYTES = 256 * 1024
 
 
 def active_backend() -> str:
@@ -91,17 +98,21 @@ def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
-def _scene_scratch(n_batch: int, n_cols: int) -> tuple[np.ndarray, ...]:
-    """This thread's four (B, C*L) float64 buffers and one bool buffer.
+def _scene_scratch(n_batch: int, n_cols: int,
+                   n_rows: int) -> tuple[np.ndarray, ...]:
+    """This thread's scene-kernel buffers: two (B, C*L) float64 buffers,
+    then three (n_rows, C*L) float64 block buffers and one bool one.
 
     Kept across calls of the same shape, so the pages stay mapped;
     replaced (the old ones released first) when the shape changes.
     """
     bufs = getattr(_scratch, "scene", None)
-    if bufs is None or bufs[0].shape != (n_batch, n_cols):
+    if (bufs is None or bufs[0].shape != (n_batch, n_cols)
+            or bufs[2].shape[0] != n_rows):
         _scratch.scene = None
-        bufs = tuple(np.empty((n_batch, n_cols)) for _ in range(4))
-        bufs += (np.empty((n_batch, n_cols), dtype=bool),)
+        bufs = tuple(np.empty((n, n_cols))
+                     for n in (n_batch, n_batch, n_rows, n_rows, n_rows))
+        bufs += (np.empty((n_rows, n_cols), dtype=bool),)
         _scratch.scene = bufs
     return bufs
 
@@ -129,8 +140,17 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     -|z| and -z straight from s. Pseudo-positives can only sit in a
     row's own class block, so every slot first gets the negative terms
     and only the gathered block entries with s >= tau are overwritten.
-    The (B, C*L) work happens in per-thread buffers that are reused
-    across calls of the same shape; the returned gradient is a new array.
+
+    Two (B, C*L) buffers are full size: the cosines S = fhat @ vhat.T and
+    dL/dS, which feeds grad = dL/dS @ vhat. Both products stay whole,
+    because row-blocked GEMMs round differently. Everything in between
+    runs over blocks of rows whose (rows, C*L) float64 buffers fit
+    SCENE_BLOCK_BYTES, so they stay in L2; the default world's weak batch
+    is one block. Once a block has used its cosines, its loss products
+    overwrite its rows of S, and S is summed once at the end, in the
+    same pairwise order as a whole (B, C*L) array. All buffers are per
+    thread and reused across calls of the same shape; the returned
+    gradient is a new array.
     """
     fhat, fnorm = _unit_features(features)
     _check_protos(unit_sapp, fhat.shape[1], rank=3)
@@ -141,56 +161,64 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     n_classes, n_slots, dim = unit_sapp.shape
     n_cols = n_classes * n_slots
     gamma = float(logit_scale)
+    tau = float(tau)
     vhat = unit_sapp.reshape(n_cols, dim)
-    s, t, lp, g, neg = _scene_scratch(n_batch, n_cols)
+    n_rows = min(n_batch, max(1, SCENE_BLOCK_BYTES // (8 * n_cols)))
+    s_all, dlds_all, t_buf, lp_buf, g_buf, neg_buf = _scene_scratch(
+        n_batch, n_cols, n_rows)
+    # per block row, the flat offsets of slots 0..L-1; adding label * L
+    # gives the row's true-class slots
+    class_slots = np.arange(n_rows)[:, None] * n_cols + np.arange(n_slots)
+    dsum = np.empty(n_batch)  # per row: sum over slots of dlds * s
 
-    np.matmul(fhat, vhat.T, out=s)
-    _clamp_cosines(s)
-    # flat indices of the pseudo-positives: true-class slots with s >= tau
-    block = ((np.arange(n_batch) * n_cols + labels * n_slots)[:, None]
-             + np.arange(n_slots))
-    pos = block[s.ravel()[block] >= float(tau)]
+    np.matmul(fhat, vhat.T, out=s_all)
+    for r0 in range(0, n_batch, n_rows):
+        r1 = min(r0 + n_rows, n_batch)
+        n = r1 - r0
+        s, dlds = s_all[r0:r1], dlds_all[r0:r1]
+        t, lp, g, neg = t_buf[:n], lp_buf[:n], g_buf[:n], neg_buf[:n]
 
-    np.abs(s, out=t)
-    t *= -abs(gamma)  # -|z|
-    np.exp(t, out=t)
-    np.log1p(t, out=lp)
+        _clamp_cosines(s)
+        # flat indices of the pseudo-positives: true-class slots with s >= tau
+        block = class_slots[:n] + (labels[r0:r1] * n_slots)[:, None]
+        pos = block[s.ravel()[block] >= tau]
 
-    # g = log_sigmoid(-z) everywhere, then log_sigmoid(z) at the positives
-    np.multiply(s, -gamma, out=g)  # -z
-    np.greater(g, 0.0, out=neg)  # z < 0
-    np.minimum(g, 0.0, out=g)
-    g -= lp
-    g.ravel()[pos] = np.minimum(s.ravel()[pos] * gamma, 0.0) - lp.ravel()[pos]
+        np.abs(s, out=t)
+        t *= -abs(gamma)  # -|z|
+        np.exp(t, out=t)
+        np.log1p(t, out=lp)
 
-    sig = lp
-    np.multiply(t, neg, out=sig)
-    t += 1.0
-    np.logical_not(neg, out=neg)
-    sig += neg
-    sig /= t  # sigmoid(z)
+        # g = log_sigmoid(-z) everywhere, then log_sigmoid(z) at the positives
+        np.multiply(s, -gamma, out=g)  # -z
+        np.greater(g, 0.0, out=neg)  # z < 0
+        np.minimum(g, 0.0, out=g)
+        g -= lp
+        g.ravel()[pos] = np.minimum(s.ravel()[pos] * gamma, 0.0) - lp.ravel()[pos]
 
-    work = t
-    np.multiply(sig, g, out=work)
-    loss = -float(np.add.reduce(work, axis=None)) / n_batch
+        sig = lp
+        np.multiply(t, neg, out=sig)
+        t += 1.0
+        np.logical_not(neg, out=neg)
+        sig += neg
+        sig /= t  # sigmoid(z)
 
-    # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
-    # The weight term comes first, because dlds then takes g's buffer.
-    if not detach_weights:
-        np.subtract(1.0, sig, out=work)
-        work *= sig
-        work *= g
-    dlds = g
-    np.subtract(0.0, sig, out=dlds)
-    dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
-    dlds *= sig
-    if not detach_weights:
-        dlds += work
-    dlds *= -(gamma / n_batch)
+        # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
+        np.subtract(0.0, sig, out=dlds)
+        dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
+        dlds *= sig
+        if not detach_weights:
+            np.subtract(1.0, sig, out=t)
+            t *= sig
+            t *= g
+            dlds += t
+        dlds *= -(gamma / n_batch)
+        np.multiply(dlds, s, out=t)
+        np.add.reduce(t, axis=1, out=dsum[r0:r1])
+        np.multiply(sig, g, out=s)  # the loss products, done with the cosines
 
-    grad = dlds @ vhat
-    np.multiply(dlds, s, out=work)
-    grad -= np.add.reduce(work, axis=1)[:, None] * fhat
+    loss = -float(np.add.reduce(s_all, axis=None)) / n_batch
+    grad = dlds_all @ vhat
+    grad -= dsum[:, None] * fhat
     grad /= fnorm[:, None]
     return loss, grad
 

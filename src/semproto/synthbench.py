@@ -484,10 +484,11 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     override dicts carrying an "arm" label. Each run's world depends only
     on base seed + run seed, so runs are grouped by that world. The groups
     run on a pool of forked worker processes, one per CPU this process
-    may use (at most one per group); a worker generates its group's world
+    may use (at most one per run); a worker generates its group's world
     once and runs the group's arms on it. The groups that do not divide
-    evenly among the workers are split by arm (see _split_groups). Records
-    come out arm-major, in submission order, whatever the worker count.
+    evenly among the workers, a lone group included, are split by arm
+    (see _split_groups). Records come out arm-major, in submission order,
+    whatever the worker count.
     An exception raised in a worker is raised here; a worker that dies
     raises BrokenProcessPool.
     """
@@ -524,7 +525,7 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     # alone pickle to over a megabyte. fork lets workers inherit the loaded
     # package instead of importing it again; the package starts no threads
     # of its own, and OpenBLAS rebuilds its thread pool after a fork.
-    n_workers = min(len(os.sched_getaffinity(0)), len(groups))
+    n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
     pool = ProcessPoolExecutor(max_workers=n_workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=pin_blas_to_one_thread)

@@ -241,6 +241,24 @@ def test_scene_kernel_bytes_are_pinned():
     }
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 5), st.integers(2, 16),
+       st.integers(1, 6), st.integers(0, 2**32 - 1), _TAU, _LOGIT_SCALE, st.booleans())
+def test_scene_kernel_bits_do_not_depend_on_block_size(b, c, l, dim, block_rows,
+                                                       seed, tau, gamma, detach):
+    # Blocks of block_rows rows (B may be smaller than one block, or not a
+    # multiple of it) against one block holding the whole batch.
+    args = (*kernel_inputs(b, c, l, dim, seed), tau, gamma, detach)
+    row_bytes = 8 * c * l
+    results = []
+    for budget in (b * row_bytes, block_rows * row_bytes + row_bytes // 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backend, "SCENE_BLOCK_BYTES", budget)
+            loss, grad = backend.scene_loss_grad_kernel(*args)
+        results.append((np.float64(loss).tobytes(), grad.tobytes()))
+    assert results[0] == results[1]
+
+
 def softmax_inputs(b, c, dim, seed=7):
     # features near their class's prototype, at mixed norms
     rng = np.random.default_rng(seed)
@@ -298,13 +316,15 @@ class TestSceneScratch:
                 (*kernel_inputs(40, 6, 3, 12), 0.5, 3.0, True),
                 (*other_bank, -0.5, 0.5, False),
                 (small[0], other_bank[1], small[2], 0.9, 1.0, True),
-                (*kernel_inputs(40, 16, 5, 28), 0.25, 1.0, False)]  # same C*L as small
+                (*kernel_inputs(40, 16, 5, 28), 0.25, 1.0, False),  # same C*L as small
+                # 1152-byte rows: one 227-row block of 256 KiB, then 173 rows
+                (*kernel_inputs(400, 16, 9, 24), 0.25, 3.0, False)]
 
     def test_interleaved_calls_equal_fresh_calls(self):
         cases = self._cases()
         expected = [_fresh_thread_call(*case) for case in cases]
         previous = None
-        for i in (0, 1, 0, 4, 2, 3, 4, 1, 2, 0, 3, 3):
+        for i in (0, 1, 5, 0, 4, 2, 5, 5, 3, 4, 1, 2, 0, 5, 3, 3):
             loss, grad = backend.scene_loss_grad_kernel(*cases[i])
             assert loss == expected[i][0]
             np.testing.assert_array_equal(grad, expected[i][1])
@@ -327,8 +347,8 @@ class TestSceneScratch:
             except Exception as exc:  # a thread's exception would not fail the test
                 failures.append(exc)
 
-        workers = [threading.Thread(target=run, args=([0, 1, 2, 3, 4] * 8,)),
-                   threading.Thread(target=run, args=([4, 1, 0, 3, 2] * 8,))]
+        workers = [threading.Thread(target=run, args=([0, 1, 5, 2, 3, 4] * 8,)),
+                   threading.Thread(target=run, args=([4, 5, 1, 0, 3, 2] * 8,))]
         for w in workers:
             w.start()
         for w in workers:

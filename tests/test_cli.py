@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +278,29 @@ class TestTrainEvaluateCommands:
         second = tmp_path / "run2.jsonl"
         run_cli("train", "--config", str(cfg_path), "--out", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_train_large_record_is_pinned(self, tmp_path):
+        # sha256 of the benchmark's train-large run record at its calibrated
+        # seed, where the scene kernel's (B, C*L) buffers exceed L2. Run in
+        # a child with one BLAS thread, as the kernel digests in
+        # test_backend.py are, because the matmuls round differently when
+        # OpenBLAS splits them over threads.
+        out_path = tmp_path / "train.jsonl"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, "perfbench")
+            from semproto import cli
+            from workloads import DEFAULT_SEED, TRAIN_LARGE_SET
+            sets = []
+            for item in (f"world.seed={{DEFAULT_SEED}}", *TRAIN_LARGE_SET):
+                sets += ["--set", item]
+            sys.exit(cli.main(["train", *sets, "--out", {str(out_path)!r}]))
+        """)
+        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                       cwd=Path(__file__).parent.parent,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "8a87b1064bf4905870871e7e3c5eb5e0927072af01456c872c464ed7b4729f23")
 
     def test_saved_probe_reproduces_train_metrics(self, tmp_path):
         run_path = tmp_path / "run.jsonl"

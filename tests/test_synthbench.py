@@ -462,25 +462,15 @@ class TestSharedWorlds:
                                "components", seeds=[0, 1])
         self._assert_records_equal_run_single(records, (0, 1))
 
-    def test_one_world_per_distinct_spec(self, monkeypatch, tmp_path):
-        # The forked workers inherit the patch, but a list they append to
-        # never reaches this process; a file does.
-        log = tmp_path / "generated.txt"
-        original = synthbench.generate_world
+    @staticmethod
+    def _count_worlds(monkeypatch, tmp_path):
+        """Cut the affinity mask to at most two CPUs and log the seed of
+        every generated world; returns the CPU count and a function that
+        reads the log.
 
-        def counting(spec):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{spec.seed}\n")
-            return original(spec)
-
-        monkeypatch.setattr(synthbench, "generate_world", counting)
-        run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
-                     seeds=[0, 1])
-        assert sorted(int(s) for s in log.read_text().split()) == [5, 6]
-
-    def test_split_group_records_equal_run_single(self, monkeypatch, tmp_path):
-        # At most two CPUs for three worlds: with two, the third world's
-        # arms are split between the workers, and each generates it.
+        The forked workers inherit the patch, but a list they append to
+        never reaches this process; a file does.
+        """
         cpus = set(sorted(os.sched_getaffinity(0))[:2])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         log = tmp_path / "generated.txt"
@@ -492,11 +482,32 @@ class TestSharedWorlds:
             return original(spec)
 
         monkeypatch.setattr(synthbench, "generate_world", counting)
+        return len(cpus), lambda: sorted(int(s) for s in log.read_text().split())
+
+    def test_one_world_per_distinct_spec(self, monkeypatch, tmp_path):
+        # two worlds on at most two CPUs: each worker generates its own once
+        _, generated = self._count_worlds(monkeypatch, tmp_path)
+        run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
+                     seeds=[0, 1])
+        assert generated() == [5, 6]
+
+    def test_split_group_records_equal_run_single(self, monkeypatch, tmp_path):
+        # At most two CPUs for three worlds: with two, the third world's
+        # arms are split between the workers, and each generates it.
+        n_cpus, generated = self._count_worlds(monkeypatch, tmp_path)
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0, 1, 2])
-        generated = sorted(int(s) for s in log.read_text().split())
-        assert generated == [5, 6, 7] + [7] * (len(cpus) - 1)
+        assert generated() == [5, 6, 7] + [7] * (n_cpus - 1)
         self._assert_records_equal_run_single(records, (0, 1, 2))
+
+    def test_lone_group_is_split_over_the_cpus(self, monkeypatch, tmp_path):
+        # One seed is one world: with two CPUs its four arms run two per
+        # worker, and each worker generates the world.
+        n_cpus, generated = self._count_worlds(monkeypatch, tmp_path)
+        records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
+                               "components", seeds=[0])
+        assert generated() == [5] * n_cpus
+        self._assert_records_equal_run_single(records, (0,))
 
 
 class TestSplitGroups:
