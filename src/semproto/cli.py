@@ -168,19 +168,24 @@ def cmd_build_bank(args) -> int:
 
 def _world_checksum(world) -> str:
     """sha256 over every row, split by split: its feature and its label as
-    4 little-endian bytes; a weak row adds each proposal's area and feature."""
+    4 little-endian bytes; a weak row adds each proposal's area and feature.
+
+    Each split is packed into one record array of those fields and hashed
+    with one update, the byte stream of hashing row by row."""
     weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
-    weak_extra = np.concatenate([world.weak_areas[..., None], world.weak_proposals],
-                                axis=2)
+    n_prop, dim = world.weak_proposals.shape[1:]
+    row = [("x", "<f8", (dim,)), ("y", "<u4")]
     h = hashlib.sha256()
-    for x, y, extra in ((world.det_x, world.det_y, None),
-                        (weak_x, world.weak_y, weak_extra),
-                        (world.test_x, world.test_y, None)):
-        for i, label in enumerate(y):
-            h.update(x[i].tobytes())
-            h.update(int(label).to_bytes(4, "little"))
-            if extra is not None:
-                h.update(extra[i].tobytes())
+    for x, y, weak in ((world.det_x, world.det_y, False), (weak_x, world.weak_y, True),
+                       (world.test_x, world.test_y, False)):
+        extra = [("extra", "<f8", (n_prop, dim + 1))] if weak else []
+        rec = np.empty(len(y), dtype=row + extra)
+        rec["x"] = x
+        rec["y"] = y
+        if weak:
+            rec["extra"][..., 0] = world.weak_areas
+            rec["extra"][..., 1:] = world.weak_proposals
+        h.update(rec)
     return h.hexdigest()
 
 

@@ -12,6 +12,7 @@ every output record; re-running from an echo reproduces results bitwise.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .backend import active_backend
@@ -98,6 +99,11 @@ class WorldSpec:
             raise InfeasibleWorld("dataset sizes out of range")
         if self.proposals_per_image < 1:
             raise InfeasibleWorld("proposals_per_image must be >= 1")
+        if self.seed < 0:
+            raise InfeasibleWorld(
+                f"world seed (world.seed + train.seed for a run) must be >= 0, "
+                f"got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -177,13 +183,17 @@ def _coerce(key: str, value):
                     return False
             raise ValueError(f"not a boolean: {value!r}")
         if isinstance(default, int):
+            # int() of an infinite float raises OverflowError
             if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
                 raise ValueError(f"not an integer: {value!r}")
             return int(value)
         if isinstance(default, float):
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"not a finite number: {value!r}")
+            return number
         return str(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for '{key}': {exc}") from exc
 
 

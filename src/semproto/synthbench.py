@@ -39,6 +39,11 @@ from .errors import (
 # prototypes functions in every module that imports them by name.
 from .prototypes import Aggregation, PrototypeBank, aggregate, build_bank  # noqa: F401
 
+# Byte budget of one (rows, width) float64 temporary in generate_world's
+# composition and evaluate's norms and division: the rows they work on
+# stay in cache, and no temporary grows with the split.
+ROW_BLOCK_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class ToyWorld:
@@ -81,27 +86,56 @@ def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _compose(base_unit: np.ndarray, terms) -> np.ndarray:
-    """base + sum(scale * vec), renormalized only if a term was added.
+def _block_rows(width: int) -> int:
+    """Rows per block whose (rows, width) float64 temporary fits ROW_BLOCK_BYTES."""
+    return max(1, ROW_BLOCK_BYTES // (8 * width))
 
-    Skipping the renormalization in the untouched case keeps degenerate
-    worlds (all strengths zero) bitwise equal to their factor directions.
-    The inputs are the generator's own finite arrays, so the norm is
-    taken directly instead of through l2_normalize's validation, which
-    would otherwise run once per generated vector.
+
+def _compose_rows(out: np.ndarray, base, terms, noise_sigma: float,
+                  rows: np.ndarray | None = None) -> None:
+    """Overwrite rows of `out` with unit(base + scale * direction ...
+    + noise_sigma * noise), summed left to right, in row blocks.
+
+    On entry each selected row of `out` holds its row's noise: the raw
+    standard-normal draw, divided by sqrt(D) here. `rows` selects the
+    rows of `out` (all of them when None). `base` and each term's
+    directions are (table, index arrays) gathers whose index arrays run
+    parallel to the selected rows. Terms with scale 0 are skipped; if
+    none is left, the rows are the bare base directions, unnormalized,
+    so degenerate worlds stay bitwise equal to their factor directions.
+    The norm is taken directly rather than through l2_normalize's
+    validation: the inputs are the generator's own finite arrays.
     """
-    v = base_unit
-    added = False
-    for scale, vec in terms:
-        if scale != 0.0:
-            v = v + scale * vec
-            added = True
-    if not added:
-        return base_unit
-    norm = math.sqrt(v.dot(v))
-    if norm < ZERO_NORM_EPS:
-        raise ZeroNorm(f"norm {norm:g} below {ZERO_NORM_EPS:g}")
-    return v / norm
+    terms = [(scale, table, index) for scale, table, index in terms if scale != 0.0]
+    n = len(out) if rows is None else len(rows)
+    step = _block_rows(out.shape[1])
+    sqrt_dim = math.sqrt(out.shape[1])
+    table, index = base
+    # Each temporary is dropped once added in, so at most two block
+    # buffers are alive at a time.
+    for lo in range(0, n, step):
+        sel = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+        v = table[tuple(i[lo:lo + step] for i in index)]
+        for scale, t_table, t_index in terms:
+            t = t_table[tuple(i[lo:lo + step] for i in t_index)]
+            t *= scale
+            v += t
+            del t
+        if noise_sigma != 0.0:
+            z = out[sel]
+            z /= sqrt_dim
+            z *= noise_sigma
+            v += z
+            del z
+        if terms or noise_sigma != 0.0:
+            # a row's vecdot has the bits of its 1-D dot
+            norms = np.sqrt(np.vecdot(v, v))
+            if np.logical_or.reduce(norms < ZERO_NORM_EPS):
+                norm = np.minimum.reduce(norms)
+                raise ZeroNorm(f"norm {norm:g} below {ZERO_NORM_EPS:g}")
+            np.divide(v, norms[:, None], out=v)
+        out[sel] = v
+        del v
 
 
 def _labels(n_classes: int, per_class: int) -> np.ndarray:
@@ -120,60 +154,76 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
                     surrounding-context content the pseudo-boxes do.
     Distractor proposals are context-only and never the largest; the
     context-rich proposal's area is forced strictly largest.
+
+    The random draws are made row by row, in stream order: that order
+    fixes the world's bytes. Each draw is written into an array (the
+    noise straight into the row it perturbs), and each split is then
+    composed over row blocks of at most ROW_BLOCK_BYTES per temporary.
     """
     rng = np.random.default_rng(spec.seed)
     dim = spec.dim
     class_dirs = _unit_rows(rng, (spec.n_classes, dim))
     state_dirs = _unit_rows(rng, (spec.n_classes, spec.k_states, dim))
     scene_dirs = _unit_rows(rng, (spec.l_scenes, dim))
-    sqrt_dim = math.sqrt(dim)
-
-    def noise() -> np.ndarray:
-        return rng.standard_normal(dim) / sqrt_dim
+    integers, normal = rng.integers, rng.standard_normal
 
     det_y = _labels(spec.n_base, spec.det_per_class)
     det_x = np.empty((len(det_y), dim))
-    for i, c in enumerate(det_y):
-        k_idx = int(rng.integers(spec.k_states))
-        det_x[i] = _compose(class_dirs[c], [
-            (spec.state_strength, state_dirs[c, k_idx]),
-            (spec.noise_sigma, noise()),
-        ])
+    det_k = np.empty(len(det_y), dtype=np.int64)
+    for i in range(len(det_y)):
+        det_k[i] = integers(spec.k_states)
+        normal(out=det_x[i])
 
     n_prop = spec.proposals_per_image
     weak_y = _labels(spec.n_classes, spec.weak_per_class)
-    weak_areas = np.empty((len(weak_y), n_prop))
-    weak_proposals = np.empty((len(weak_y), n_prop, dim))
-    for i, c in enumerate(weak_y):
-        k_idx = int(rng.integers(spec.k_states))
-        scene_idx = int(rng.integers(spec.l_scenes))
-        ctx_feat = _compose(class_dirs[c], [
-            (spec.state_strength, state_dirs[c, k_idx]),
-            (spec.context_strength, scene_dirs[scene_idx]),
-            (spec.noise_sigma, noise()),
-        ])
-        areas = rng.uniform(0.2, 1.0, n_prop)
-        ctx_pos = int(rng.integers(n_prop))
+    n_weak = len(weak_y)
+    weak_areas = np.empty((n_weak, n_prop))
+    weak_proposals = np.empty((n_weak, n_prop, dim))
+    weak_k = np.empty(n_weak, dtype=np.int64)
+    weak_scene = np.empty(n_weak, dtype=np.int64)
+    # rows of weak_proposals.reshape(-1, dim): the context-rich one per
+    # image, then the distractors with their scenes, in draw order
+    ctx_row = np.empty(n_weak, dtype=np.int64)
+    d_row = np.empty(n_weak * (n_prop - 1), dtype=np.int64)
+    d_scene = np.empty(n_weak * (n_prop - 1), dtype=np.int64)
+    ctx_noise = np.empty(dim)
+    n_d = 0
+    for i in range(n_weak):
+        weak_k[i] = integers(spec.k_states)
+        weak_scene[i] = integers(spec.l_scenes)
+        normal(out=ctx_noise)
+        weak_areas[i] = rng.uniform(0.2, 1.0, n_prop)
+        pos = integers(n_prop)
+        ctx_row[i] = i * n_prop + pos
+        weak_proposals[i, pos] = ctx_noise
         for j in range(n_prop):
-            if j == ctx_pos:
-                weak_proposals[i, j] = ctx_feat
-            else:
-                d_scene = int(rng.integers(spec.l_scenes))
-                weak_proposals[i, j] = _compose(scene_dirs[d_scene],
-                                                [(spec.noise_sigma, noise())])
-        areas[ctx_pos] = areas.max() * 1.5
-        weak_areas[i] = areas
+            if j != pos:
+                d_row[n_d] = i * n_prop + j
+                d_scene[n_d] = integers(spec.l_scenes)
+                normal(out=weak_proposals[i, j])
+                n_d += 1
+    weak_areas.reshape(-1)[ctx_row] = np.maximum.reduce(weak_areas, axis=1) * 1.5
 
     test_y = _labels(spec.n_classes, spec.test_per_class)
     test_x = np.empty((len(test_y), dim))
-    for i, c in enumerate(test_y):
-        k_idx = int(rng.integers(spec.k_states))
-        scene_idx = int(rng.integers(spec.l_scenes))
-        test_x[i] = _compose(class_dirs[c], [
-            (spec.state_strength, state_dirs[c, k_idx]),
-            (spec.context_strength, scene_dirs[scene_idx]),
-            (spec.noise_sigma, noise()),
-        ])
+    test_k = np.empty(len(test_y), dtype=np.int64)
+    test_scene = np.empty(len(test_y), dtype=np.int64)
+    for i in range(len(test_y)):
+        test_k[i] = integers(spec.k_states)
+        test_scene[i] = integers(spec.l_scenes)
+        normal(out=test_x[i])
+
+    state, context, sigma = spec.state_strength, spec.context_strength, spec.noise_sigma
+    _compose_rows(det_x, (class_dirs, (det_y,)),
+                  [(state, state_dirs, (det_y, det_k))], sigma)
+    flat_proposals = weak_proposals.reshape(-1, dim)
+    _compose_rows(flat_proposals, (class_dirs, (weak_y,)),
+                  [(state, state_dirs, (weak_y, weak_k)),
+                   (context, scene_dirs, (weak_scene,))], sigma, rows=ctx_row)
+    _compose_rows(flat_proposals, (scene_dirs, (d_scene,)), [], sigma, rows=d_row)
+    _compose_rows(test_x, (class_dirs, (test_y,)),
+                  [(state, state_dirs, (test_y, test_k)),
+                   (context, scene_dirs, (test_scene,))], sigma)
 
     return ToyWorld(
         spec=spec,
@@ -297,7 +347,11 @@ class ProbeModel:
         return cls(weight=w, bias=np.zeros(dim))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weight + self.bias
+        """features @ weight + bias, with the bias added in place: the
+        bits of that expression without its second (N, dim_embed) array."""
+        proj = features @ self.weight
+        proj += self.bias
+        return proj
 
 
 def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
@@ -346,16 +400,45 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     return ProbeModel(weight=w, bias=b), reports
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) with its bits, computed in row blocks."""
+    norms = np.empty(len(a))
+    step = _block_rows(a.shape[1])
+    for lo in range(0, len(a), step):
+        blk = a[lo:lo + step]
+        np.sqrt(np.add.reduce(blk * blk, axis=1), out=norms[lo:lo + step])
+    return norms
+
+
+def _cosines(probe: ProbeModel, bank: PrototypeBank,
+             features: np.ndarray) -> np.ndarray:
+    """(N, C) cosines of the projected features with the bank's sesp rows."""
+    proj = probe.apply(features)
+    fn = _row_norms(proj)
+    pn = _row_norms(bank.sesp)
+    cosm = proj @ bank.sesp.T
+    del proj  # the division's block temporaries would stack on it
+    step = _block_rows(cosm.shape[1])
+    for lo in range(0, len(cosm), step):
+        blk = cosm[lo:lo + step]
+        np.divide(blk, fn[lo:lo + step, None] * pn[None, :], out=blk)
+    return cosm
+
+
 def evaluate(probe: ProbeModel, bank: PrototypeBank, features: np.ndarray,
              labels: np.ndarray, n_base: int) -> dict:
     """Top-1 accuracy of cosine argmax classification, split by
-    base/novel membership (novel = class_id >= n_base)."""
+    base/novel membership (novel = class_id >= n_base).
+
+    Scores the split in place, with the bits of the whole-array
+    (proj @ sesp.T) / (|proj| |sesp|): both matrix products stay whole,
+    because a product computed in row blocks rounds differently, and the
+    row norms and the division run in blocks of at most ROW_BLOCK_BYTES
+    per temporary. The peak is the projected features plus the cosines.
+    """
     if len(labels) == 0:
         raise EmptyTestSet("no test samples")
-    proj = probe.apply(features)
-    fn = np.linalg.norm(proj, axis=1)
-    pn = np.linalg.norm(bank.sesp, axis=1)
-    cosm = (proj @ bank.sesp.T) / (fn[:, None] * pn[None, :])
+    cosm = _cosines(probe, bank, features)
     pred = cosm.argmax(axis=1)
     correct = pred == labels
     base_mask = labels < n_base

@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semproto import cli, synthbench
+from semproto.config import CONFIG_SCHEMA
 from semproto.errors import DivergenceDetected
 from semproto.prototypes import PrototypeBank
 
@@ -184,6 +190,70 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and err["exit"] == 2
         assert not out_path.exists()
+
+    @staticmethod
+    def _exit_code_and_output(argv, config_text=None):
+        """Run argv in-process with a fresh --out (and --config, when
+        given); returns the exit code, the stderr error record and whether
+        the output file exists."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = Path(tmp) / "out.json"
+            if config_text is not None:
+                cfg_path = Path(tmp) / "cfg.json"
+                cfg_path.write_text(config_text)
+                argv = [*argv, "--config", str(cfg_path)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", str(out_path)])
+            lines = err.getvalue().strip().splitlines()
+            return code, (json.loads(lines[-1]) if lines else None), out_path.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_config_value_exits_2(self, data):
+        # a non-finite float, or an infinite integer, is a bad config value
+        # wherever it comes from; nothing is generated or written
+        kinds = {key: type(f.default) for key, f in CONFIG_SCHEMA.items()}
+        key = data.draw(st.sampled_from(
+            [k for k, kind in kinds.items() if kind in (int, float)]), label="key")
+        command = data.draw(st.sampled_from(["simulate", "train", "evaluate", "ablate"]),
+                            label="command")
+        spellings = ["Infinity", "-Infinity", "1e400", "-1e400"]
+        if kinds[key] is float:
+            spellings += ["NaN"]
+        literal = data.draw(st.sampled_from(spellings), label="literal")
+        if data.draw(st.booleans(), label="in a config file"):
+            section, name = key.split(".")
+            code, err, written = self._exit_code_and_output(
+                [command], config_text=f'{{"{section}": {{"{name}": {literal}}}}}')
+        else:
+            spelling = data.draw(st.sampled_from(
+                [literal, literal.lower(), literal.replace("inity", "")]), label="spelling")
+            code, err, written = self._exit_code_and_output(
+                [command, "--set", f"{key}={spelling}"])
+        assert code == 2
+        assert err["error"] == "ConfigError" and key in err["message"]
+        assert not written
+
+    @settings(max_examples=30, deadline=None)
+    @given(command=st.sampled_from(["simulate", "train", "evaluate", "ablate"]),
+           world_seed=st.integers(0, 200), offset=st.integers(1, 10**6),
+           on_world=st.booleans())
+    def test_negative_world_seed_exits_2(self, command, world_seed, offset, on_world):
+        # world.seed itself, or the run's world seed, world.seed + train.seed
+        sets = (["--set", f"world.seed={-offset}"] if on_world else
+                ["--set", f"world.seed={world_seed}",
+                 "--set", f"train.seed={-world_seed - offset}"])
+        code, err, written = self._exit_code_and_output([command, *sets])
+        assert code == 2
+        assert err["error"] == "InfeasibleWorld" and "seed" in err["message"]
+        assert not written
+
+    def test_zero_world_seed_is_a_seed(self, tmp_path):
+        out_path = tmp_path / "world.json"
+        assert cli.main(["simulate", *SMALL, "--set", "world.seed=5",
+                         "--set", "train.seed=-5", "--out", str(out_path)]) == 0
+        assert out_path.exists()
 
     def test_bare_value_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
         def broken(spec):

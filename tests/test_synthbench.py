@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import math
 import os
 import signal
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -18,6 +20,7 @@ from semproto.config import (
     parse_override,
     resolved_config,
 )
+from semproto.core import ZERO_NORM_EPS
 from semproto.errors import (
     ConfigError,
     DimensionMismatch,
@@ -25,14 +28,17 @@ from semproto.errors import (
     EmptyProposals,
     EmptyTestSet,
     InfeasibleWorld,
+    ZeroNorm,
 )
-from semproto.prototypes import Aggregation
+from semproto.prototypes import Aggregation, PrototypeBank
 from semproto.synthbench import (
     ABLATION_GRIDS,
     ProbeModel,
+    build_run_bank,
     build_toy_bank,
     evaluate,
     generate_world,
+    initial_probe,
     run_ablation,
     run_single,
     select_max_size_proposal,
@@ -117,6 +123,179 @@ class TestGenerateWorld:
             WorldSpec(**{**SMALL_WORLD, "n_base": 6})
         with pytest.raises(InfeasibleWorld):
             WorldSpec(**{**SMALL_WORLD, "noise_sigma": -0.1})
+
+
+def _compose_row(base_unit, terms):
+    """One vector: base + sum(scale * vec), renormalized only if a term
+    was added."""
+    v = base_unit
+    added = False
+    for scale, vec in terms:
+        if scale != 0.0:
+            v = v + scale * vec
+            added = True
+    if not added:
+        return base_unit
+    norm = math.sqrt(v.dot(v))
+    if norm < ZERO_NORM_EPS:
+        raise ZeroNorm(f"norm {norm:g} below {ZERO_NORM_EPS:g}")
+    return v / norm
+
+
+def _per_row_world(spec):
+    """The reference for generate_world: every draw, composition and
+    normalization made one row at a time, in stream order."""
+    rng = np.random.default_rng(spec.seed)
+    dim = spec.dim
+    class_dirs = synthbench._unit_rows(rng, (spec.n_classes, dim))
+    state_dirs = synthbench._unit_rows(rng, (spec.n_classes, spec.k_states, dim))
+    scene_dirs = synthbench._unit_rows(rng, (spec.l_scenes, dim))
+    sqrt_dim = math.sqrt(dim)
+
+    def noise():
+        return rng.standard_normal(dim) / sqrt_dim
+
+    det_y = np.repeat(np.arange(spec.n_base, dtype=np.int64), spec.det_per_class)
+    det_x = np.empty((len(det_y), dim))
+    for i, c in enumerate(det_y):
+        k_idx = int(rng.integers(spec.k_states))
+        det_x[i] = _compose_row(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.noise_sigma, noise()),
+        ])
+
+    n_prop = spec.proposals_per_image
+    weak_y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.weak_per_class)
+    weak_areas = np.empty((len(weak_y), n_prop))
+    weak_proposals = np.empty((len(weak_y), n_prop, dim))
+    for i, c in enumerate(weak_y):
+        k_idx = int(rng.integers(spec.k_states))
+        scene_idx = int(rng.integers(spec.l_scenes))
+        ctx_feat = _compose_row(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.context_strength, scene_dirs[scene_idx]),
+            (spec.noise_sigma, noise()),
+        ])
+        areas = rng.uniform(0.2, 1.0, n_prop)
+        ctx_pos = int(rng.integers(n_prop))
+        for j in range(n_prop):
+            if j == ctx_pos:
+                weak_proposals[i, j] = ctx_feat
+            else:
+                d_scene = int(rng.integers(spec.l_scenes))
+                weak_proposals[i, j] = _compose_row(scene_dirs[d_scene],
+                                                    [(spec.noise_sigma, noise())])
+        areas[ctx_pos] = areas.max() * 1.5
+        weak_areas[i] = areas
+
+    test_y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.test_per_class)
+    test_x = np.empty((len(test_y), dim))
+    for i, c in enumerate(test_y):
+        k_idx = int(rng.integers(spec.k_states))
+        scene_idx = int(rng.integers(spec.l_scenes))
+        test_x[i] = _compose_row(class_dirs[c], [
+            (spec.state_strength, state_dirs[c, k_idx]),
+            (spec.context_strength, scene_dirs[scene_idx]),
+            (spec.noise_sigma, noise()),
+        ])
+    return synthbench.ToyWorld(
+        spec=spec, class_dirs=class_dirs, state_dirs=state_dirs,
+        scene_dirs=scene_dirs, det_x=det_x, det_y=det_y, weak_areas=weak_areas,
+        weak_proposals=weak_proposals, weak_y=weak_y, test_x=test_x, test_y=test_y,
+    )
+
+
+WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(synthbench.ToyWorld)
+                     if f.name != "spec")
+
+
+@contextlib.contextmanager
+def _blocks_of(rows):
+    """Run the row-blocked loops over blocks of `rows` rows (None: the
+    default ROW_BLOCK_BYTES budget)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(synthbench, "_block_rows", lambda width: rows)
+        yield
+
+
+@st.composite
+def _feasible_specs(draw):
+    n_classes = draw(st.integers(2, 12), label="n_classes")
+    k_states = draw(st.integers(1, 5), label="k_states")
+    # one scene direction centers to zero: see _unit_rows
+    l_scenes = draw(st.integers(2, 5), label="l_scenes")
+    scale = st.sampled_from([0.0, 0.3, 1.0, 1.4, 2.5])
+    return WorldSpec(
+        dim=draw(st.integers(n_classes + k_states + l_scenes, 130), label="dim"),
+        n_classes=n_classes,
+        n_base=draw(st.integers(1, n_classes - 1), label="n_base"),
+        k_states=k_states,
+        l_scenes=l_scenes,
+        state_strength=draw(scale, label="state_strength"),
+        context_strength=draw(scale, label="context_strength"),
+        noise_sigma=draw(scale, label="noise_sigma"),
+        seed=draw(st.integers(0, 2**32 - 1), label="seed"),
+        det_per_class=draw(st.integers(0, 5), label="det_per_class"),
+        weak_per_class=draw(st.integers(1, 5), label="weak_per_class"),
+        test_per_class=draw(st.integers(1, 25), label="test_per_class"),
+        proposals_per_image=draw(st.integers(1, 5), label="proposals_per_image"),
+    )
+
+
+class TestBulkWorld:
+    """generate_world draws row by row but composes in row blocks; its
+    bytes must equal the per-row reference's for every block size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_feasible_specs(), rows=st.sampled_from([1, 2, 3, None]))
+    def test_bytes_equal_per_row_reference(self, spec, rows):
+        expected = _per_row_world(spec)
+        with _blocks_of(rows):
+            world = generate_world(spec)
+        for name in WORLD_ARRAYS:
+            got, want = getattr(world, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_cancelling_terms_raise_zero_norm(self, monkeypatch):
+        # each state direction is minus its class direction, so a box
+        # feature without noise composes to exactly zero
+        spec = WorldSpec(**{**SMALL_WORLD, "state_strength": 1.0,
+                            "context_strength": 0.0, "noise_sigma": 0.0})
+        unit_rows = synthbench._unit_rows
+        drawn = []
+
+        def cancelling(rng, shape):
+            drawn.append(unit_rows(rng, shape))
+            if len(shape) == 3:
+                return -np.repeat(drawn[0][:, None], shape[1], axis=1)
+            return drawn[-1]
+
+        monkeypatch.setattr(synthbench, "_unit_rows", cancelling)
+        with pytest.raises(ZeroNorm):
+            generate_world(spec)
+
+    def test_traced_peak_is_the_world_plus_its_indices(self):
+        # numpy reports its allocations to tracemalloc, so the bound is
+        # exact: the world's arrays, one int64 per index drawn (det: state;
+        # weak: state, scene, and per proposal a row and a scene; test:
+        # state, scene) and a few block temporaries, whatever the split size
+        spec = WorldSpec()
+        n_det = spec.n_base * spec.det_per_class
+        n_weak = spec.n_classes * spec.weak_per_class
+        n_test = spec.n_classes * spec.test_per_class
+        index_bytes = 8 * (n_det + (2 * spec.proposals_per_image + 1) * n_weak
+                           + 2 * n_test)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            world = generate_world(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        world_bytes = sum(getattr(world, name).nbytes for name in WORLD_ARRAYS)
+        assert peak <= world_bytes + index_bytes + 3 * synthbench.ROW_BLOCK_BYTES
 
 
 class TestSelectMaxSizeProposal:
@@ -368,6 +547,74 @@ class TestEvaluate:
                      np.zeros((0, spec.dim)), np.zeros(0, dtype=np.int64),
                      spec.n_base)
 
+
+    @staticmethod
+    def _whole_array_cosines(probe, bank, features):
+        proj = features @ probe.weight + probe.bias
+        fn = np.linalg.norm(proj, axis=1)
+        pn = np.linalg.norm(bank.sesp, axis=1)
+        return (proj @ bank.sesp.T) / (fn[:, None] * pn[None, :])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([1, 2, 3, None]))
+    def test_in_place_scores_equal_whole_array_expression(self, data, rows):
+        n = data.draw(st.integers(1, 300), label="N")
+        d_in = data.draw(st.integers(1, 130), label="dim_in")
+        d_emb = data.draw(st.integers(1, 130), label="dim_embed")
+        c = data.draw(st.integers(2, 40), label="C")
+        n_base = data.draw(st.integers(1, c - 1), label="n_base")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        probe = ProbeModel(weight=rng.standard_normal((d_in, d_emb)),
+                           bias=rng.standard_normal(d_emb))
+        bank = PrototypeBank(
+            vocab=tuple(f"class_{i:02d}" for i in range(c)),
+            sesp=rng.standard_normal((c, d_emb)) * rng.uniform(0.1, 10.0, (c, 1)),
+            sapp=rng.standard_normal((c, 1, d_emb)), strategy=Aggregation.MEAN,
+            k=1, l=1,
+        )
+        features = rng.standard_normal((n, d_in))
+        labels = rng.integers(c, size=n)
+        expected = self._whole_array_cosines(probe, bank, features)
+        correct = expected.argmax(axis=1) == labels
+        base = labels < n_base
+
+        def acc(mask):
+            return float(correct[mask].mean()) if mask.any() else float("nan")
+
+        with _blocks_of(rows):
+            cosines = synthbench._cosines(probe, bank, features)
+            metrics = evaluate(probe, bank, features, labels, n_base)
+        assert cosines.tobytes() == expected.tobytes()
+        np.testing.assert_equal(metrics, {"acc_novel": acc(~base),
+                                          "acc_base": acc(base),
+                                          "acc_all": float(correct.mean())})
+
+    @pytest.mark.parametrize("n_classes", [None, 64])
+    def test_traced_peak_is_the_projection_plus_the_cosines(self, n_classes):
+        # N*D for the projected features and N*C for the cosines, plus
+        # two block budgets; numpy reports its allocations to tracemalloc,
+        # so the bound is exact. The run's own bank, and a bank wider than
+        # the features, where the cosines' division dominates.
+        world = generate_world(WorldSpec())
+        bank = build_run_bank(world, TrainConfig())
+        if n_classes is not None:
+            rng = np.random.default_rng(0)
+            bank = PrototypeBank(
+                vocab=tuple(f"class_{i:02d}" for i in range(n_classes)),
+                sesp=rng.standard_normal((n_classes, bank.dim)),
+                sapp=rng.standard_normal((n_classes, 1, bank.dim)),
+                strategy=Aggregation.MEAN, k=1, l=1,
+            )
+        probe = initial_probe(world)
+        n, c = len(world.test_y), len(bank.vocab)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * bank.dim + n * c) + 2 * synthbench.ROW_BLOCK_BYTES
 
 SMALL_CFG = dict(steps=40, temperature=0.2)
 
