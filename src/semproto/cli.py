@@ -49,6 +49,7 @@ from .prototypes import Aggregation, build_bank
 # the synthbench functions in every module that imports them by name.
 from .synthbench import (  # noqa: F401
     ABLATION_GRIDS,
+    ROW_BLOCK_BYTES,
     ProbeModel,
     build_run_bank,
     build_toy_bank,
@@ -170,22 +171,26 @@ def _world_checksum(world) -> str:
     """sha256 over every row, split by split: its feature and its label as
     4 little-endian bytes; a weak row adds each proposal's area and feature.
 
-    Each split is packed into one record array of those fields and hashed
-    with one update, the byte stream of hashing row by row."""
+    Each split is packed into record arrays of those fields, one block of
+    rows (at most ROW_BLOCK_BYTES) at a time, and hashed with one update
+    per block: the byte stream of hashing row by row."""
     weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
     n_prop, dim = world.weak_proposals.shape[1:]
     row = [("x", "<f8", (dim,)), ("y", "<u4")]
     h = hashlib.sha256()
     for x, y, weak in ((world.det_x, world.det_y, False), (weak_x, world.weak_y, True),
                        (world.test_x, world.test_y, False)):
-        extra = [("extra", "<f8", (n_prop, dim + 1))] if weak else []
-        rec = np.empty(len(y), dtype=row + extra)
-        rec["x"] = x
-        rec["y"] = y
-        if weak:
-            rec["extra"][..., 0] = world.weak_areas
-            rec["extra"][..., 1:] = world.weak_proposals
-        h.update(rec)
+        dtype = np.dtype(row + ([("extra", "<f8", (n_prop, dim + 1))] if weak else []))
+        step = max(1, ROW_BLOCK_BYTES // dtype.itemsize)
+        for lo in range(0, len(y), step):
+            block = slice(lo, lo + step)
+            rec = np.empty(len(y[block]), dtype=dtype)
+            rec["x"] = x[block]
+            rec["y"] = y[block]
+            if weak:
+                rec["extra"][..., 0] = world.weak_areas[block]
+                rec["extra"][..., 1:] = world.weak_proposals[block]
+            h.update(rec)
     return h.hexdigest()
 
 

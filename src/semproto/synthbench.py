@@ -96,28 +96,29 @@ def _compose_rows(out: np.ndarray, base, terms, noise_sigma: float,
     """Overwrite rows of `out` with unit(base + scale * direction ...
     + noise_sigma * noise), summed left to right, in row blocks.
 
-    On entry each selected row of `out` holds its row's noise: the raw
-    standard-normal draw, divided by sqrt(D) here. `rows` selects the
-    rows of `out` (all of them when None). `base` and each term's
-    directions are (table, index arrays) gathers whose index arrays run
-    parallel to the selected rows. Terms with scale 0 are skipped; if
-    none is left, the rows are the bare base directions, unnormalized,
-    so degenerate worlds stay bitwise equal to their factor directions.
-    The norm is taken directly rather than through l2_normalize's
-    validation: the inputs are the generator's own finite arrays.
+    On entry each selected row of `out` holds its raw standard-normal
+    noise draw, divided by sqrt(D) here. `rows` selects the rows of
+    `out` (all of them when None). `base` and each term's directions are
+    (table, index) gathers: the r-th selected row takes table[index[r]].
+    Terms with scale 0 are skipped; if none is left, the rows are the
+    bare base directions, unnormalized, so degenerate worlds stay bitwise
+    equal to their factor directions. The norm is taken directly rather
+    than through l2_normalize's validation: the inputs are the
+    generator's own finite arrays.
     """
-    terms = [(scale, table, index) for scale, table, index in terms if scale != 0.0]
+    terms = [term for term in terms if term[0] != 0.0]
     n = len(out) if rows is None else len(rows)
     step = _block_rows(out.shape[1])
     sqrt_dim = math.sqrt(out.shape[1])
-    table, index = base
+    base_table, base_index = base
     # Each temporary is dropped once added in, so at most two block
     # buffers are alive at a time.
     for lo in range(0, n, step):
-        sel = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
-        v = table[tuple(i[lo:lo + step] for i in index)]
-        for scale, t_table, t_index in terms:
-            t = t_table[tuple(i[lo:lo + step] for i in t_index)]
+        block = slice(lo, lo + step)
+        sel = block if rows is None else rows[block]
+        v = base_table[base_index[block]]
+        for scale, table, index in terms:
+            t = table[index[block]]
             t *= scale
             v += t
             del t
@@ -161,69 +162,67 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
     composed over row blocks of at most ROW_BLOCK_BYTES per temporary.
     """
     rng = np.random.default_rng(spec.seed)
-    dim = spec.dim
+    dim, n_prop = spec.dim, spec.proposals_per_image
     class_dirs = _unit_rows(rng, (spec.n_classes, dim))
     state_dirs = _unit_rows(rng, (spec.n_classes, spec.k_states, dim))
     scene_dirs = _unit_rows(rng, (spec.l_scenes, dim))
+    # row c * k_states + k is state_dirs[c, k]
+    states = state_dirs.reshape(-1, dim)
     integers, normal = rng.integers, rng.standard_normal
 
     det_y = _labels(spec.n_base, spec.det_per_class)
     det_x = np.empty((len(det_y), dim))
-    det_k = np.empty(len(det_y), dtype=np.int64)
+    det_state = np.empty(len(det_y), dtype=np.int64)
     for i in range(len(det_y)):
-        det_k[i] = integers(spec.k_states)
+        det_state[i] = integers(spec.k_states)
         normal(out=det_x[i])
+    det_state += det_y * spec.k_states
 
-    n_prop = spec.proposals_per_image
     weak_y = _labels(spec.n_classes, spec.weak_per_class)
     n_weak = len(weak_y)
     weak_areas = np.empty((n_weak, n_prop))
     weak_proposals = np.empty((n_weak, n_prop, dim))
-    weak_k = np.empty(n_weak, dtype=np.int64)
-    weak_scene = np.empty(n_weak, dtype=np.int64)
-    # rows of weak_proposals.reshape(-1, dim): the context-rich one per
-    # image, then the distractors with their scenes, in draw order
-    ctx_row = np.empty(n_weak, dtype=np.int64)
-    d_row = np.empty(n_weak * (n_prop - 1), dtype=np.int64)
-    d_scene = np.empty(n_weak * (n_prop - 1), dtype=np.int64)
-    ctx_noise = np.empty(dim)
-    n_d = 0
+    weak_scene = np.empty((n_weak, n_prop), dtype=np.int64)
+    ctx_state = np.empty(n_weak, dtype=np.int64)
+    ctx_pos = np.empty(n_weak, dtype=np.int64)
+    ctx_noise = np.empty(dim)  # the context-rich slot is drawn after its noise
     for i in range(n_weak):
-        weak_k[i] = integers(spec.k_states)
-        weak_scene[i] = integers(spec.l_scenes)
+        ctx_state[i] = integers(spec.k_states)
+        scene = integers(spec.l_scenes)
         normal(out=ctx_noise)
         weak_areas[i] = rng.uniform(0.2, 1.0, n_prop)
-        pos = integers(n_prop)
-        ctx_row[i] = i * n_prop + pos
+        ctx_pos[i] = pos = integers(n_prop)
+        weak_scene[i, pos] = scene
         weak_proposals[i, pos] = ctx_noise
         for j in range(n_prop):
             if j != pos:
-                d_row[n_d] = i * n_prop + j
-                d_scene[n_d] = integers(spec.l_scenes)
+                weak_scene[i, j] = integers(spec.l_scenes)
                 normal(out=weak_proposals[i, j])
-                n_d += 1
+    ctx_state += weak_y * spec.k_states
+    # rows of weak_proposals.reshape(-1, dim), in draw order
+    ctx_row = np.arange(n_weak) * n_prop + ctx_pos
+    d_row = np.flatnonzero(np.arange(n_prop) != ctx_pos[:, None])
     weak_areas.reshape(-1)[ctx_row] = np.maximum.reduce(weak_areas, axis=1) * 1.5
 
     test_y = _labels(spec.n_classes, spec.test_per_class)
     test_x = np.empty((len(test_y), dim))
-    test_k = np.empty(len(test_y), dtype=np.int64)
+    test_state = np.empty(len(test_y), dtype=np.int64)
     test_scene = np.empty(len(test_y), dtype=np.int64)
     for i in range(len(test_y)):
-        test_k[i] = integers(spec.k_states)
+        test_state[i] = integers(spec.k_states)
         test_scene[i] = integers(spec.l_scenes)
         normal(out=test_x[i])
+    test_state += test_y * spec.k_states
 
     state, context, sigma = spec.state_strength, spec.context_strength, spec.noise_sigma
-    _compose_rows(det_x, (class_dirs, (det_y,)),
-                  [(state, state_dirs, (det_y, det_k))], sigma)
-    flat_proposals = weak_proposals.reshape(-1, dim)
-    _compose_rows(flat_proposals, (class_dirs, (weak_y,)),
-                  [(state, state_dirs, (weak_y, weak_k)),
-                   (context, scene_dirs, (weak_scene,))], sigma, rows=ctx_row)
-    _compose_rows(flat_proposals, (scene_dirs, (d_scene,)), [], sigma, rows=d_row)
-    _compose_rows(test_x, (class_dirs, (test_y,)),
-                  [(state, state_dirs, (test_y, test_k)),
-                   (context, scene_dirs, (test_scene,))], sigma)
+    _compose_rows(det_x, (class_dirs, det_y), [(state, states, det_state)], sigma)
+    flat_proposals, flat_scene = weak_proposals.reshape(-1, dim), weak_scene.reshape(-1)
+    _compose_rows(flat_proposals, (class_dirs, weak_y),
+                  [(state, states, ctx_state), (context, scene_dirs, flat_scene[ctx_row])],
+                  sigma, rows=ctx_row)
+    _compose_rows(flat_proposals, (scene_dirs, flat_scene[d_row]), [], sigma, rows=d_row)
+    _compose_rows(test_x, (class_dirs, test_y),
+                  [(state, states, test_state), (context, scene_dirs, test_scene)], sigma)
 
     return ToyWorld(
         spec=spec,

@@ -278,14 +278,16 @@ class TestBulkWorld:
 
     def test_traced_peak_is_the_world_plus_its_indices(self):
         # numpy reports its allocations to tracemalloc, so the bound is
-        # exact: the world's arrays, one int64 per index drawn (det: state;
-        # weak: state, scene, and per proposal a row and a scene; test:
-        # state, scene) and a few block temporaries, whatever the split size
+        # exact: the world's arrays, one int64 per index (det: state; weak:
+        # per slot a scene; per image the context-rich row's state, slot,
+        # row and gathered scene; per distractor its row and gathered scene;
+        # test: state, scene) and a few block temporaries, whatever the
+        # split size
         spec = WorldSpec()
         n_det = spec.n_base * spec.det_per_class
         n_weak = spec.n_classes * spec.weak_per_class
         n_test = spec.n_classes * spec.test_per_class
-        index_bytes = 8 * (n_det + (2 * spec.proposals_per_image + 1) * n_weak
+        index_bytes = 8 * (n_det + (3 * spec.proposals_per_image + 2) * n_weak
                            + 2 * n_test)
         tracemalloc.start()
         try:
