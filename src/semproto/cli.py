@@ -1,15 +1,10 @@
-"""Command-line front end.
+"""The subcommand handlers behind the parser in `entry`.
 
-Subcommands: gen-descriptions, encode, build-bank, simulate, train,
-evaluate, ablate. Behavior is driven by a JSON config file plus --set
-key=value overrides (later sources win); every run prints a single-line
-JSON record with the fully resolved config, and every output file is
-written atomically. Errors exit with distinct codes: config 2, data 3,
-numerical 4, and emit one machine-parsable JSON line on stderr. Any
-other exception is a bug: it propagates with its traceback (exit 1).
+`run(args)` calls the handler `entry.main` parsed for and maps library
+errors to the documented exit codes. This module loads numpy and the
+whole library; `entry` imports it only once argv has parsed.
 """
 
-import argparse
 import hashlib
 import io
 import json
@@ -18,7 +13,7 @@ import sys
 import numpy as np
 
 from .atomic import atomic_write
-from .config import __version__, config_help_epilog, load_config, resolved_config
+from .config import __version__, load_config, resolved_config
 from .descriptions import (
     DeterministicToyEncoder,
     FixtureDescriptionClient,
@@ -27,12 +22,12 @@ from .descriptions import (
     RemoteDescriptionClient,
     RemoteEncoder,
     encode,
-    fixture_path,
     generate_descriptions,
     read_description_file,
     write_description_file,
     write_embedding_fixture,
 )
+from .entry import main  # noqa: F401  (perfbench/spans.py patches cli.main)
 from .errors import (
     AllWeightsZero,
     ConfigError,
@@ -48,7 +43,6 @@ from .prototypes import Aggregation, build_bank
 # build_toy_bank stays bound here for perfbench/spans.py, which patches
 # the synthbench functions in every module that imports them by name.
 from .synthbench import (  # noqa: F401
-    ABLATION_GRIDS,
     ROW_BLOCK_BYTES,
     ProbeModel,
     build_run_bank,
@@ -275,128 +269,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="JSON config file with 'world' and 'train' sections")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key, e.g. --set train.lam=0.2")
-
-
-def _add_encoder_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder", choices=("toy", "fixture", "remote"),
-                   default="fixture", help="text encoder backend")
-    p.add_argument("--embeddings", default=fixture_path("embeddings_small.json"),
-                   help="embedding fixture JSON (encoder=fixture)")
-    p.add_argument("--encoder-dim", type=int, default=32,
-                   help="embedding dimension (encoder=toy/remote)")
-    p.add_argument("--encoder-seed", type=int, default=7,
-                   help="toy encoder seed [artifact]")
-
-
-def _add_remote_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--endpoint", default=None,
-                   help="remote service URL (enables the remote client)")
-    p.add_argument("--api-key-env", default="SEMPROTO_API_KEY",
-                   help="environment variable holding the API key")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="remote request timeout in seconds")
-    p.add_argument("--max-parallel", type=int, default=4,
-                   help="max concurrent remote requests")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    epilog = config_help_epilog()
-    parser = argparse.ArgumentParser(
-        prog="semproto",
-        description=__doc__,
-        epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def _sub(name, handler, help_text):
-        p = sub.add_parser(
-            name, help=help_text, epilog=epilog,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.set_defaults(func=handler)
-        return p
-
-    p = _sub("gen-descriptions", cmd_gen_descriptions,
-             "generate per-class descriptions from a fixture or remote service")
-    p.add_argument("--classes", required=True,
-                   help="comma-separated class names")
-    p.add_argument("--k", type=int, default=5,
-                   help="state descriptions per class (default 5 [paper])")
-    p.add_argument("--l", type=int, default=5,
-                   help="scene phrases per class (default 5 [paper])")
-    p.add_argument("--fixture", default=fixture_path("descriptions_small.json"),
-                   help="description fixture JSON (default: shipped 2-class fixture)")
-    _add_remote_args(p)
-    p.add_argument("--out", required=True, help="output descriptions JSON")
-
-    p = _sub("encode", cmd_encode,
-             "encode every description text into an embedding fixture")
-    p.add_argument("--descriptions", default=fixture_path("descriptions_small.json"),
-                   help="descriptions JSON to encode")
-    _add_encoder_args(p)
-    _add_remote_args(p)
-    p.add_argument("--out", required=True, help="output embedding fixture JSON")
-
-    p = _sub("build-bank", cmd_build_bank,
-             "aggregate encoded descriptions into a prototype bank file")
-    p.add_argument("--descriptions", default=fixture_path("descriptions_small.json"),
-                   help="descriptions JSON")
-    p.add_argument("--aggregator", default="mean",
-                   choices=("mean", "median", "two-stage", "similarity-weighted"),
-                   help="aggregation strategy (default mean [paper])")
-    p.add_argument("--k", type=int, default=5,
-                   help="states aggregated per class (default 5 [paper])")
-    p.add_argument("--l", type=int, default=5,
-                   help="scene slots per class (default 5 [paper])")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="keep raw aggregates instead of unit prototypes [artifact]")
-    p.add_argument("--no-clamp-negative", action="store_true",
-                   help="let negative similarity weights through unclamped [artifact]")
-    _add_encoder_args(p)
-    _add_remote_args(p)
-    p.add_argument("--out", required=True, help="output bank JSON")
-
-    p = _sub("simulate", cmd_simulate,
-             "generate the synthetic world and write its summary")
-    _add_config_args(p)
-    p.add_argument("--out", required=True, help="output world summary JSON")
-
-    p = _sub("train", cmd_train,
-             "train the linear probe with the combined objective")
-    _add_config_args(p)
-    p.add_argument("--out", required=True, help="output run-record JSONL")
-    p.add_argument("--save-probe", default=None,
-                   help="also save trained probe weights (npz)")
-
-    p = _sub("evaluate", cmd_evaluate,
-             "evaluate a probe (trained or fresh) on the test split")
-    _add_config_args(p)
-    p.add_argument("--probe", default=None, help="probe npz from train --save-probe")
-    p.add_argument("--out", required=True, help="output metrics JSON")
-
-    p = _sub("ablate", cmd_ablate, "run an ablation grid over seeds")
-    _add_config_args(p)
-    p.add_argument("--grid", default="components",
-                   choices=tuple(sorted(ABLATION_GRIDS)),
-                   help="which ablation axis to sweep")
-    p.add_argument("--seeds", type=int, default=5,
-                   help="number of seeds per configuration")
-    p.add_argument("--out", required=True, help="output results JSONL")
-
-    return parser
-
-
 def _classify_error(exc: Exception) -> tuple[str, int]:
     if isinstance(exc, _CONFIG_ERRORS):
         return type(exc).__name__, EXIT_CONFIG
@@ -409,11 +281,22 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
     raise exc
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+_HANDLERS = {
+    "gen-descriptions": cmd_gen_descriptions,
+    "encode": cmd_encode,
+    "build-bank": cmd_build_bank,
+    "simulate": cmd_simulate,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+    "ablate": cmd_ablate,
+}
+
+
+def run(args) -> int:
+    """Run the subcommand `args.command` of parsed arguments; a library
+    error prints one JSON line on stderr and returns its exit code."""
     try:
-        return args.func(args)
+        return _HANDLERS[args.command](args)
     except Exception as exc:  # mapped to documented exit codes
         kind, code = _classify_error(exc)
         line = json.dumps(
@@ -421,7 +304,3 @@ def main(argv=None) -> int:
         )
         print(line, file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

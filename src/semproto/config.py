@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .backend import active_backend
 from .errors import ConfigError, InfeasibleWorld
 
 __version__ = "0.2.0"
@@ -91,8 +90,12 @@ class WorldSpec:
             raise InfeasibleWorld(
                 f"dim {self.dim} too small for quasi-orthogonal factors; need >= {floor}"
             )
-        if self.k_states < 1 or self.l_scenes < 1:
-            raise InfeasibleWorld("k_states and l_scenes must be >= 1")
+        if self.k_states < 1:
+            raise InfeasibleWorld("k_states must be >= 1")
+        if self.l_scenes < 2:
+            # scene directions are centered before normalization, and a
+            # single direction centers to the zero vector
+            raise InfeasibleWorld(f"l_scenes must be >= 2, got {self.l_scenes}")
         if min(self.state_strength, self.context_strength, self.noise_sigma) < 0:
             raise InfeasibleWorld("strengths and noise must be >= 0")
         if self.det_per_class < 0 or self.weak_per_class < 1 or self.test_per_class < 1:
@@ -250,6 +253,8 @@ def resolved_config(world: WorldSpec, train: TrainConfig) -> dict:
         section, name = key.split(".", 1)
         src = world if section == "world" else train
         out[key] = getattr(src, name)
+    from .backend import active_backend  # numpy: the parser never loads it
+
     out["backend"] = active_backend()
     out["version"] = __version__
     return out

@@ -14,7 +14,6 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -113,11 +112,6 @@ class DescriptionSet:
 
     def all_texts(self) -> list[str]:
         return [self.generic, *self.states, *self.scenes]
-
-
-def fixture_path(name: str) -> str:
-    """Absolute path of a shipped fixture file."""
-    return str(resources.files("semproto").joinpath("fixtures", name))
 
 
 def _read_json(path: str, what: str, unavailable):

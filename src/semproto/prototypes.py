@@ -111,16 +111,6 @@ def aggregate(strategy, generic, states, normalize: bool = True,
     return _AGGREGATORS[strategy](generic, states, normalize=normalize)
 
 
-@dataclass(frozen=True)
-class ClassPrototype:
-    """One class's aggregated vector with its provenance."""
-
-    class_id: int
-    vector: np.ndarray
-    strategy: Aggregation
-    k_used: int
-
-
 def _unit_rows(protos: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(protos, axis=-1, keepdims=True)
     if norms.size and norms.min() < ZERO_NORM_EPS:
@@ -185,15 +175,6 @@ class PrototypeBank:
     @property
     def n_classes(self) -> int:
         return len(self.vocab)
-
-    def prototypes(self) -> list[ClassPrototype]:
-        return [
-            ClassPrototype(i, self.sesp[i], self.strategy, self.k)
-            for i in range(self.n_classes)
-        ]
-
-    def class_id(self, name: str) -> int:
-        return self.vocab.index(name)
 
     def save(self, path: str) -> None:
         payload = {
@@ -281,21 +262,3 @@ def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
         k=k,
         l=l,
     )
-
-
-def classify(feature, bank: PrototypeBank, temperature: float) -> np.ndarray:
-    """Per-class logits cosine(feature, prototype) / temperature.
-
-    The caller applies softmax or argmax; argmax is invariant to
-    positive rescaling of the feature and to the temperature.
-    """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    f = as_embedding(feature)
-    if f.shape[0] != bank.dim:
-        raise DimensionMismatch(f"feature dim {f.shape[0]} != bank dim {bank.dim}")
-    fn = float(np.linalg.norm(f))
-    if fn < 1e-12:
-        raise ZeroNorm("query feature has near-zero norm")
-    pn = np.linalg.norm(bank.sesp, axis=1)
-    return (bank.sesp @ f) / (pn * fn) / temperature

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semproto import cli, synthbench
+from semproto import cli, entry, synthbench
 from semproto.config import CONFIG_SCHEMA
 from semproto.errors import DivergenceDetected
 from semproto.prototypes import PrototypeBank
@@ -54,6 +54,79 @@ def test_cli_import_leaves_network_and_pool_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+# The names `from semproto import *` gives: each submodule the package
+# exported before its exports became lazy, and the exported names.
+PUBLIC_NAMES = {
+    "alignment", "atomic", "backend", "config", "core", "descriptions", "errors",
+    "prototypes", "synthbench",
+    "TrainConfig", "WorldSpec",
+    "cosine", "l2_normalize", "log_sigmoid", "sigmoid",
+    "DescriptionSet", "DeterministicToyEncoder", "FixtureDescriptionClient",
+    "FixtureEncoder", "encode", "generate_descriptions", "render_generic_prompt",
+    "render_scene_prompt", "render_state_prompt",
+    "Aggregation", "PrototypeBank", "aggregate_mean", "aggregate_median",
+    "aggregate_similarity_weighted", "aggregate_two_stage", "build_bank",
+    "LossReport", "PseudoLabelGrid", "WeakBatch", "assign_pseudo_labels",
+    "det_cls_loss", "scene_loss", "scene_loss_and_grad", "scene_similarities",
+    "total_loss", "weak_cls_loss",
+    "ProbeModel", "ToyWorld", "build_toy_bank", "evaluate", "generate_world",
+    "run_ablation", "select_max_size_proposal", "train",
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["train", "--help"], 0),
+    (["train", "--seeds", "3"], 2),  # a usage error: --seeds is ablate's
+])
+def test_parser_paths_leave_numpy_unloaded(argv, code):
+    # --version, --help and usage errors end in the parser; the library
+    # and numpy load only for a subcommand that runs
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "semproto", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == code, out.stderr[-2000:]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "semproto.entry" in loaded
+    assert not loaded & {"numpy", "semproto.backend", "semproto.synthbench", "semproto.cli"}
+    if code:
+        assert "usage: semproto train" in out.stderr
+    else:
+        assert out.stdout
+
+
+def test_package_exports_load_lazily():
+    script = ("import json, sys, semproto; print(json.dumps(["
+              "sorted(semproto.__all__), 'numpy' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [sorted(PUBLIC_NAMES), False]
+
+
+def test_every_public_name_imports():
+    import semproto
+
+    for name in sorted(PUBLIC_NAMES):
+        namespace = {}
+        exec(f"from semproto import {name}", namespace)
+        assert namespace[name] is getattr(semproto, name)
+        assert name in dir(semproto)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import semproto
+
+    assert semproto.__version__ == cli.__version__
+    for name in ("classify", "ClassPrototype", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(semproto, name)
+
+
+def test_parser_grid_names_are_the_ablation_grids():
+    assert entry.GRID_NAMES == tuple(sorted(synthbench.ABLATION_GRIDS))
 
 
 class TestBuildBankCommand:
@@ -324,6 +397,20 @@ class TestSimulateCommand:
         out = run_cli("simulate", "--set", "world.dim=4",
                       "--out", str(tmp_path / "x.json"), check=False)
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["train", "--set", "train.l=1"],
+    ])
+    def test_single_scene_world_exits_2_without_output(self, tmp_path, argv):
+        # one scene direction would center to zero and give a NaN world
+        out_path = tmp_path / "x.json"
+        out = run_cli(*argv, "--set", "world.l_scenes=1", "--out", str(out_path),
+                      check=False)
+        assert out.returncode == 2
+        err = json.loads(out.stderr.strip())
+        assert err["error"] == "InfeasibleWorld" and "l_scenes" in err["message"]
+        assert out.stdout == "" and not out_path.exists()
 
 
 class TestTrainEvaluateCommands:

@@ -19,13 +19,13 @@ from semproto.descriptions import (
     SCENE_PROMPT_TEMPLATE,
     STATE_PROMPT_TEMPLATE,
     encode,
-    fixture_path,
     generate_descriptions,
     render_generic_prompt,
     render_scene_prompt,
     render_state_prompt,
     write_embedding_fixture,
 )
+from semproto.entry import fixture_path
 from semproto.errors import (
     ClientUnavailable,
     DimensionMismatch,

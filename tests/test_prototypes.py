@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from semproto.alignment import det_cls_loss
 from semproto.descriptions import (
     DescriptionSet,
     DeterministicToyEncoder,
     FixtureDescriptionClient,
-    fixture_path,
     generate_descriptions,
 )
+from semproto.entry import fixture_path
 from semproto.errors import (
     AllWeightsZero,
     DimensionMismatch,
@@ -26,8 +27,8 @@ from semproto.prototypes import (
     aggregate_similarity_weighted,
     aggregate_two_stage,
     build_bank,
-    classify,
 )
+from semproto.synthbench import ProbeModel, evaluate
 
 from .oracles import (
     mean_agg_loop,
@@ -239,18 +240,6 @@ class TestBuildBank:
         median_bank = build_bank(desc, enc, strategy=Aggregation.MEDIAN)
         assert np.linalg.norm(mean_bank.sesp - median_bank.sesp) > 0
 
-    def test_per_class_prototype_views(self):
-        desc = _fixture_descriptions()
-        enc = DeterministicToyEncoder(dim=16, seed=7)
-        bank = build_bank(desc, enc, k=3, l=5)
-        protos = bank.prototypes()
-        assert [p.class_id for p in protos] == [0, 1]
-        assert all(p.strategy is Aggregation.MEAN for p in protos)
-        assert all(p.k_used == 3 for p in protos)
-        np.testing.assert_array_equal(protos[1].vector, bank.sesp[1])
-        assert bank.class_id("dog") == 1
-
-
 def _bank_body(**changes) -> bytes:
     """A valid 1-class, dim-2 bank file; a change to None drops the key."""
     payload = {"dim": 2, "vocab": ["a"], "strategy": "mean", "k": 1, "l": 1,
@@ -330,54 +319,44 @@ def _orthogonal_bank(dim=10, n_classes=3, l=2):
 
 
 class TestClassify:
+    """Cosine-argmax classification: evaluate() with the identity probe
+    scores features directly against the bank's sesp rows."""
+
+    @staticmethod
+    def _acc(bank, features, labels) -> float:
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        return evaluate(ProbeModel.identity(bank.dim), bank, features,
+                        np.asarray(labels), n_base=1)["acc_all"]
+
     def test_self_match_wins(self):
         bank = _orthogonal_bank()
-        logits = classify(bank.sesp[2], bank, temperature=0.1)
-        assert int(np.argmax(logits)) == 2
+        assert self._acc(bank, bank.sesp, range(bank.n_classes)) == 1.0
 
     def test_scale_invariance(self):
         bank = _orthogonal_bank()
         rng = np.random.default_rng(18)
-        f = rng.standard_normal(bank.dim)
-        a = classify(f, bank, 0.5)
-        b = classify(3.7 * f, bank, 0.5)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        f = rng.standard_normal((40, bank.dim))
+        labels = rng.integers(bank.n_classes, size=40)
+        assert self._acc(bank, f, labels) == self._acc(bank, 3.7 * f, labels)
 
     def test_hand_built_mixture(self):
         bank = _orthogonal_bank()
         f = bank.sesp[1] + 0.1 * bank.sesp[2]
-        logits = classify(f, bank, temperature=1.0)
-        norm = np.sqrt(1.01)
-        np.testing.assert_allclose(
-            logits, [0.0, 1.0 / norm, 0.1 / norm], atol=1e-12
-        )
-        assert int(np.argmax(logits)) == 1
-
-    def test_temperature_does_not_change_argmax(self):
-        bank = _orthogonal_bank()
-        rng = np.random.default_rng(19)
-        f = rng.standard_normal(bank.dim)
-        assert int(np.argmax(classify(f, bank, 0.01))) == int(
-            np.argmax(classify(f, bank, 10.0))
-        )
+        assert self._acc(bank, [f, f], [1, 2]) == 0.5
+        assert self._acc(bank, f, [1]) == 1.0
 
     def test_normalization_flag_does_not_change_logits(self):
         desc = _fixture_descriptions()
         enc = DeterministicToyEncoder(dim=16, seed=7)
         raw = build_bank(desc, enc, normalize=False)
         unit = build_bank(desc, enc, normalize=True)
+        np.testing.assert_allclose(raw.unit_sesp, unit.unit_sesp, atol=1e-12)
         rng = np.random.default_rng(20)
-        f = rng.standard_normal(16)
-        np.testing.assert_allclose(
-            classify(f, raw, 0.2), classify(f, unit, 0.2), atol=1e-12
-        )
+        f = rng.standard_normal((30, 16))
+        labels = rng.integers(2, size=30)
+        assert self._acc(raw, f, labels) == self._acc(unit, f, labels)
 
     def test_dim_mismatch(self):
         bank = _orthogonal_bank()
         with pytest.raises(DimensionMismatch):
-            classify(np.ones(5), bank, 0.1)
-
-    def test_temperature_positive(self):
-        bank = _orthogonal_bank()
-        with pytest.raises(ValueError):
-            classify(np.ones(bank.dim), bank, 0.0)
+            det_cls_loss(np.ones((1, 5)), [0], bank, 0.1)

@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -123,6 +124,9 @@ class TestGenerateWorld:
             WorldSpec(**{**SMALL_WORLD, "n_base": 6})
         with pytest.raises(InfeasibleWorld):
             WorldSpec(**{**SMALL_WORLD, "noise_sigma": -0.1})
+        # one scene direction centers to zero: see _unit_rows
+        with pytest.raises(InfeasibleWorld, match="l_scenes"):
+            WorldSpec(**{**SMALL_WORLD, "l_scenes": 1})
 
 
 def _compose_row(base_unit, terms):
@@ -257,6 +261,28 @@ class TestBulkWorld:
             got, want = getattr(world, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_feasible_specs(), data=st.data())
+    def test_accepted_world_has_finite_unit_rows(self, spec, data):
+        # every spec WorldSpec accepts generates without a numpy warning
+        # (a 0/0 would warn) and gives finite unit rows everywhere; fewer
+        # scenes than drawn keep dim above its floor
+        l_scenes = data.draw(st.integers(1, spec.l_scenes), label="l_scenes")
+        try:
+            spec = dataclasses.replace(spec, l_scenes=l_scenes)
+        except InfeasibleWorld:
+            assert l_scenes == 1
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            world = generate_world(spec)
+        for name in ("class_dirs", "state_dirs", "scene_dirs", "det_x",
+                     "weak_proposals", "test_x"):
+            rows = getattr(world, name)
+            assert np.isfinite(rows).all(), name
+            np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0,
+                                       rtol=0, atol=1e-12, err_msg=name)
 
     def test_cancelling_terms_raise_zero_norm(self, monkeypatch):
         # each state direction is minus its class direction, so a box
