@@ -107,10 +107,6 @@ def scene_similarities(batch: WeakBatch, bank: PrototypeBank) -> np.ndarray:
 
     Returns the (B, C, L) similarity tensor, clamped into [-1, 1].
     """
-    if batch.features.shape[1] != bank.dim:
-        raise DimensionMismatch(
-            f"batch dim {batch.features.shape[1]} != bank dim {bank.dim}"
-        )
     return backend.scene_similarity_kernel(batch.features, bank.unit_sapp)
 
 
@@ -125,10 +121,8 @@ def assign_pseudo_labels(s, labels, tau: float,
     if not -1.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [-1, 1], got {tau}")
     s = validate_similarity_tensor(s)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    n_classes = s.shape[1]
-    if labels.shape != (s.shape[0],):
-        raise DimensionMismatch(f"labels shape {labels.shape} != batch {s.shape[0]}")
+    n_batch, n_classes = s.shape[:2]
+    labels = backend.class_labels(labels, n_batch, n_classes)
     hit = labels[:, None] == np.arange(n_classes)[None, :]
     y = (hit[:, :, None] & (s >= tau)).astype(np.uint8)
     w = sigmoid(logit_scale * s)
@@ -148,16 +142,6 @@ def scene_loss(grid: PseudoLabelGrid, logit_scale: float = 1.0) -> float:
     return -float((grid.w * bce).sum()) / grid.s.shape[0]
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    # the reductions ndarray.min/max run, without their Python wrappers
-    if labels.size and (np.minimum.reduce(labels) < 0
-                        or np.maximum.reduce(labels) >= n_classes):
-        raise DimensionMismatch(
-            f"labels must lie in [0, {n_classes}), got "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-
-
 def scene_loss_and_grad(batch: WeakBatch, bank: PrototypeBank, tau: float,
                         logit_scale: float = 1.0,
                         detach_weights: bool = False):
@@ -167,13 +151,8 @@ def scene_loss_and_grad(batch: WeakBatch, bank: PrototypeBank, tau: float,
     weights are differentiated through unless detach_weights is set.
     Returns (loss, grad) with grad shaped like batch.features.
     """
-    if batch.features.shape[1] != bank.dim:
-        raise DimensionMismatch(
-            f"batch dim {batch.features.shape[1]} != bank dim {bank.dim}"
-        )
     if not -1.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [-1, 1], got {tau}")
-    _check_labels(batch.labels, bank.n_classes)
     return backend.scene_loss_grad_kernel(
         batch.features, bank.unit_sapp, batch.labels, tau,
         logit_scale=logit_scale, detach_weights=detach_weights,
@@ -189,23 +168,9 @@ def weak_cls_loss(batch: WeakBatch, bank: PrototypeBank, temperature: float):
 def det_cls_loss(features, labels, bank: PrototypeBank, temperature: float):
     """Same kernel as weak_cls_loss, at the detection-box call site.
 
-    An empty feature list yields loss 0 with zero gradients.
+    An empty feature list yields loss 0 with a (0, dim) gradient.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    features = np.asarray(features, dtype=np.float64)
-    if features.size == 0:
-        features = features.reshape(0, bank.dim)
-        return 0.0, np.zeros_like(features)
-    if features.ndim != 2 or features.shape[1] != bank.dim:
-        raise DimensionMismatch(
-            f"features must be (B, {bank.dim}), got {features.shape}"
-        )
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if labels.shape != (features.shape[0],):
-        raise DimensionMismatch(
-            f"labels shape {labels.shape} != batch size {features.shape[0]}"
-        )
-    _check_labels(labels, bank.n_classes)
     return backend.softmax_ce_kernel(features, bank.unit_sesp, labels,
                                      1.0 / temperature)

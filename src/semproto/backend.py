@@ -5,18 +5,21 @@ scene similarity tensor, the fused scene loss + gradient, and the fused
 softmax cross-entropy + gradient. Prototype arrays come in with unit-norm
 rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
 feature batches are normalized here, per call, because they change every
-step. The fused scene kernel keeps two full (B, C*L) buffers, for its two
-matrix products, which stay whole so their rounding does not depend on a
-block size; the elementwise work between them runs in row blocks of at
-most SCENE_BLOCK_BYTES per buffer, which stay in L2. Each thread keeps
-and reuses those buffers across calls of the same shape, so a training
-loop does not fault fresh pages in every step, and the kernel selects the
-sigmoid's branch with exact arithmetic instead of a masked (where=) ufunc.
-The kernels call ufuncs and reductions directly rather than numpy's
-Python-level wrappers (np.linalg.norm, np.clip, ndarray.sum/max/mean),
-with the same bits. Results are bitwise reproducible run to run for a
-fixed OpenBLAS thread count; at large shapes the matmuls round
-differently when OpenBLAS splits them over another number of threads.
+step. The kernels hold every check of their array inputs, each done
+once (_unit_features, class_labels); alignment checks only its
+hyperparameters. The fused scene kernel keeps two full (B, C*L) buffers,
+for its two matrix products, which stay whole so their rounding does not
+depend on a block size; the elementwise work between them runs in row
+blocks of at most SCENE_BLOCK_BYTES per buffer, which stay in L2. Each
+thread keeps and reuses those buffers across calls of the same shape, so
+a training loop does not fault fresh pages in every step, and the kernel
+selects the sigmoid's branch with exact arithmetic instead of a masked
+(where=) ufunc. The kernels call ufuncs and reductions directly rather
+than numpy's Python-level wrappers (np.linalg.norm, np.clip,
+ndarray.sum/max/mean), with the same bits. Results are bitwise
+reproducible run to run for a fixed OpenBLAS thread count; at large
+shapes the matmuls round differently when OpenBLAS splits them over
+another number of threads.
 """
 
 import ctypes
@@ -25,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ZERO_NORM_EPS
-from .errors import DimensionMismatch, ZeroNorm
+from .core import unit_rows
+from .errors import DimensionMismatch
 
 _scratch = threading.local()
 
@@ -56,19 +59,36 @@ def pin_blas_to_one_thread() -> None:
             set_threads(1)
 
 
-def _unit_features(features) -> tuple[np.ndarray, np.ndarray]:
-    """(features / |features| row-wise, the row norms), validated.
+def _unit_features(features, protos: np.ndarray,
+                   rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(features / |features| row-wise, the (B, 1) row norms) for a
+    (B, dim) batch against a rank-`rank` prototype array of that dim.
 
-    The norms are the ufuncs np.linalg.norm(features, axis=1) runs,
-    called directly: same bits, without its Python wrapper.
+    Any empty array is the empty batch and comes back as (0, dim); a
+    wrong rank or width raises DimensionMismatch, a zero row ZeroNorm.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be (B, dim), got {features.shape}")
-    norms = np.sqrt(np.add.reduce(features * features, axis=1))
-    if features.shape[0] and np.minimum.reduce(norms) < ZERO_NORM_EPS:
-        raise ZeroNorm("a feature vector has near-zero norm")
-    return features / norms[:, None], norms
+    dim = protos.shape[-1] if protos.ndim == rank else -1
+    if features.size == 0 and dim >= 0:
+        features = features.reshape(0, dim)
+    if features.ndim != 2 or features.shape[1] != dim:
+        raise DimensionMismatch(f"features {features.shape} do not match "
+                                f"rank-{rank} prototypes {protos.shape}")
+    return unit_rows(features)
+
+
+def class_labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
+    """labels as contiguous int64, one class id in [0, n_classes) per
+    batch item; anything else raises DimensionMismatch."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (n_batch,):
+        raise DimensionMismatch(f"labels shape {labels.shape} != batch size {n_batch}")
+    # the reductions ndarray.min/max run, without their Python wrappers
+    if n_batch and (np.minimum.reduce(labels) < 0
+                    or np.maximum.reduce(labels) >= n_classes):
+        raise DimensionMismatch(f"labels must lie in [0, {n_classes}), got "
+                                f"[{labels.min()}, {labels.max()}]")
+    return labels
 
 
 def _clamp_cosines(s: np.ndarray) -> None:
@@ -77,21 +97,12 @@ def _clamp_cosines(s: np.ndarray) -> None:
     np.minimum(s, 1.0, out=s)
 
 
-def _check_protos(unit_protos: np.ndarray, dim: int, rank: int) -> None:
-    if unit_protos.ndim != rank or unit_protos.shape[-1] != dim:
-        raise DimensionMismatch(
-            f"prototype array must be rank {rank} with last dim {dim}, "
-            f"got {unit_protos.shape}"
-        )
-
-
 def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     """Cosine of every feature with every (class, slot) prototype.
 
     Returns a (B, C, L) tensor clamped to [-1, 1].
     """
-    fhat, _ = _unit_features(features)
-    _check_protos(unit_sapp, fhat.shape[1], rank=3)
+    fhat, _ = _unit_features(features, unit_sapp, rank=3)
     n_classes, n_slots, dim = unit_sapp.shape
     s = fhat @ unit_sapp.reshape(n_classes * n_slots, dim).T
     _clamp_cosines(s)
@@ -152,13 +163,12 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     thread and reused across calls of the same shape; the returned
     gradient is a new array.
     """
-    fhat, fnorm = _unit_features(features)
-    _check_protos(unit_sapp, fhat.shape[1], rank=3)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    fhat, fnorm = _unit_features(features, unit_sapp, rank=3)
     n_batch = fhat.shape[0]
+    n_classes, n_slots, dim = unit_sapp.shape
+    labels = class_labels(labels, n_batch, n_classes)
     if n_batch == 0:
         return 0.0, np.zeros_like(fhat)
-    n_classes, n_slots, dim = unit_sapp.shape
     n_cols = n_classes * n_slots
     gamma = float(logit_scale)
     tau = float(tau)
@@ -219,7 +229,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     loss = -float(np.add.reduce(s_all, axis=None)) / n_batch
     grad = dlds_all @ vhat
     grad -= dsum[:, None] * fhat
-    grad /= fnorm[:, None]
+    grad /= fnorm
     return loss, grad
 
 
@@ -227,12 +237,11 @@ def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
     """Mean softmax cross-entropy over cosine/temperature logits, fused
     with its analytic gradient w.r.t. each feature vector.
 
-    An empty batch contributes loss 0 with empty gradients.
+    An empty batch contributes loss 0 with a (0, dim) gradient.
     """
-    fhat, fnorm = _unit_features(features)
-    _check_protos(unit_protos, fhat.shape[1], rank=2)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    fhat, fnorm = _unit_features(features, unit_protos, rank=2)
     n_batch = fhat.shape[0]
+    labels = class_labels(labels, n_batch, unit_protos.shape[0])
     if n_batch == 0:
         return 0.0, np.zeros_like(fhat)
     inv_temp = float(inv_temp)
@@ -255,5 +264,5 @@ def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
     coef *= inv_temp / n_batch
     grad = coef @ unit_protos
     grad -= np.add.reduce(coef * cosm, axis=1)[:, None] * fhat
-    grad /= fnorm[:, None]
+    grad /= fnorm
     return loss, grad

@@ -56,6 +56,17 @@ def l2_normalize(a) -> np.ndarray:
     return a / n
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / |x| along the last axis, those norms with the axis kept);
+    a norm below ZERO_NORM_EPS raises ZeroNorm. The norms are the ufuncs
+    np.linalg.norm(x, axis=-1, keepdims=True) runs: same bits, without
+    its Python wrapper."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    if norms.size and np.minimum.reduce(norms, axis=None) < ZERO_NORM_EPS:
+        raise ZeroNorm(f"a vector has a norm below {ZERO_NORM_EPS:g}")
+    return x / norms, norms
+
+
 def sigmoid(x):
     """Numerically stable logistic 1 / (1 + exp(-x)).
 

@@ -11,6 +11,7 @@ default, remote service optionally). Everything shipped runs offline.
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -198,6 +199,12 @@ class RemoteClientConfig:
     timeout_s: float = 30.0
     max_parallel: int = 4
 
+    def __post_init__(self):
+        # 0 would make the socket non-blocking; -1, nan, inf break it
+        if not 0.0 < self.timeout_s < math.inf:
+            raise ConfigError(
+                f"timeout must be finite and > 0 seconds, got {self.timeout_s}")
+
 
 def _post_json(config: RemoteClientConfig, payload: dict, unavailable) -> dict:
     """POST `payload` as JSON; return the JSON object the endpoint answers.
@@ -337,9 +344,11 @@ class FixtureEncoder:
         self.path = path
         data = _read_json(path, "embedding fixture", EncoderUnavailable)
         try:
-            self.dim = int(data["dim"])
+            self.dim = data["dim"]
+            if isinstance(self.dim, bool) or not isinstance(self.dim, int):
+                raise TypeError(f"dim must be an integer, got {self.dim!r}")
             records = data["records"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise MalformedResponse(
                 f"embedding fixture {path} has no integer dim or no records: {exc}"
             ) from exc

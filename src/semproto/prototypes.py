@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomic import atomic_write
-from .core import ZERO_NORM_EPS, as_embedding, cosine, l2_normalize
+from .core import as_embedding, cosine, l2_normalize, unit_rows
 from .descriptions import DescriptionSet, encode
 from .errors import (
     AllWeightsZero,
@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     EmptyStateList,
     MalformedResponse,
-    ZeroNorm,
 )
 
 
@@ -60,8 +59,6 @@ def aggregate_median(generic, states, normalize: bool = True) -> np.ndarray:
     """
     g, st = _stack(generic, states)
     med = np.median(np.vstack([g[None, :], st]), axis=0)
-    if normalize and float(np.linalg.norm(med)) < 1e-12:
-        raise ZeroNorm("element-wise median degenerated to the zero vector")
     return _finish(med, normalize)
 
 
@@ -111,11 +108,8 @@ def aggregate(strategy, generic, states, normalize: bool = True,
     return _AGGREGATORS[strategy](generic, states, normalize=normalize)
 
 
-def _unit_rows(protos: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(protos, axis=-1, keepdims=True)
-    if norms.size and norms.min() < ZERO_NORM_EPS:
-        raise ZeroNorm("a prototype vector has near-zero norm")
-    unit = protos / norms
+def _read_only_unit_rows(protos: np.ndarray) -> np.ndarray:
+    unit, _ = unit_rows(protos)
     unit.flags.writeable = False
     return unit
 
@@ -124,10 +118,11 @@ def _unit_rows(protos: np.ndarray) -> np.ndarray:
 class PrototypeBank:
     """Per-class prototypes (C x dim) plus scene slot vectors (C x L x dim).
 
-    Vocabulary order is lexicographic over class names; class_id is the
-    position in that order. Banks are immutable and safe to share: the
-    arrays are read-only copies, so the unit-row views the loss kernels
-    use (unit_sesp, unit_sapp) are computed once and never go stale.
+    Vocabulary order is lexicographic over class names; a class's row in
+    sesp and sapp, and its label in the loss kernels, is its position in
+    that order. Banks are immutable and safe to share: the arrays are
+    read-only copies, so the unit-row views the loss kernels use
+    (unit_sesp, unit_sapp) are computed once and never go stale.
     """
 
     vocab: tuple[str, ...]
@@ -164,13 +159,13 @@ class PrototypeBank:
     @cached_property
     def unit_sesp(self) -> np.ndarray:
         """sesp with every row scaled to unit norm (read-only, computed once)."""
-        return _unit_rows(self.sesp)
+        return _read_only_unit_rows(self.sesp)
 
     @cached_property
     def unit_sapp(self) -> np.ndarray:
         """sapp with every slot vector scaled to unit norm (read-only,
         computed once)."""
-        return _unit_rows(self.sapp)
+        return _read_only_unit_rows(self.sapp)
 
     @property
     def n_classes(self) -> int:

@@ -154,6 +154,13 @@ class TestAssignPseudoLabels:
         with pytest.raises(ValueError):
             assign_pseudo_labels(np.zeros((1, 1, 1)), np.array([0]), tau=1.5)
 
+    @pytest.mark.parametrize("labels", [[0, 7], [0, 3], [-1, 0], [0], [0, 1, 2]])
+    def test_labels_outside_the_vocabulary_or_batch_rejected(self, labels):
+        # as in the fused scene kernel: C = 3, so 3 and 7 name no class
+        s = np.zeros((2, 3, 2))
+        with pytest.raises(DimensionMismatch):
+            assign_pseudo_labels(s, labels, 0.25)
+
 
 class TestSceneLoss:
     def test_single_positive_term_at_zero(self):

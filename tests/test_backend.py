@@ -21,7 +21,7 @@ from semproto.alignment import (
     scene_similarities,
     weak_cls_loss,
 )
-from semproto.errors import ZeroNorm
+from semproto.errors import DimensionMismatch, ZeroNorm
 from semproto.prototypes import Aggregation, PrototypeBank
 
 
@@ -35,6 +35,40 @@ class TestKernelEdgeCases:
         assert loss == 0.0 and grad.shape == (0, 8)
         loss, grad = backend.softmax_ce_kernel(feats, protos, labels, 2.0)
         assert loss == 0.0 and grad.shape == (0, 8)
+
+    @pytest.mark.parametrize("feats", [[], np.zeros(0), np.zeros((0, 5)), np.zeros((3, 0))])
+    def test_any_empty_array_is_the_empty_batch(self, feats):
+        sapp, protos = np.ones((2, 2, 8)), np.ones((2, 8))
+        assert backend.scene_similarity_kernel(feats, sapp).shape == (0, 2, 2)
+        for loss, grad in (backend.scene_loss_grad_kernel(feats, sapp, [], 0.0),
+                           backend.softmax_ce_kernel(feats, protos, [], 2.0)):
+            assert loss == 0.0 and grad.shape == (0, 8)
+
+    @pytest.mark.parametrize("feats, sapp, protos", [
+        (np.ones((2, 5)), np.ones((3, 2, 4)), np.ones((3, 4))),  # width 5, dim 4
+        (np.ones(4), np.ones((3, 2, 4)), np.ones((3, 4))),  # a vector, not a batch
+        (np.ones((2, 1, 4)), np.ones((3, 2, 4)), np.ones((3, 4))),
+        (np.ones((2, 4)), np.ones((3, 4)), np.ones(4)),  # prototypes a rank short
+        (np.ones((2, 4)), np.ones((3, 2, 2, 4)), np.ones((3, 2, 4))),  # a rank over
+    ])
+    def test_kernels_reject_misshapen_features(self, feats, sapp, protos):
+        labels = np.zeros(len(feats), dtype=np.int64)
+        calls = (lambda: backend.scene_similarity_kernel(feats, sapp),
+                 lambda: backend.scene_loss_grad_kernel(feats, sapp, labels, 0.25),
+                 lambda: backend.softmax_ce_kernel(feats, protos, labels, 2.0))
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    @pytest.mark.parametrize("labels", [[0, -1], [3, 0], [0], [0, 1, 2]],
+                             ids=["minus-one", "C", "too-few", "too-many"])
+    def test_kernels_reject_bad_labels(self, labels):
+        # label -1 would read the last class's column through wrap-around
+        feats = np.random.default_rng(0).standard_normal((2, 4))
+        with pytest.raises(DimensionMismatch):
+            backend.scene_loss_grad_kernel(feats, np.ones((3, 2, 4)), labels, 0.25)
+        with pytest.raises(DimensionMismatch):
+            backend.softmax_ce_kernel(feats, np.ones((3, 4)), labels, 2.0)
 
     def test_zero_norm_rejected(self):
         # features are checked by the kernel, prototypes once per bank

@@ -238,6 +238,12 @@ class TestMalformedInputFiles:
         ({"dim": "x", "records": []}, "MalformedResponse"),
         ({"dim": 2, "records": [{"text": "a cat", "vector": ["x", 0.0]}]},
          "InvalidEmbedding"),
+        # dim must be a JSON integer, not a number or string int() accepts
+        ({"dim": 2.5, "records": [{"text": "a cat", "vector": [1.0, 0.0]}]},
+         "MalformedResponse"),
+        ({"dim": "2", "records": [{"text": "a cat", "vector": [1.0, 0.0]}]},
+         "MalformedResponse"),
+        ({"dim": True, "records": [{"text": "a", "vector": [1.0]}]}, "MalformedResponse"),
     ])
     def test_embedding_fixture_bad_value_exits_3(self, tmp_path, fixture, error):
         emb_path = tmp_path / "emb.json"
@@ -262,6 +268,28 @@ class TestExitCodes:
         assert cli.main([*argv, "--out", str(out_path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and err["exit"] == 2
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("timeout", ["-1", "nan", "inf", "0"])
+    def test_bad_timeout_exits_2_before_any_request(self, tmp_path, capsys,
+                                                    monkeypatch, timeout):
+        # checked before any socket opens: the socket layer raises a bare
+        # ValueError or OverflowError for -1, nan and inf, and 0 would make
+        # it non-blocking
+        import urllib.request
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setenv("SEMPROTO_API_KEY", "x")
+        monkeypatch.setattr(urllib.request, "urlopen", no_request)
+        out_path = tmp_path / "desc.json"
+        code = cli.main(["gen-descriptions", "--classes", "cat",
+                         "--endpoint", "http://127.0.0.1:9/",
+                         f"--timeout={timeout}", "--out", str(out_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and "timeout" in err["message"]
         assert not out_path.exists()
 
     @staticmethod
