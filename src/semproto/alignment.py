@@ -28,7 +28,7 @@ class WeakBatch:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = backend.integer_labels(self.labels)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if feats.ndim != 2 or feats.shape[0] < 1:

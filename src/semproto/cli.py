@@ -1,47 +1,27 @@
-"""The subcommand handlers behind the parser in `entry`.
+"""The handlers of the subcommands that run the synthetic benchmark:
+simulate, train, evaluate and ablate.
 
-`run(args)` calls the handler `entry.main` parsed for and maps library
-errors to the documented exit codes. This module loads numpy and the
-whole library; `entry` imports it only once argv has parsed.
+This module loads numpy and the whole library; `entry.main` imports it
+only for these commands, once argv has parsed, and maps their errors to
+exit codes. The text-side commands run from `textcli` without it.
 """
 
 import hashlib
 import io
 import json
-import sys
 
 import numpy as np
 
 from .atomic import atomic_write
 from .config import __version__, load_config, resolved_config
-from .descriptions import (
-    DeterministicToyEncoder,
-    FixtureDescriptionClient,
-    FixtureEncoder,
-    RemoteClientConfig,
-    RemoteDescriptionClient,
-    RemoteEncoder,
-    encode,
-    generate_descriptions,
-    read_description_file,
-    write_description_file,
-    write_embedding_fixture,
-)
+# generate_descriptions, encode, build_bank and build_toy_bank stay bound
+# here for perfbench/spans.py, which patches each traced function in every
+# module that imports it by name; textcli calls the text-side ones through
+# their modules.
+from .descriptions import encode, generate_descriptions  # noqa: F401
 from .entry import main  # noqa: F401  (perfbench/spans.py patches cli.main)
-from .errors import (
-    AllWeightsZero,
-    ConfigError,
-    DimensionMismatch,
-    DivergenceDetected,
-    EmptyClassName,
-    InfeasibleWorld,
-    MalformedResponse,
-    SemprotoError,
-    ZeroNorm,
-)
-from .prototypes import Aggregation, build_bank
-# build_toy_bank stays bound here for perfbench/spans.py, which patches
-# the synthbench functions in every module that imports them by name.
+from .errors import DimensionMismatch, MalformedResponse
+from .prototypes import build_bank  # noqa: F401
 from .synthbench import (  # noqa: F401
     ROW_BLOCK_BYTES,
     ProbeModel,
@@ -55,14 +35,7 @@ from .synthbench import (  # noqa: F401
     select_max_size_proposal,
     train_and_evaluate,
 )
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
-_CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName)
-_NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected)
-_DATA_ERRORS = (OSError,)
+from .textcli import _emit
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -73,92 +46,6 @@ def _write_jsonl(path: str, records) -> None:
     lines = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
                     for r in records)
     atomic_write(path, lines.encode("utf-8"))
-
-
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, allow_nan=False))
-
-
-def _remote_config(args) -> RemoteClientConfig:
-    return RemoteClientConfig(endpoint=args.endpoint, api_key_env=args.api_key_env,
-                              timeout_s=args.timeout, max_parallel=args.max_parallel)
-
-
-def _make_encoder(args):
-    if args.encoder == "toy":
-        return DeterministicToyEncoder(dim=args.encoder_dim, seed=args.encoder_seed)
-    if args.encoder == "fixture":
-        return FixtureEncoder(args.embeddings)
-    if args.encoder == "remote":
-        if not args.endpoint:
-            raise ConfigError("--encoder remote requires --endpoint")
-        return RemoteEncoder(_remote_config(args), dim=args.encoder_dim)
-    raise ConfigError(f"unknown encoder '{args.encoder}'")
-
-
-def _aggregation(flag: str) -> Aggregation:
-    return Aggregation(flag.replace("-", "_"))
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_gen_descriptions(args) -> int:
-    classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    if not classes:
-        raise ConfigError("--classes is empty")
-    if args.endpoint:
-        client = RemoteDescriptionClient(_remote_config(args))
-    else:
-        client = FixtureDescriptionClient(args.fixture)
-    sets = generate_descriptions(classes, args.k, args.l, client)
-    write_description_file(args.out, sets)
-    _emit({"command": "gen-descriptions", "classes": sorted(set(classes)),
-           "k": args.k, "l": args.l, "out": args.out, "version": __version__})
-    return 0
-
-
-def cmd_encode(args) -> int:
-    desc = read_description_file(args.descriptions)
-    enc = _make_encoder(args)
-    vectors = {}
-    for name in sorted(desc):
-        for text in desc[name].all_texts():
-            if text not in vectors:
-                vectors[text] = encode(text, enc)
-    write_embedding_fixture(args.out, enc.dim, vectors)
-    _emit({"command": "encode", "encoder": args.encoder, "dim": enc.dim,
-           "texts": len(vectors), "out": args.out, "version": __version__})
-    return 0
-
-
-def cmd_build_bank(args) -> int:
-    desc = read_description_file(args.descriptions)
-    enc = _make_encoder(args)
-    bank = build_bank(
-        desc,
-        enc,
-        strategy=_aggregation(args.aggregator),
-        k=args.k,
-        l=args.l,
-        normalize=not args.no_normalize,
-        clamp_negative=not args.no_clamp_negative,
-    )
-    bank.save(args.out)
-    _emit({
-        "command": "build-bank",
-        "aggregator": bank.strategy.value,
-        "k": args.k,
-        "l": args.l,
-        "normalize": not args.no_normalize,
-        "clamp_negative": not args.no_clamp_negative,
-        "classes": list(bank.vocab),
-        "dim": bank.dim,
-        "out": args.out,
-        "version": __version__,
-    })
-    return 0
 
 
 def _world_checksum(world) -> str:
@@ -269,38 +156,9 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _classify_error(exc: Exception) -> tuple[str, int]:
-    if isinstance(exc, _CONFIG_ERRORS):
-        return type(exc).__name__, EXIT_CONFIG
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return type(exc).__name__, EXIT_NUMERIC
-    if isinstance(exc, _DATA_ERRORS):
-        return type(exc).__name__, EXIT_DATA
-    if isinstance(exc, SemprotoError):
-        return type(exc).__name__, EXIT_DATA
-    raise exc
-
-
-_HANDLERS = {
-    "gen-descriptions": cmd_gen_descriptions,
-    "encode": cmd_encode,
-    "build-bank": cmd_build_bank,
+HANDLERS = {
     "simulate": cmd_simulate,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "ablate": cmd_ablate,
 }
-
-
-def run(args) -> int:
-    """Run the subcommand `args.command` of parsed arguments; a library
-    error prints one JSON line on stderr and returns its exit code."""
-    try:
-        return _HANDLERS[args.command](args)
-    except Exception as exc:  # mapped to documented exit codes
-        kind, code = _classify_error(exc)
-        line = json.dumps(
-            {"error": kind, "exit": code, "message": str(exc)}, sort_keys=True
-        )
-        print(line, file=sys.stderr)
-        return code

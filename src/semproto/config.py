@@ -227,8 +227,8 @@ def load_config(path: str | None = None, overrides=()) -> tuple[WorldSpec, Train
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: top level must be a map")
         for key, value in _flatten_file(data).items():

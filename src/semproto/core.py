@@ -20,7 +20,7 @@ def as_embedding(values, dim: int | None = None) -> np.ndarray:
     """
     try:
         v = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int beyond float range
         raise InvalidEmbedding(f"embedding is not numeric: {exc}") from exc
     if v.ndim != 1 or v.size < 1:
         raise InvalidEmbedding(f"expected a nonempty 1-D vector, got shape {v.shape}")

@@ -7,6 +7,10 @@ K state-specific descriptions, and L scene phrases of the form
 fixture by default, remote HTTP service optionally); encoding to a text
 encoder (deterministic toy hash encoder or embedding-fixture lookup by
 default, remote service optionally). Everything shipped runs offline.
+
+Prompts, clients and description files need no numpy: the encoders load
+it, and the vector checks in `core`, on first use, so `semproto
+gen-descriptions` never imports it.
 """
 
 import hashlib
@@ -15,11 +19,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .atomic import atomic_write
-from .core import as_embedding, l2_normalize
 from .errors import (
     ClientUnavailable,
     ConfigError,
@@ -27,8 +29,12 @@ from .errors import (
     EmptyClassName,
     EncoderUnavailable,
     InsufficientDescriptions,
+    InvalidEmbedding,
     MalformedResponse,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATE_PROMPT_TEMPLATE = (
     "What are the common states or forms of {name} (category name)? "
@@ -117,26 +123,30 @@ class DescriptionSet:
 
 def _read_json(path: str, what: str, unavailable):
     """Parse a JSON input file; an unreadable file raises `unavailable`
-    (the caller's error class), invalid JSON MalformedResponse."""
+    (the caller's error class); bytes that are not UTF-8 JSON raise
+    MalformedResponse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise unavailable(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedResponse(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedResponse(f"{what} {path} is not UTF-8 JSON: {exc}") from exc
 
 
 def _check_record(where: str, rec) -> dict:
-    """`rec` if it is a {"generic", "states": [...], "scenes": [...]} map,
-    else MalformedResponse naming `where`."""
+    """`rec` if it is a {"generic": str, "states": [str], "scenes": [str]}
+    map, else MalformedResponse naming `where`."""
     if not isinstance(rec, dict):
         raise MalformedResponse(f"{where}: record must be a map")
     for key in ("generic", "states", "scenes"):
         if key not in rec:
             raise MalformedResponse(f"{where}: record missing '{key}'")
-        if key != "generic" and not isinstance(rec[key], list):
-            raise MalformedResponse(f"{where}: '{key}' must be a list")
+        if key == "generic":
+            if not isinstance(rec[key], str):
+                raise MalformedResponse(f"{where}: 'generic' must be a string")
+        elif not (isinstance(rec[key], list) and all(isinstance(t, str) for t in rec[key])):
+            raise MalformedResponse(f"{where}: '{key}' must be a list of strings")
     return rec
 
 
@@ -173,9 +183,9 @@ def read_description_file(path: str) -> dict:
         rec = client.describe(name)
         out[name] = DescriptionSet(
             class_name=name,
-            generic=str(rec["generic"]),
-            states=tuple(str(s) for s in rec["states"]),
-            scenes=tuple(str(s) for s in rec["scenes"]),
+            generic=rec["generic"],
+            states=tuple(rec["states"]),
+            scenes=tuple(rec["scenes"]),
         )
     return out
 
@@ -271,9 +281,9 @@ class RemoteDescriptionClient:
 
 
 def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
-    generic = str(rec["generic"]).strip()
-    states = [str(s).strip() for s in rec["states"]]
-    scenes = [str(s).strip() for s in rec["scenes"]]
+    generic = rec["generic"].strip()
+    states = [s.strip() for s in rec["states"]]
+    scenes = [s.strip() for s in rec["scenes"]]
     if len(states) < k:
         raise InsufficientDescriptions(class_name, len(states), k, kind="states")
     if len(scenes) < l:
@@ -305,6 +315,17 @@ def generate_descriptions(class_names, k: int, l: int, client) -> dict:
     return {name: _build_set(name, rec, k, l) for name, rec in zip(ordered, recs)}
 
 
+def _json_vector(values, dim: int | None = None) -> "np.ndarray":
+    """A vector read from JSON as a checked embedding (core.as_embedding).
+    It must be a list of JSON numbers: numpy alone would also read true
+    and "1" as 1.0."""
+    from .core import as_embedding
+
+    if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+        raise InvalidEmbedding("embedding is not a list of numbers")
+    return as_embedding(values, dim=dim)
+
+
 class DeterministicToyEncoder:
     """Seeded hash-of-text encoder producing unit vectors.
 
@@ -321,7 +342,11 @@ class DeterministicToyEncoder:
         self.dim = int(dim)
         self.seed = int(seed)
 
-    def encode(self, text: str) -> np.ndarray:
+    def encode(self, text: str) -> "np.ndarray":
+        import numpy as np
+
+        from .core import l2_normalize
+
         digest = hashlib.blake2b(
             f"{self.seed}:{text}".encode("utf-8"), digest_size=8
         ).digest()
@@ -341,6 +366,10 @@ class FixtureEncoder:
     kind = "FixtureFile"
 
     def __init__(self, path: str):
+        import numpy as np
+
+        from .core import l2_normalize
+
         self.path = path
         data = _read_json(path, "embedding fixture", EncoderUnavailable)
         try:
@@ -358,10 +387,10 @@ class FixtureEncoder:
             raise MalformedResponse(
                 f"embedding fixture {path}: records must be a list of "
                 "{'text': str, 'vector': list}")
-        self._table: dict[str, np.ndarray] = {}
+        self._table: dict[str, "np.ndarray"] = {}
         drifted = 0
         for rec in records:
-            vec = as_embedding(rec["vector"])
+            vec = _json_vector(rec["vector"])
             if vec.shape[0] != self.dim:
                 raise DimensionMismatch(
                     f"fixture record for {rec['text']!r} has dim {vec.shape[0]}, "
@@ -379,7 +408,7 @@ class FixtureEncoder:
                 stacklevel=2,
             )
 
-    def encode(self, text: str) -> np.ndarray:
+    def encode(self, text: str) -> "np.ndarray":
         try:
             return self._table[text]
         except KeyError:
@@ -397,19 +426,23 @@ class RemoteEncoder:
         self.config = config
         self.dim = int(dim)
 
-    def encode(self, text: str) -> np.ndarray:
+    def encode(self, text: str) -> "np.ndarray":
         rec = _post_json(self.config, {"text": text}, EncoderUnavailable)
         if "vector" not in rec:
             raise MalformedResponse("encoder response missing 'vector'")
-        return as_embedding(rec["vector"], dim=self.dim)
+        return _json_vector(rec["vector"], dim=self.dim)
 
 
-def encode(text: str, encoder) -> np.ndarray:
+def encode(text: str, encoder) -> "np.ndarray":
     """Encode text into an l2-normalized float64 embedding of encoder.dim.
 
     Deterministic per (text, encoder); the raw encoder output must have
     norm >= 1e-6 and match the declared dimension.
     """
+    import numpy as np
+
+    from .core import as_embedding, l2_normalize
+
     if not isinstance(text, str) or not text:
         raise ConfigError("text must be a nonempty string")
     raw = as_embedding(encoder.encode(text))

@@ -7,14 +7,37 @@ JSON record with the fully resolved config, and every output file is
 written atomically. Errors exit with distinct codes: config 2, data 3,
 numerical 4, and emit one machine-parsable JSON line on stderr. Any
 other exception is a bug: it propagates with its traceback (exit 1).
+Each subcommand loads only the modules it runs.
 """
 
 # This module imports neither numpy nor any module that does: --version,
-# --help and usage errors end before the subcommand handlers in cli load.
+# --help and usage errors end in the parser. A subcommand then loads only
+# its own handlers: gen-descriptions, encode and build-bank those in
+# textcli (numpy only for an embedding), the others those in cli (numpy
+# and the whole library).
 import argparse
+import json
+import sys
 from importlib import resources
 
 from .config import __version__, config_help_epilog
+from .errors import (
+    AllWeightsZero,
+    ConfigError,
+    DivergenceDetected,
+    EmptyClassName,
+    InfeasibleWorld,
+    SemprotoError,
+    ZeroNorm,
+)
+
+EXIT_CONFIG = 2
+EXIT_DATA = 3
+EXIT_NUMERIC = 4
+
+_CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName)
+_NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected)
+_DATA_ERRORS = (OSError,)
 
 # The keys of synthbench.ABLATION_GRIDS, sorted.
 GRID_NAMES = ("aggregator", "components", "k", "l", "tau")
@@ -135,9 +158,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Parse argv, then load the handlers and run the chosen subcommand."""
-    args = build_parser().parse_args(argv)
-    from .cli import run
+def _classify_error(exc: Exception) -> tuple[str, int]:
+    if isinstance(exc, _CONFIG_ERRORS):
+        return type(exc).__name__, EXIT_CONFIG
+    if isinstance(exc, _NUMERIC_ERRORS):
+        return type(exc).__name__, EXIT_NUMERIC
+    if isinstance(exc, _DATA_ERRORS):
+        return type(exc).__name__, EXIT_DATA
+    if isinstance(exc, SemprotoError):
+        return type(exc).__name__, EXIT_DATA
+    raise exc
 
-    return run(args)
+
+def main(argv=None) -> int:
+    """Parse argv, load the chosen subcommand's handlers and run it; a
+    library error prints one JSON line on stderr and returns its exit code."""
+    args = build_parser().parse_args(argv)
+    from .textcli import HANDLERS
+
+    handler = HANDLERS.get(args.command)
+    if handler is None:  # simulate, train, evaluate, ablate: the whole library
+        from .cli import HANDLERS
+
+        handler = HANDLERS[args.command]
+    try:
+        return handler(args)
+    except Exception as exc:  # mapped to documented exit codes
+        kind, code = _classify_error(exc)
+        line = json.dumps(
+            {"error": kind, "exit": code, "message": str(exc)}, sort_keys=True
+        )
+        print(line, file=sys.stderr)
+        return code

@@ -52,6 +52,12 @@ class TestWeakBatch:
         with pytest.raises(DimensionMismatch):
             WeakBatch(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.5], [0.0, 1.0], [True, False], ["0", "1"]])
+    def test_non_integer_labels_rejected(self, labels):
+        # before the kernel: a cast to int64 here would hide the floats from it
+        with pytest.raises(DimensionMismatch, match="integer"):
+            WeakBatch(np.ones((2, 4)), labels)
+
     def test_out_of_vocabulary_labels_rejected_at_use(self):
         rng = np.random.default_rng(99)
         bank = _random_bank(rng, 3, 2, 8)

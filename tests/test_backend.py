@@ -70,6 +70,26 @@ class TestKernelEdgeCases:
         with pytest.raises(DimensionMismatch):
             backend.softmax_ce_kernel(feats, np.ones((3, 4)), labels, 2.0)
 
+    @pytest.mark.parametrize("labels", [[0.9, 2.7], [0.0, 2.0], ["1", "2"], [True, False],
+                                        np.array([0, 2], dtype=object)],
+                             ids=["fractional", "whole-floats", "strings", "bools", "objects"])
+    def test_kernels_reject_non_integer_labels(self, labels):
+        # a cast to int64 would truncate [0.9, 2.7] to the class ids [0, 2]
+        feats = np.random.default_rng(0).standard_normal((2, 4))
+        with pytest.raises(DimensionMismatch, match="integer"):
+            backend.scene_loss_grad_kernel(feats, np.ones((3, 2, 4)), labels, 0.25)
+        with pytest.raises(DimensionMismatch, match="integer"):
+            backend.softmax_ce_kernel(feats, np.eye(4)[:3], labels, 2.0)
+        with pytest.raises(DimensionMismatch, match="integer"):
+            backend.class_labels(labels, 2, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    def test_any_integer_dtype_gives_the_same_loss(self, dtype):
+        feats = np.random.default_rng(0).standard_normal((2, 4))
+        want = backend.softmax_ce_kernel(feats, np.eye(4)[:3], [0, 2], 2.0)
+        got = backend.softmax_ce_kernel(feats, np.eye(4)[:3], np.array([0, 2], dtype), 2.0)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
     def test_zero_norm_rejected(self):
         # features are checked by the kernel, prototypes once per bank
         with pytest.raises(ZeroNorm):

@@ -98,6 +98,27 @@ def test_parser_paths_leave_numpy_unloaded(argv, code):
         assert out.stdout
 
 
+@pytest.mark.parametrize("argv, unloaded", [
+    (["gen-descriptions", "--classes", "cat,dog"], {"numpy", "semproto.cli"}),
+    (["encode", "--encoder", "toy"], {"semproto.synthbench", "semproto.alignment",
+                                      "semproto.backend", "semproto.cli"}),
+    (["build-bank", "--encoder", "fixture"], {"semproto.synthbench", "semproto.alignment",
+                                              "semproto.backend", "semproto.cli"}),
+], ids=["gen-descriptions", "encode", "build-bank"])
+def test_text_commands_load_only_what_they_run(tmp_path, argv, unloaded):
+    # reads sys.modules after the command: -X importtime does not list a
+    # submodule loaded by `from . import name`, as textcli loads descriptions
+    script = ("import json, sys; from semproto.entry import main; "
+              "code = main(sys.argv[1:]); print(json.dumps([code, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", script, *argv,
+                          "--out", str(tmp_path / "out.json")],
+                         capture_output=True, text=True, check=True)
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert "semproto.textcli" in loaded and "semproto.descriptions" in loaded
+    assert not set(loaded) & unloaded
+
+
 def test_package_exports_load_lazily():
     script = ("import json, sys, semproto; print(json.dumps(["
               "sorted(semproto.__all__), 'numpy' in sys.modules]))")
@@ -203,6 +224,109 @@ _GOOD_DESC = {"generic": "a cat", "states": ["a sleeping cat"],
               "scenes": ["cat on a sofa"]}
 
 
+def _json_bytes(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def _is_json_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw.decode("utf-8")), dict)
+    except ValueError:  # not UTF-8 or not JSON
+        return False
+
+
+# JSON values of every type but one
+_SCALARS = (st.none(), st.booleans(), st.integers(), st.floats())
+_SHORT_TEXT = st.text(max_size=4)
+_NON_STRING = st.one_of(*_SCALARS, st.lists(st.integers(), max_size=2),
+                        st.dictionaries(_SHORT_TEXT, st.integers(), max_size=2))
+_NON_LIST = st.one_of(*_SCALARS, _SHORT_TEXT,
+                      st.dictionaries(_SHORT_TEXT, st.integers(), max_size=2))
+_NON_MAP = st.one_of(*_SCALARS, _SHORT_TEXT, st.lists(st.integers(), max_size=3))
+_NON_NUMBER = st.one_of(st.none(), st.booleans(), _SHORT_TEXT,
+                        st.lists(st.floats(), max_size=2),
+                        st.dictionaries(_SHORT_TEXT, st.integers(), max_size=2),
+                        st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+# bytes that are not UTF-8, not JSON, or JSON of another type than a map
+_RANDOM_BYTES = st.binary(max_size=64).filter(lambda raw: not _is_json_object(raw))
+
+
+@st.composite
+def _malformed_description_files(draw) -> bytes:
+    """A description file whose record for class `cat` breaks the format."""
+    rec = {key: list(value) if isinstance(value, list) else value
+           for key, value in _GOOD_DESC.items()}
+    how = draw(st.sampled_from(["bytes", "top", "record", "missing", "generic",
+                                "list", "item"]))
+    if how == "bytes":
+        return draw(_RANDOM_BYTES)
+    if how == "top":
+        return _json_bytes(draw(_NON_MAP))
+    if how == "record":
+        rec = draw(_NON_MAP)
+    elif how == "missing":
+        for key in draw(st.sets(st.sampled_from(sorted(rec)), min_size=1)):
+            del rec[key]
+    elif how == "generic":
+        rec["generic"] = draw(_NON_STRING)
+    else:
+        key = draw(st.sampled_from(["states", "scenes"]))
+        rec[key] = draw(_NON_LIST) if how == "list" else [*rec[key], draw(_NON_STRING)]
+    return _json_bytes({"cat": rec})
+
+
+def _complete_embedding_fixture() -> dict:
+    """A fixture holding every text of the shipped descriptions: build-bank
+    with it exits 0 (checked in the test below), so each corruption of it
+    is what makes the command fail."""
+    from semproto.descriptions import DeterministicToyEncoder, read_description_file
+
+    enc = DeterministicToyEncoder(dim=4, seed=1)
+    texts = sorted({t for ds in read_description_file(
+        entry.fixture_path("descriptions_small.json")).values() for t in ds.all_texts()})
+    return {"dim": 4, "records": [{"text": t, "vector": [float(x) for x in enc.encode(t)]}
+                                  for t in texts]}
+
+
+@st.composite
+def _malformed_embedding_fixtures(draw) -> bytes:
+    fixture = _complete_embedding_fixture()
+    i = draw(st.integers(0, len(fixture["records"]) - 1))
+    rec = fixture["records"][i]
+    how = draw(st.sampled_from(["bytes", "top", "missing", "dim", "records", "record",
+                                "text", "vector", "entry"]))
+    if how == "bytes":
+        return draw(_RANDOM_BYTES)
+    if how == "top":
+        return _json_bytes(draw(_NON_MAP))
+    if how == "missing":
+        target = draw(st.sampled_from([fixture, rec]))
+        for key in draw(st.sets(st.sampled_from(sorted(target)), min_size=1)):
+            del target[key]
+    elif how == "dim":
+        fixture["dim"] = draw(_NON_STRING.filter(lambda v: type(v) is not int))
+    elif how == "records":
+        fixture["records"] = draw(_NON_LIST)
+    elif how == "record":
+        fixture["records"][i] = draw(_NON_MAP)
+    elif how == "text":
+        rec["text"] = draw(_NON_STRING)
+    elif how == "vector":
+        rec["vector"] = draw(_NON_LIST)
+    else:
+        rec["vector"][draw(st.integers(0, 3))] = draw(_NON_NUMBER)
+    return _json_bytes(fixture)
+
+
+def test_complete_embedding_fixture_builds_a_bank(tmp_path):
+    emb_path, out_path = tmp_path / "emb.json", tmp_path / "bank.json"
+    emb_path.write_bytes(_json_bytes(_complete_embedding_fixture()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert entry.main(["build-bank", "--encoder", "fixture", "--embeddings",
+                           str(emb_path), "--out", str(out_path)]) == 0
+    assert PrototypeBank.load(str(out_path)).dim == 4
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("record", [
         {k: v for k, v in _GOOD_DESC.items() if k != "states"},
@@ -244,6 +368,13 @@ class TestMalformedInputFiles:
         ({"dim": "2", "records": [{"text": "a cat", "vector": [1.0, 0.0]}]},
          "MalformedResponse"),
         ({"dim": True, "records": [{"text": "a", "vector": [1.0]}]}, "MalformedResponse"),
+        # numpy alone reads these as numbers
+        ({"dim": 2, "records": [{"text": "a cat", "vector": [True, 0.0]}]},
+         "InvalidEmbedding"),
+        ({"dim": 2, "records": [{"text": "a cat", "vector": ["1", 0.0]}]},
+         "InvalidEmbedding"),
+        ({"dim": 1, "records": [{"text": "a cat", "vector": [10**400]}]},
+         "InvalidEmbedding"),
     ])
     def test_embedding_fixture_bad_value_exits_3(self, tmp_path, fixture, error):
         emb_path = tmp_path / "emb.json"
@@ -255,6 +386,43 @@ class TestMalformedInputFiles:
         err = json.loads(out.stderr.strip().splitlines()[-1])
         assert err["error"] == error and err["exit"] == 3
         assert not out_path.exists()
+
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["gen-descriptions", "--classes", "cat", "--fixture"], 3, "MalformedResponse"),
+        (["encode", "--encoder", "toy", "--descriptions"], 3, "MalformedResponse"),
+        (["build-bank", "--encoder", "fixture", "--embeddings"], 3, "MalformedResponse"),
+        (["simulate", "--config"], 2, "ConfigError"),
+    ], ids=["gen-descriptions-fixture", "encode-descriptions", "build-bank-embeddings",
+            "simulate-config"])
+    def test_non_utf8_file_exits_with_its_error(self, tmp_path, capsys, argv, code, error):
+        bad = tmp_path / "in.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        out_path = tmp_path / "out.json"
+        assert entry.main([*argv, str(bad), "--out", str(out_path)]) == code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == error and err["exit"] == code and "UTF-8" in err["message"]
+        assert not out_path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(
+        st.tuples(st.sampled_from([("gen-descriptions", "--classes", "cat", "--fixture"),
+                                   ("encode", "--encoder", "toy", "--descriptions")]),
+                  _malformed_description_files()),
+        st.tuples(st.just(("build-bank", "--encoder", "fixture", "--embeddings")),
+                  _malformed_embedding_fixtures()),
+    ))
+    def test_malformed_input_file_exits_3(self, case):
+        argv, raw = case
+        with tempfile.TemporaryDirectory() as tmp:
+            in_path, out_path = Path(tmp) / "in.json", Path(tmp) / "out.json"
+            in_path.write_bytes(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = entry.main([*argv, str(in_path), "--out", str(out_path)])
+            assert code == 3, raw
+            assert json.loads(err.getvalue().strip().splitlines()[-1])["exit"] == 3
+            assert not out_path.exists()
 
 
 class TestExitCodes:
