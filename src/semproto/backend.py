@@ -7,21 +7,24 @@ rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
 feature batches are normalized here, per call, because they change every
 step. The kernels hold every check of their array inputs, each done
 once (_unit_features, class_labels); alignment checks only its
-hyperparameters. The fused scene kernel keeps two full (B, C*L) buffers,
-for its two matrix products, which stay whole so their rounding does not
-depend on a block size; the elementwise work between them runs in row
-blocks of at most SCENE_BLOCK_BYTES per buffer, which stay in L2. Each
-thread keeps and reuses those buffers across calls of the same shape, so
-a training loop does not fault fresh pages in every step, and the kernel
-selects the sigmoid's branch with exact arithmetic instead of a masked
-(where=) ufunc. The kernels call ufuncs and reductions directly rather
-than numpy's Python-level wrappers (np.linalg.norm, np.clip,
-ndarray.sum/max/mean), with the same bits. Results are bitwise
-reproducible run to run for a fixed OpenBLAS thread count; at large
-shapes the matmuls round differently when OpenBLAS splits them over
-another number of threads.
+hyperparameters. The fused scene kernel keeps one full (B, C*L) buffer:
+it holds the cosines of its first matrix product, and each row block
+writes its dL/dS back over its own rows, which feed the second product.
+Both products stay whole, so their rounding does not depend on a block
+size; the elementwise work between them runs in row blocks of at most
+SCENE_BLOCK_BYTES per buffer, which stay in L2, and the loss is a
+streamed sum (PairwiseSum) that reduces the blocks' loss products in the
+tree order of one whole-array np.add.reduce. Each thread keeps and
+reuses those buffers across calls of the same shape, so a training loop
+does not fault fresh pages in every step, and the kernel selects the
+sigmoid's branch with exact arithmetic instead of a masked (where=)
+ufunc. The softmax kernel works in place on its logits. The kernels call
+ufuncs and reductions directly rather than numpy's Python-level wrappers
+(np.linalg.norm, np.clip, ndarray.sum/max/mean), with the same bits.
+Results are bitwise reproducible run to run for a fixed OpenBLAS thread
+count; at large shapes the matmuls round differently when OpenBLAS
+splits them over another number of threads.
 """
-
 import ctypes
 import threading
 from pathlib import Path
@@ -119,21 +122,104 @@ def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
+# numpy's pairwise summation (np.add.reduce over a contiguous float64
+# run): a run of at most _PAIRWISE_LEAF elements is one leaf, summed in
+# eight interleaved accumulators; a longer run is the sum of its first
+# _pairwise_split(n) elements and the rest, each summed the same way.
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n > _PAIRWISE_LEAF."""
+    half = n // 2
+    return half - half % 8
+
+
+def _tree_nodes(n: int, max_node: int, out: list) -> None:
+    """Append to out, left to right, the lengths of the largest nodes of
+    an n-element run's pairwise tree that hold at most max_node elements."""
+    if n <= max_node:
+        out.append(n)
+    else:
+        n2 = _pairwise_split(n)
+        _tree_nodes(n2, max_node, out)
+        _tree_nodes(n - n2, max_node, out)
+
+
+def _tree_total(n: int, max_node: int, sums) -> float:
+    """Combine the node sums (an iterator, in _tree_nodes' order) of an
+    n-element run in its pairwise tree's order."""
+    if n <= max_node:
+        return next(sums)
+    n2 = _pairwise_split(n)
+    left = _tree_total(n2, max_node, sums)
+    return left + _tree_total(n - n2, max_node, sums)
+
+
+class PairwiseSum:
+    """np.add.reduce of a flat float64 array of n elements, bit for bit,
+    from chunks fed in order (chunk boundaries need not fall on tree
+    nodes); holds no more than one tree node of them.
+
+    np.add.reduce reduces each largest tree node of at most
+    len(node_buf) elements, straight from its chunk or, when the node
+    spans chunks, from node_buf once the copied pieces fill it; total()
+    adds the node sums back in tree order. node_buf must hold at least
+    one leaf (_PAIRWISE_LEAF elements), since a leaf does not split.
+    """
+
+    def __init__(self, n: int, node_buf: np.ndarray):
+        if len(node_buf) < _PAIRWISE_LEAF:
+            raise ValueError(f"node buffer of {len(node_buf)} elements holds "
+                             f"less than one leaf ({_PAIRWISE_LEAF})")
+        self._n = n
+        self._buf = node_buf
+        self._sizes: list[int] = []
+        if n:
+            _tree_nodes(n, len(node_buf), self._sizes)
+        self._sums: list[float] = []
+        self._filled = 0  # elements of the current node held in node_buf
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Feed the next len(chunk) elements of the array."""
+        i, n = 0, len(chunk)
+        while i < n:
+            size = self._sizes[len(self._sums)]
+            take = min(size - self._filled, n - i)
+            if take == size:  # the whole node lies in this chunk
+                self._sums.append(float(np.add.reduce(chunk[i:i + size])))
+            else:
+                self._buf[self._filled:self._filled + take] = chunk[i:i + take]
+                self._filled += take
+                if self._filled == size:
+                    self._sums.append(float(np.add.reduce(self._buf[:size])))
+                    self._filled = 0
+            i += take
+
+    def total(self) -> float:
+        """The sum, once all n elements are in."""
+        if not self._n:
+            return 0.0  # np.add.reduce of nothing
+        return _tree_total(self._n, len(self._buf), iter(self._sums))
+
+
 def _scene_scratch(n_batch: int, n_cols: int,
                    n_rows: int) -> tuple[np.ndarray, ...]:
-    """This thread's scene-kernel buffers: two (B, C*L) float64 buffers,
-    then three (n_rows, C*L) float64 block buffers and one bool one.
+    """This thread's scene-kernel buffers: one full (B, C*L) float64
+    buffer, three (n_rows, C*L) float64 block buffers, the loss sum's
+    flat node buffer of one block (at least one pairwise leaf), and one
+    (n_rows, C*L) bool buffer.
 
     Kept across calls of the same shape, so the pages stay mapped;
     replaced (the old ones released first) when the shape changes.
     """
     bufs = getattr(_scratch, "scene", None)
     if (bufs is None or bufs[0].shape != (n_batch, n_cols)
-            or bufs[2].shape[0] != n_rows):
+            or bufs[1].shape[0] != n_rows):
         _scratch.scene = None
-        bufs = tuple(np.empty((n, n_cols))
-                     for n in (n_batch, n_batch, n_rows, n_rows, n_rows))
-        bufs += (np.empty((n_rows, n_cols), dtype=bool),)
+        bufs = tuple(np.empty((n, n_cols)) for n in (n_batch, n_rows, n_rows, n_rows))
+        bufs += (np.empty(max(n_rows * n_cols, _PAIRWISE_LEAF)),
+                 np.empty((n_rows, n_cols), dtype=bool))
         _scratch.scene = bufs
     return bufs
 
@@ -162,16 +248,17 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     row's own class block, so every slot first gets the negative terms
     and only the gathered block entries with s >= tau are overwritten.
 
-    Two (B, C*L) buffers are full size: the cosines S = fhat @ vhat.T and
-    dL/dS, which feeds grad = dL/dS @ vhat. Both products stay whole,
-    because row-blocked GEMMs round differently. Everything in between
-    runs over blocks of rows whose (rows, C*L) float64 buffers fit
-    SCENE_BLOCK_BYTES, so they stay in L2; the default world's weak batch
-    is one block. Once a block has used its cosines, its loss products
-    overwrite its rows of S, and S is summed once at the end, in the
-    same pairwise order as a whole (B, C*L) array. All buffers are per
-    thread and reused across calls of the same shape; the returned
-    gradient is a new array.
+    One (B, C*L) buffer is full size. It first holds the cosines
+    S = fhat @ vhat.T; each block of rows, once done with its cosines,
+    writes its dL/dS over them, so the buffer ends as dL/dS and feeds
+    grad = dL/dS @ vhat. Both products stay whole, because row-blocked
+    GEMMs round differently. Everything in between runs over blocks of
+    rows whose (rows, C*L) float64 buffers fit SCENE_BLOCK_BYTES, so they
+    stay in L2; the default world's weak batch is one block. Each
+    block's loss products go into a PairwiseSum, whose total has the
+    bits of np.add.reduce over the whole (B, C*L) array of them. All
+    buffers are per thread and reused across calls of the same shape;
+    the returned gradient is a new array.
     """
     fhat, fnorm = _unit_features(features, unit_sapp, rank=3)
     n_batch = fhat.shape[0]
@@ -184,18 +271,19 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     tau = float(tau)
     vhat = unit_sapp.reshape(n_cols, dim)
     n_rows = min(n_batch, max(1, SCENE_BLOCK_BYTES // (8 * n_cols)))
-    s_all, dlds_all, t_buf, lp_buf, g_buf, neg_buf = _scene_scratch(
+    s_all, t_buf, lp_buf, g_buf, node_buf, neg_buf = _scene_scratch(
         n_batch, n_cols, n_rows)
     # per block row, the flat offsets of slots 0..L-1; adding label * L
     # gives the row's true-class slots
     class_slots = np.arange(n_rows)[:, None] * n_cols + np.arange(n_slots)
     dsum = np.empty(n_batch)  # per row: sum over slots of dlds * s
+    loss_sum = PairwiseSum(n_batch * n_cols, node_buf)
 
     np.matmul(fhat, vhat.T, out=s_all)
     for r0 in range(0, n_batch, n_rows):
         r1 = min(r0 + n_rows, n_batch)
         n = r1 - r0
-        s, dlds = s_all[r0:r1], dlds_all[r0:r1]
+        s = s_all[r0:r1]
         t, lp, g, neg = t_buf[:n], lp_buf[:n], g_buf[:n], neg_buf[:n]
 
         _clamp_cosines(s)
@@ -222,23 +310,30 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
         sig += neg
         sig /= t  # sigmoid(z)
 
-        # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)]
-        np.subtract(0.0, sig, out=dlds)
-        dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
-        dlds *= sig
+        np.multiply(sig, g, out=t)  # the loss products
+        loss_sum.add(t.ravel())
+
+        # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)],
+        # built in g once the weight term has read it
         if not detach_weights:
             np.subtract(1.0, sig, out=t)
             t *= sig
             t *= g
+        dlds = g
+        np.subtract(0.0, sig, out=dlds)
+        dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
+        dlds *= sig
+        if not detach_weights:
             dlds += t
         dlds *= -(gamma / n_batch)
         np.multiply(dlds, s, out=t)
         np.add.reduce(t, axis=1, out=dsum[r0:r1])
-        np.multiply(sig, g, out=s)  # the loss products, done with the cosines
+        np.copyto(s, dlds)  # the cosines are used up
 
-    loss = -float(np.add.reduce(s_all, axis=None)) / n_batch
-    grad = dlds_all @ vhat
-    grad -= dsum[:, None] * fhat
+    loss = -loss_sum.total() / n_batch
+    grad = s_all @ vhat
+    fhat *= dsum[:, None]
+    grad -= fhat
     grad /= fnorm
     return loss, grad
 
@@ -247,7 +342,10 @@ def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
     """Mean softmax cross-entropy over cosine/temperature logits, fused
     with its analytic gradient w.r.t. each feature vector.
 
-    An empty batch contributes loss 0 with a (0, dim) gradient.
+    An empty batch contributes loss 0 with a (0, dim) gradient. Works in
+    place, with the bits of the out-of-place expressions: the logits'
+    array holds exp(logits - m), then the coefficients, and the cosines'
+    array their products with the coefficients.
     """
     fhat, fnorm = _unit_features(features, unit_protos, rank=2)
     n_batch = fhat.shape[0]
@@ -263,16 +361,25 @@ def softmax_ce_kernel(features, unit_protos, labels, inv_temp: float):
     # maximum beyond the sign of a zero, and that sign cancels in both
     # logits - m and m + log(sumexp), where log(sumexp) >= 0.
     m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
-    expd = np.exp(logits - m[:, None])
+    # each row's true-class entry, as one index into the flat (B, C) array
+    true_class = np.arange(n_batch) * logits.shape[1] + labels
+    picked = logits.ravel()[true_class]
+    expd = logits  # expd, then coef, reuse the logits' array
+    expd -= m[:, None]
+    np.exp(expd, out=expd)
     sumexp = np.add.reduce(expd, axis=1)
-    lse = m + np.log(sumexp)
-    rows = np.arange(n_batch)
-    loss = float(np.add.reduce(lse - logits[rows, labels])) / n_batch  # the mean
+    lse = np.log(sumexp)
+    lse += m
+    lse -= picked
+    loss = float(np.add.reduce(lse)) / n_batch  # the mean
 
-    coef = expd / sumexp[:, None]
-    coef[rows, labels] -= 1.0
+    coef = expd
+    coef /= sumexp[:, None]
+    coef.ravel()[true_class] -= 1.0
     coef *= inv_temp / n_batch
     grad = coef @ unit_protos
-    grad -= np.add.reduce(coef * cosm, axis=1)[:, None] * fhat
+    cosm *= coef
+    fhat *= np.add.reduce(cosm, axis=1)[:, None]
+    grad -= fhat
     grad /= fnorm
     return loss, grad

@@ -360,9 +360,13 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     The weak batch is each weak image's max-size proposal. The scene
     term is skipped (and recorded as 0 with effective lambda 0) when
     disabled or weightless, so flag-off and lam=0 runs produce identical
-    traces. Raises DivergenceDetected on non-finite loss. The scene
-    kernel's per-thread buffers are released on the way out, so what
-    runs next does not peak on top of them.
+    traces. Raises DivergenceDetected on non-finite loss. A step adds
+    the bias to the projections and lam * the scene gradient to the weak
+    one in place, and takes the det term's share of the parameter
+    gradients before the weak and scene terms run, so they do not peak
+    on top of its arrays; the bits are those of the out-of-place sums.
+    The scene kernel's per-thread buffers are released on the way out,
+    so what runs next does not peak on top of them.
     """
     x_det, y_det = world.det_x, world.det_y
     x_weak = select_max_size_proposal(world.weak_areas, world.weak_proposals)
@@ -374,14 +378,21 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     reports: list[LossReport] = []
     try:
         for _ in range(config.steps):
-            p_det = x_det @ w + b
+            p_det = x_det @ w
+            p_det += b
             det_val, g_det = det_cls_loss(p_det, y_det, bank, config.temperature)
-            p_weak = x_weak @ w + b
+            grad_w = x_det.T @ g_det
+            # ndarray.sum(axis=0)'s reduction, without its Python wrapper
+            grad_b = np.add.reduce(g_det, axis=0)
+            del p_det, g_det  # so the weak and scene terms do not peak on them
+            p_weak = x_weak @ w
+            p_weak += b
             weak_batch = WeakBatch(p_weak, y_weak)
             weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
             if lam_eff > 0.0:
                 scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
-                g_weak = g_weak + lam_eff * g_scene
+                g_scene *= lam_eff
+                g_weak += g_scene
             else:
                 scene_val = 0.0
             report = total_loss(det_val, weak_val, scene_val, lam_eff)
@@ -389,9 +400,8 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
                 raise DivergenceDetected(f"total loss became {report.total}")
             reports.append(report)
 
-            grad_w = x_det.T @ g_det + x_weak.T @ g_weak
-            # ndarray.sum(axis=0)'s reduction, without its Python wrapper
-            grad_b = np.add.reduce(g_det, axis=0) + np.add.reduce(g_weak, axis=0)
+            grad_w += x_weak.T @ g_weak
+            grad_b += np.add.reduce(g_weak, axis=0)
             w -= config.lr * grad_w
             b -= config.lr * grad_b
     finally:

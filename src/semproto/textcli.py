@@ -63,6 +63,8 @@ def cmd_gen_descriptions(args) -> int:
 
 def cmd_encode(args) -> int:
     desc = descriptions.read_description_file(args.descriptions)
+    if not desc:  # as build_bank refuses it
+        raise ConfigError("no classes to encode")
     enc = _make_encoder(args)
     vectors = {}
     for name in sorted(desc):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,50 @@ class TestFusedKernelProperties:
 
 
 # ---------------------------------------------------------------------------
+# the scene loss's streamed sum
+# ---------------------------------------------------------------------------
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just(0), st.integers(1, 7), st.integers(8, 128),
+                 st.integers(129, 5000), st.integers(5000, 400_000),
+                 st.integers(2_000, 100_000).map(lambda k: 2 * k + 1)),
+       st.integers(0, 2**32 - 1), st.integers(0, 40), st.booleans(), st.booleans())
+def test_pairwise_sum_equals_add_reduce(n, seed, n_cuts, specials, rows):
+    # Random chunkings (empty chunks too, and fixed-width rows as the
+    # kernel feeds them) fall anywhere relative to the tree's nodes, and
+    # the node buffer may be far smaller than a chunk or larger than n.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+    if specials and n:
+        a[rng.integers(n, size=3)] = rng.choice(_SPECIALS, size=3)
+    if rows:
+        width = int(rng.integers(1, 2000))
+        cuts = np.arange(0, n + 1, width * int(rng.integers(1, 8)))
+    else:
+        cuts = np.sort(rng.integers(0, n + 1, size=n_cuts))
+    bounds = [0, *cuts.tolist(), n]
+    total = backend.PairwiseSum(n, np.empty(int(rng.integers(128, 70_000))))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for lo, hi in zip(bounds, bounds[1:]):
+            total.add(a[lo:hi])
+        got, want = np.float64(total.total()), np.add.reduce(a)
+    if np.isnan(want):  # which NaN's payload survives may depend on operand order
+        assert np.isnan(got)
+    else:
+        assert got.tobytes() == want.tobytes(), (n, got, want)
+
+
+def test_pairwise_sum_node_buffer_holds_a_leaf():
+    # a leaf of up to 128 elements is summed in eight interleaved
+    # accumulators, so it cannot be split into smaller nodes
+    with pytest.raises(ValueError, match="leaf"):
+        backend.PairwiseSum(1000, np.empty(127))
+
+
+# ---------------------------------------------------------------------------
 # the scene kernel's bits and its reused per-thread buffers
 # ---------------------------------------------------------------------------
 
@@ -352,6 +398,24 @@ def test_softmax_kernel_bytes_are_pinned():
     }
 
 
+def test_softmax_kernel_peak_at_the_large_weak_batch():
+    # Beside its unit features and gradient, (B, dim) each, the kernel
+    # holds at most three (B, C) float64 arrays at once (the cosines, the
+    # logits, then the coefficients in their place, and the transposed
+    # copy for the row maxima), plus per-row vectors.
+    b, c, _, dim = _LARGE_SHAPE
+    args = (*softmax_inputs(b, c, dim), 5.0)
+    backend.softmax_ce_kernel(*args)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        backend.softmax_ce_kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * b * dim + 3 * 8 * b * c, peak
+
+
 def _fresh_thread_call(*args):
     # a new thread starts with no scratch, so this call allocates its own
     result = []
@@ -408,6 +472,51 @@ class TestSceneScratch:
         for w in workers:
             w.join()
         assert failures == []
+
+    def test_large_shape_holds_one_full_buffer(self):
+        # The (B, C*L) float64 buffer is 3.3 MB here, the gradient and the
+        # unit features 0.5 MB each, a block buffer 0.25 MB. Called with no
+        # buffers, the kernel allocates one full buffer, its block buffers
+        # and its gradient, and less than another full buffer beside them;
+        # a warm call allocates its gradient and its unit features, and
+        # less than an eighth of a full buffer beside them.
+        b, c, l, dim = _LARGE_SHAPE
+        full, grad = 8 * b * c * l, 8 * b * dim
+        rows = backend.SCENE_BLOCK_BYTES // (8 * c * l)
+        blocks = 4 * 8 * rows * c * l + rows * c * l  # 3 float, the node buffer, bool
+        args = (*kernel_inputs(*_LARGE_SHAPE), 0.25)
+        backend.release_scene_scratch()
+        tracemalloc.start()
+        try:
+            backend.scene_loss_grad_kernel(*args)
+            cold = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            backend.scene_loss_grad_kernel(*args)
+            warm = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert cold - full - blocks - grad < full, (cold, full)
+        assert warm - 2 * grad < full / 8, (warm, full)
+
+    def test_repeated_calls_leave_traced_memory_flat(self):
+        # Two blocks, so the loss sum carries a node across them. With the
+        # cycle collector off, a per-call reference cycle would keep each
+        # call's objects alive and show as growth.
+        args = (*kernel_inputs(400, 16, 9, 24), 0.25, 3.0, False)
+        for _ in range(3):
+            backend.scene_loss_grad_kernel(*args)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                backend.scene_loss_grad_kernel(*args)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert growth < 4096, growth
 
     def test_large_shape_reuses_its_pages(self):
         # One (B, C*L) float64 buffer is 810 pages; without reuse, each call

@@ -84,18 +84,25 @@ PUBLIC_NAMES = {
 ])
 def test_parser_paths_leave_numpy_unloaded(argv, code):
     # --version, --help and usage errors end in the parser; the library
-    # and numpy load only for a subcommand that runs
-    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "semproto", *argv],
-                         capture_output=True, text=True)
-    assert out.returncode == code, out.stderr[-2000:]
-    loaded = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
-              if line.startswith("import time:")}
-    assert "semproto.entry" in loaded
-    assert not loaded & {"numpy", "semproto.backend", "semproto.synthbench", "semproto.cli"}
+    # and numpy load only for a subcommand that runs. Reads sys.modules
+    # after the parser exits: -X importtime does not list a submodule
+    # loaded by `from . import name`.
+    script = ("import json, sys; from semproto import entry\n"
+              "try:\n    code = entry.main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "print(json.dumps([code, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, check=True)
+    *printed, last = out.stdout.splitlines()
+    exit_code, loaded = json.loads(last)
+    assert exit_code == code, out.stderr[-2000:]
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "semproto"} == {
+        "semproto", "semproto.entry", "semproto.config", "semproto.errors"}
     if code:
         assert "usage: semproto train" in out.stderr
     else:
-        assert out.stdout
+        assert printed
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -436,6 +443,17 @@ class TestExitCodes:
         assert cli.main([*argv, "--out", str(out_path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and err["exit"] == 2
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "build-bank"])
+    def test_description_file_without_classes_exits_2(self, tmp_path, capsys, command):
+        # a file with no classes gives no fixture and no bank: both refuse it
+        desc, out_path = tmp_path / "desc.json", tmp_path / "out.json"
+        desc.write_text("{}", encoding="utf-8")
+        assert cli.main([command, "--encoder", "toy", "--descriptions", str(desc),
+                         "--out", str(out_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and "no classes" in err["message"]
         assert not out_path.exists()
 
     @pytest.mark.parametrize("timeout", ["-1", "nan", "inf", "0"])
