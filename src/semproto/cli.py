@@ -2,8 +2,9 @@
 simulate, train, evaluate and ablate.
 
 This module loads numpy and the whole library; `entry.main` imports it
-only for these commands, once argv has parsed, and maps their errors to
-exit codes. The text-side commands run from `textcli` without it.
+only for these commands, once argv has parsed, runs their `cmd_*`
+handlers and maps their errors to exit codes. The text-side commands
+run from `textcli` without it.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from .config import __version__, load_config, resolved_config
 # module that imports it by name; textcli calls the text-side ones through
 # their modules.
 from .descriptions import encode, generate_descriptions  # noqa: F401
-from .entry import main  # noqa: F401  (perfbench/spans.py patches cli.main)
+from .entry import _emit, main  # noqa: F401  (perfbench/spans.py patches cli.main)
 from .errors import DimensionMismatch, MalformedResponse
 from .prototypes import build_bank  # noqa: F401
 from .synthbench import (  # noqa: F401
@@ -35,7 +36,6 @@ from .synthbench import (  # noqa: F401
     select_max_size_proposal,
     train_and_evaluate,
 )
-from .textcli import _emit
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -154,11 +154,3 @@ def cmd_ablate(args) -> int:
     _emit({"command": "ablate", "grid": args.grid, "runs": n_runs,
            "seeds": args.seeds, "out": args.out, "version": __version__})
     return 0
-
-
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-}

@@ -214,6 +214,8 @@ class RemoteClientConfig:
         if not 0.0 < self.timeout_s < math.inf:
             raise ConfigError(
                 f"timeout must be finite and > 0 seconds, got {self.timeout_s}")
+        if self.max_parallel < 1:
+            raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
 
 
 def _post_json(config: RemoteClientConfig, payload: dict, unavailable) -> dict:

@@ -12,13 +12,11 @@ Each subcommand loads only the modules it runs.
 
 # This module imports neither numpy nor any module that does: --version,
 # --help and usage errors end in the parser. A subcommand then loads only
-# its own handlers: gen-descriptions, encode and build-bank those in
-# textcli (numpy only for an embedding), the others those in cli (numpy
-# and the whole library).
+# the handler module HANDLER_MODULES names for it.
 import argparse
 import json
 import sys
-from importlib import resources
+from importlib import import_module, resources
 
 from .config import __version__, config_help_epilog
 from .errors import (
@@ -41,6 +39,13 @@ _DATA_ERRORS = (OSError,)
 
 # The keys of synthbench.ABLATION_GRIDS, sorted.
 GRID_NAMES = ("aggregator", "components", "k", "l", "tau")
+
+# The module whose cmd_<name> runs each subcommand: textcli loads numpy
+# only for an embedding, cli loads numpy and the whole library.
+HANDLER_MODULES = {
+    "gen-descriptions": "textcli", "encode": "textcli", "build-bank": "textcli",
+    "simulate": "cli", "train": "cli", "evaluate": "cli", "ablate": "cli",
+}
 
 
 def fixture_path(name: str) -> str:
@@ -158,6 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
+
+
 def _classify_error(exc: Exception) -> tuple[str, int]:
     if isinstance(exc, _CONFIG_ERRORS):
         return type(exc).__name__, EXIT_CONFIG
@@ -171,16 +180,11 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    """Parse argv, load the chosen subcommand's handlers and run it; a
-    library error prints one JSON line on stderr and returns its exit code."""
+    """Parse argv, load the chosen subcommand's handler module and run it;
+    a library error prints one JSON line on stderr and returns its exit code."""
     args = build_parser().parse_args(argv)
-    from .textcli import HANDLERS
-
-    handler = HANDLERS.get(args.command)
-    if handler is None:  # simulate, train, evaluate, ablate: the whole library
-        from .cli import HANDLERS
-
-        handler = HANDLERS[args.command]
+    module = import_module(f".{HANDLER_MODULES[args.command]}", __package__)
+    handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
         return handler(args)
     except Exception as exc:  # mapped to documented exit codes

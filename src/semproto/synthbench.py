@@ -71,7 +71,8 @@ class ToyWorld:
         return tuple(f"class_{i:02d}" for i in range(self.spec.n_classes))
 
 
-def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:
+# quoted: evaluated at import, it would load numpy.random into the ablation parent
+def _unit_rows(rng: "np.random.Generator", shape) -> np.ndarray:
     """Quasi-orthogonal unit directions: normalized Gaussian rows.
 
     2-D direction sets (classes, scenes) are centered before

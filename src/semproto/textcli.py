@@ -5,20 +5,15 @@ them into a prototype bank.
 Nothing here imports numpy at module level, so gen-descriptions runs
 without it; encode loads it with its first embedding and build-bank with
 `prototypes`. Neither loads the synthetic world, the losses or `cli`.
-`entry.main` runs HANDLERS and maps their errors to exit codes. The
-handlers call `descriptions` and `prototypes` through their modules, so
-a wrapper patched into either module sees the call.
+`entry.main` runs their `cmd_*` handlers and maps their errors to exit
+codes. The handlers call `descriptions` and `prototypes` through their
+modules, so a wrapper patched into either module sees the call.
 """
-
-import json
 
 from . import descriptions
 from .config import __version__
+from .entry import _emit
 from .errors import ConfigError
-
-
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def _remote_config(args) -> descriptions.RemoteClientConfig:
@@ -105,10 +100,3 @@ def cmd_build_bank(args) -> int:
         "version": __version__,
     })
     return 0
-
-
-HANDLERS = {
-    "gen-descriptions": cmd_gen_descriptions,
-    "encode": cmd_encode,
-    "build-bank": cmd_build_bank,
-}

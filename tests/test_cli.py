@@ -126,6 +126,39 @@ def test_text_commands_load_only_what_they_run(tmp_path, argv, unloaded):
     assert not set(loaded) & unloaded
 
 
+def _modules_in_child(script: str) -> tuple[set, set]:
+    """The modules a fresh interpreter holds after `import numpy`, and
+    those it holds once it has also run script."""
+    code = ("import json, sys, numpy\nwith_numpy = sorted(sys.modules)\n" + script
+            + "\nprint(json.dumps([with_numpy, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    with_numpy, loaded = json.loads(out.stdout.splitlines()[-1])
+    return set(with_numpy), set(loaded)
+
+
+def test_import_graph_loads_only_what_each_role_runs(tmp_path):
+    # The ablation parent imports semproto.cli and only hands out work: it
+    # loads no numpy.random module beyond those `import numpy` loads by
+    # itself, which differ between numpy versions. Each forked worker
+    # loads numpy.random with its first world.
+    with_numpy, loaded = _modules_in_child("import semproto.cli")
+    assert "semproto.synthbench" in loaded
+    assert not {m for m in loaded - with_numpy if m.split(".")[:2] == ["numpy", "random"]}
+    # entry.main loads one handler module per command: simulate, train,
+    # evaluate and ablate run from cli, the text commands from textcli.
+    out = str(tmp_path / "out.json")
+    for argv, runs_in, unloaded in (
+        (["simulate", *SMALL], "semproto.cli", "semproto.textcli"),
+        (["gen-descriptions", "--classes", "cat,dog"], "semproto.textcli", "semproto.cli"),
+        (["encode", "--encoder", "toy"], "semproto.textcli", "semproto.cli"),
+        (["build-bank", "--encoder", "fixture"], "semproto.textcli", "semproto.cli"),
+    ):
+        _, loaded = _modules_in_child("from semproto.entry import main\n"
+                                      f"assert main({[*argv, '--out', out]!r}) == 0")
+        assert runs_in in loaded and unloaded not in loaded, argv[0]
+
+
 def test_package_exports_load_lazily():
     script = ("import json, sys, semproto; print(json.dumps(["
               "sorted(semproto.__all__), 'numpy' in sys.modules]))")
@@ -456,12 +489,16 @@ class TestExitCodes:
         assert err["error"] == "ConfigError" and "no classes" in err["message"]
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("timeout", ["-1", "nan", "inf", "0"])
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param("timeout", v, id=v) for v in ("-1", "nan", "inf", "0")),
+        *(pytest.param("max-parallel", v, id=f"max-parallel{v}") for v in ("0", "-1")),
+    ])
     def test_bad_timeout_exits_2_before_any_request(self, tmp_path, capsys,
-                                                    monkeypatch, timeout):
+                                                    monkeypatch, flag, value):
         # checked before any socket opens: the socket layer raises a bare
-        # ValueError or OverflowError for -1, nan and inf, and 0 would make
-        # it non-blocking
+        # ValueError or OverflowError for a timeout of -1, nan and inf, 0
+        # would make it non-blocking, and fewer than one parallel request
+        # would run the classes serially without a word
         import urllib.request
 
         def no_request(*args, **kwargs):
@@ -472,10 +509,10 @@ class TestExitCodes:
         out_path = tmp_path / "desc.json"
         code = cli.main(["gen-descriptions", "--classes", "cat",
                          "--endpoint", "http://127.0.0.1:9/",
-                         f"--timeout={timeout}", "--out", str(out_path)])
+                         f"--{flag}={value}", "--out", str(out_path)])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigError" and "timeout" in err["message"]
+        assert err["error"] == "ConfigError" and flag.replace("-", "_") in err["message"]
         assert not out_path.exists()
 
     @staticmethod

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semproto.alignment import det_cls_loss
 from semproto.descriptions import (
@@ -185,6 +187,23 @@ class TestAggregationProperties:
         perm = rng.permutation(6)
         b = aggregate(strategy, g, states[perm])
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 32), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_c5_identities_hold_on_random_inputs(self, dim, k, seed, scale):
+        # C5's three identities, at its tolerances, on random dims, K and
+        # inputs
+        rng = np.random.default_rng(seed)
+        g = scale * rng.standard_normal(dim)
+        states = scale * rng.standard_normal((k, dim))
+        same = np.tile(g, (k, 1))  # every state equal: every weight equal
+        assert np.abs(aggregate_similarity_weighted(g, same)
+                      - aggregate_mean(g, same)).max() < 1e-10
+        assert np.abs(aggregate_two_stage(g, states[:1])
+                      - aggregate_mean(g, states[:1])).max() < 1e-15
+        ref = median_agg_loop(list(g), [list(x) for x in states])
+        assert np.abs(aggregate_median(g, states) - np.array(ref)).max() < 1e-12
 
     def test_string_strategy_accepted(self):
         g = np.array([1.0, 0.0])

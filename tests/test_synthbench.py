@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import json
 import math
 import os
 import signal
+import tempfile
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semproto.config import (
+    AGGREGATIONS,
     CONFIG_SCHEMA,
     TrainConfig,
     WorldSpec,
@@ -859,6 +862,45 @@ class TestMonotoneNoiseSanity:
             assert means[i + 1] <= means[i] + stds[i + 1]
 
 
+_NON_NEGATIVE = st.floats(0.0, 10.0)
+
+
+@st.composite
+def _valid_overrides(draw):
+    """--set strings for a random subset of the config keys, each set to a
+    value that loads."""
+    # n_classes + k_states + l_scenes never exceeds the smallest dim, 28
+    values = draw(st.fixed_dictionaries({}, optional={
+        "world.dim": st.integers(28, 64),
+        "world.n_classes": st.integers(2, 16),
+        "world.k_states": st.integers(1, 6),
+        "world.l_scenes": st.integers(2, 6),
+        "world.state_strength": _NON_NEGATIVE,
+        "world.context_strength": _NON_NEGATIVE,
+        "world.noise_sigma": _NON_NEGATIVE,
+        "world.seed": st.integers(0, 2**40),
+        "world.det_per_class": st.integers(0, 50),
+        "world.weak_per_class": st.integers(1, 50),
+        "world.test_per_class": st.integers(1, 500),
+        "world.proposals_per_image": st.integers(1, 8),
+        "train.lam": _NON_NEGATIVE,
+        "train.tau": st.floats(-1.0, 1.0),
+        "train.temperature": st.floats(1e-3, 10.0),
+        "train.k": st.integers(1, 8),
+        "train.l": st.integers(1, 8),
+        "train.aggregation": st.sampled_from(AGGREGATIONS),
+        "train.lr": _NON_NEGATIVE,
+        "train.steps": st.integers(1, 1000),
+        "train.seed": st.integers(-1000, 1000),
+        "train.use_sesp": st.booleans(),
+        "train.use_sapp": st.booleans(),
+    }))
+    n_classes = values.get("world.n_classes", WorldSpec.n_classes)
+    if "world.n_classes" in values or draw(st.booleans()):
+        values["world.n_base"] = draw(st.integers(1, n_classes - 1))
+    return [f"{key}={json.dumps(value)}" for key, value in values.items()]
+
+
 class TestConfigHandling:
     def test_defaults_match_schema(self):
         world, cfg = load_config(None, [])
@@ -882,16 +924,19 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             load_config(None, ["train.nonsense=1"])
 
-    def test_flat_echo_is_reloadable(self, tmp_path):
-        world, cfg = load_config(None, ["world.dim=32", "train.steps=7"])
+    @settings(max_examples=60, deadline=None)
+    @given(_valid_overrides())
+    def test_flat_echo_is_reloadable(self, overrides):
+        world, cfg = load_config(None, overrides)
         echo = resolved_config(world, cfg)
-        path = tmp_path / "echo.json"
-        import json
-
-        path.write_text(json.dumps(echo))
-        world2, cfg2 = load_config(str(path), [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "echo.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(echo, fh)
+            world2, cfg2 = load_config(path, [])
         assert world2 == world
         assert cfg2 == cfg
+        assert resolved_config(world2, cfg2) == echo
 
     def test_override_parsing(self):
         assert parse_override("train.lam=0.3") == ("train.lam", 0.3)
