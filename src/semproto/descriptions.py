@@ -295,6 +295,17 @@ def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
     return DescriptionSet(class_name, generic, tuple(states[:k]), tuple(scenes[:l]))
 
 
+def _map_parallel(fn, items: list, parallel: int) -> list:
+    """[fn(item) for item in items], with up to `parallel` calls in flight
+    on a thread pool when parallel > 1 and there is more than one item."""
+    if parallel > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(parallel, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def generate_descriptions(class_names, k: int, l: int, client) -> dict:
     """Fetch and validate exactly k states and l scenes per class.
 
@@ -306,14 +317,7 @@ def generate_descriptions(class_names, k: int, l: int, client) -> dict:
         raise ConfigError(f"k and l must be >= 1, got k={k}, l={l}")
     names = [_require_name(n) for n in class_names]
     ordered = sorted(set(names))
-    parallel = int(getattr(client, "max_parallel", 1))
-    if parallel > 1 and len(ordered) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(parallel, len(ordered))) as pool:
-            recs = list(pool.map(client.describe, ordered))
-    else:
-        recs = [client.describe(name) for name in ordered]
+    recs = _map_parallel(client.describe, ordered, int(getattr(client, "max_parallel", 1)))
     return {name: _build_set(name, rec, k, l) for name, rec in zip(ordered, recs)}
 
 
@@ -428,6 +432,10 @@ class RemoteEncoder:
         self.config = config
         self.dim = int(dim)
 
+    @property
+    def max_parallel(self) -> int:
+        return self.config.max_parallel
+
     def encode(self, text: str) -> "np.ndarray":
         rec = _post_json(self.config, {"text": text}, EncoderUnavailable)
         if "vector" not in rec:
@@ -455,6 +463,16 @@ def encode(text: str, encoder) -> "np.ndarray":
     if float(np.linalg.norm(raw)) < 1e-6:
         raise EncoderUnavailable(f"encoder returned a near-zero vector for {text!r}")
     return l2_normalize(raw)
+
+
+def encode_texts(texts, encoder) -> dict:
+    """{text: encode(text, encoder)} for each distinct text, in first-seen
+    order. An encoder with max_parallel > 1 (the remote one) gets up to
+    that many requests at once; the others run serially in this thread."""
+    distinct = list(dict.fromkeys(texts))
+    vectors = _map_parallel(lambda text: encode(text, encoder), distinct,
+                            int(getattr(encoder, "max_parallel", 1)))
+    return dict(zip(distinct, vectors))
 
 
 def write_embedding_fixture(path: str, dim: int, records: dict) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .core import as_embedding, cosine, l2_normalize, unit_rows
-from .descriptions import DescriptionSet, encode
+# encode stays bound here for perfbench/spans.py, which patches every import of it
+from .descriptions import DescriptionSet, encode, encode_texts  # noqa: F401
 from .errors import (
     AllWeightsZero,
     ConfigError,
@@ -230,25 +231,28 @@ def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
     vocab = tuple(sorted(desc))
     if not vocab:
         raise ConfigError("no classes to build a bank from")
-    sesp_rows = []
-    sapp_rows = []
     for name in vocab:
         ds: DescriptionSet = desc[name]
         if ds.k < k:
             raise EmptyStateList(f"class '{name}' has {ds.k} states, need {k}")
         if ds.l < l:
             raise MalformedResponse(f"class '{name}' has {ds.l} scenes, need {l}")
-        generic = encode(ds.generic, encoder)
+    vectors = encode_texts([text for name in vocab for text in (
+        desc[name].generic, *desc[name].states[:k], *desc[name].scenes[:l])], encoder)
+    sesp_rows = []
+    sapp_rows = []
+    for name in vocab:
+        ds = desc[name]
+        generic = vectors[ds.generic]
         if k == 0:
             # Name-only prototype: the generic embedding stands alone
             # (encoders already return unit vectors).
             proto = generic
         else:
-            states = [encode(t, encoder) for t in ds.states[:k]]
-            proto = aggregate(strategy, generic, states, normalize=normalize,
-                              clamp_negative=clamp_negative)
+            proto = aggregate(strategy, generic, [vectors[t] for t in ds.states[:k]],
+                              normalize=normalize, clamp_negative=clamp_negative)
         sesp_rows.append(proto)
-        sapp_rows.append(np.stack([encode(t, encoder) for t in ds.scenes[:l]]))
+        sapp_rows.append(np.stack([vectors[t] for t in ds.scenes[:l]]))
     return PrototypeBank(
         vocab=vocab,
         sesp=np.stack(sesp_rows),

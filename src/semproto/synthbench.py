@@ -50,8 +50,9 @@ class ToyWorld:
     """Generated splits plus the ground-truth factor directions.
 
     Each split is one feature matrix and one int64 label vector. A weak
-    image holds its region proposals, not a pseudo-box: training picks
-    one per image with select_max_size_proposal(weak_areas, weak_proposals).
+    image holds its region proposals, not a pseudo-box: training picks one
+    per image with select_max_size_proposal(weak_areas, weak_proposals),
+    the only one a run world (run_world) keeps.
     """
 
     spec: WorldSpec
@@ -251,7 +252,19 @@ def select_max_size_proposal(areas, proposals) -> np.ndarray:
         )
     if areas.shape[1] == 0:
         raise EmptyProposals("images have no proposals")
+    if areas.shape[1] == 1:
+        return proposals[:, 0]  # a view: a run world's pseudo-boxes are not copied
     return proposals[np.arange(len(areas)), areas.argmax(axis=1)]
+
+
+def run_world(spec: WorldSpec) -> ToyWorld:
+    """generate_world(spec) with each weak image cut to its max-size proposal:
+    (N, 1) areas and read-only (N, 1, D) proposals. A run on it has the same bits."""
+    world = generate_world(spec)
+    pseudo = select_max_size_proposal(world.weak_areas, world.weak_proposals)
+    pseudo.flags.writeable = False
+    areas = world.weak_areas.max(axis=1, keepdims=True)
+    return dataclasses.replace(world, weak_areas=areas, weak_proposals=pseudo[:, None])
 
 
 def build_toy_bank(world: ToyWorld, k: int = 5, l: int = 5,
@@ -358,14 +371,14 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
           config: TrainConfig) -> tuple[ProbeModel, list[LossReport]]:
     """Full-batch gradient descent on det + weak + lam * scene.
 
-    The weak batch is each weak image's max-size proposal. The scene
-    term is skipped (and recorded as 0 with effective lambda 0) when
-    disabled or weightless, so flag-off and lam=0 runs produce identical
-    traces. Raises DivergenceDetected on non-finite loss. A step adds
-    the bias to the projections and lam * the scene gradient to the weak
-    one in place, and takes the det term's share of the parameter
-    gradients before the weak and scene terms run, so they do not peak
-    on top of its arrays; the bits are those of the out-of-place sums.
+    The weak batch is each weak image's max-size proposal, read from a
+    run world as a view. The scene term is skipped (and recorded as 0 with
+    effective lambda 0) when disabled or weightless, so flag-off and lam=0
+    runs produce identical traces. Raises DivergenceDetected on non-finite
+    loss. A step takes the det term's share of the parameter gradients,
+    then runs the scene term and then the weak one, so that no term peaks
+    on top of an earlier one's arrays; it adds the bias and lam * the scene
+    gradient in place, with the bits of the out-of-place sums.
     The scene kernel's per-thread buffers are released on the way out,
     so what runs next does not peak on top of them.
     """
@@ -389,13 +402,13 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
             p_weak = x_weak @ w
             p_weak += b
             weak_batch = WeakBatch(p_weak, y_weak)
-            weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
+            scene_val, g_scene = 0.0, None
             if lam_eff > 0.0:
                 scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
                 g_scene *= lam_eff
+            weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
+            if g_scene is not None:
                 g_weak += g_scene
-            else:
-                scene_val = 0.0
             report = total_loss(det_val, weak_val, scene_val, lam_eff)
             if not math.isfinite(report.total):
                 raise DivergenceDetected(f"total loss became {report.total}")
@@ -403,6 +416,7 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
 
             grad_w += x_weak.T @ g_weak
             grad_b += np.add.reduce(g_weak, axis=0)
+            del p_weak, weak_batch, g_weak, g_scene  # not alive in the next step
             w -= config.lr * grad_w
             b -= config.lr * grad_b
     finally:
@@ -506,12 +520,13 @@ def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
                        world: ToyWorld | None = None) -> tuple[dict, ProbeModel]:
     """Run one configuration end to end: its record and its trained probe.
 
-    Generates the run's world unless `world` is given, which must then be
-    generate_world(effective_world(world_spec, config)). The record echoes
-    the *input* config, so re-running from an echo reproduces the run.
+    Builds run_world(effective_world(world_spec, config)) unless `world`
+    is given: that, or the generate_world of that spec, gives the same
+    record. The record echoes the *input* config, so re-running from an
+    echo reproduces the run.
     """
     if world is None:
-        world = generate_world(effective_world(world_spec, config))
+        world = run_world(effective_world(world_spec, config))
     bank = build_run_bank(world, config)
     probe, reports = train(initial_probe(world), world, bank, config)
     metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
@@ -529,11 +544,6 @@ def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
         "version": __version__,
     }
     return record, probe
-
-
-def run_single(world_spec: WorldSpec, config: TrainConfig) -> dict:
-    """Run one configuration end to end and return its record."""
-    return train_and_evaluate(world_spec, config)[0]
 
 
 def _split_groups(groups: dict[WorldSpec, list[int]],
@@ -558,8 +568,8 @@ def _split_groups(groups: dict[WorldSpec, list[int]],
 
 
 def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
-    """Generate one world and run each (arm name, config) job on it."""
-    world = generate_world(spec)
+    """Build one run world and run each (arm name, config) job on it."""
+    world = run_world(spec)
     records = []
     for name, cfg_s in jobs:
         record, _ = train_and_evaluate(world_spec, cfg_s, world)
@@ -577,7 +587,7 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     override dicts carrying an "arm" label. Each run's world depends only
     on base seed + run seed, so runs are grouped by that world. The groups
     run on a pool of forked worker processes, one per CPU this process
-    may use (at most one per run); a worker generates its group's world
+    may use (at most one per run); a worker builds its group's run world
     once and runs the group's arms on it. The groups that do not divide
     evenly among the workers, a lone group included, are split by arm
     (see _split_groups). Records come out arm-major, in submission order,

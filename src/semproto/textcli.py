@@ -61,11 +61,8 @@ def cmd_encode(args) -> int:
     if not desc:  # as build_bank refuses it
         raise ConfigError("no classes to encode")
     enc = _make_encoder(args)
-    vectors = {}
-    for name in sorted(desc):
-        for text in desc[name].all_texts():
-            if text not in vectors:
-                vectors[text] = descriptions.encode(text, enc)
+    vectors = descriptions.encode_texts(
+        [text for name in sorted(desc) for text in desc[name].all_texts()], enc)
     descriptions.write_embedding_fixture(args.out, enc.dim, vectors)
     _emit({"command": "encode", "encoder": args.encoder, "dim": enc.dim,
            "texts": len(vectors), "out": args.out, "version": __version__})

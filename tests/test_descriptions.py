@@ -25,7 +25,7 @@ from semproto.descriptions import (
     render_state_prompt,
     write_embedding_fixture,
 )
-from semproto.entry import fixture_path
+from semproto.entry import fixture_path, main
 from semproto.errors import (
     ClientUnavailable,
     DimensionMismatch,
@@ -242,25 +242,34 @@ class TestRemoteClients:
 
 @pytest.fixture
 def stub(monkeypatch):
-    """A loopback-only HTTP service answering every POST with `stub.body`
-    (announced as `stub.content_length` bytes, if set), after waiting up
-    to `stub.delay_s`; it records each request."""
+    """A loopback-only HTTP service answering every POST with `stub.body`,
+    or with `stub.body(payload)` when it is callable (announced as
+    `stub.content_length` bytes, if set), after waiting up to
+    `stub.delay_s`; it records each request and the most requests it held
+    at once (`stub.max_in_flight`)."""
     state = SimpleNamespace(body=b"{}", content_length=None, delay_s=0.0,
-                            requests=[], release=threading.Event())
+                            requests=[], release=threading.Event(),
+                            in_flight=0, max_in_flight=0, lock=threading.Lock())
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers["Content-Length"])
-            state.requests.append((self.headers["Authorization"],
-                                   json.loads(self.rfile.read(length))))
+            payload = json.loads(self.rfile.read(length))
+            with state.lock:
+                state.requests.append((self.headers["Authorization"], payload))
+                state.in_flight += 1
+                state.max_in_flight = max(state.max_in_flight, state.in_flight)
             state.release.wait(state.delay_s)
+            body = state.body(payload) if callable(state.body) else state.body
+            with state.lock:  # before the answer, which lets the client send again
+                state.in_flight -= 1
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length",
-                             str(state.content_length or len(state.body)))
+                             str(state.content_length or len(body)))
             self.end_headers()
             try:
-                self.wfile.write(state.body)
+                self.wfile.write(body)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # the client gave up waiting
 
@@ -346,6 +355,27 @@ class TestRemoteClientsAgainstStub:
         with pytest.raises(unavailable, match="SEMPROTO_API_KEY"):
             call(stub.config)
         assert stub.requests == []
+
+
+@pytest.mark.parametrize("command", ["encode", "build-bank"])
+def test_remote_encoding_keeps_max_parallel_requests_in_flight(stub, tmp_path, command):
+    # each text gets its own vector, so the two runs' files can only match
+    # if every text's answer lands in its own place
+    toy = DeterministicToyEncoder(dim=8, seed=3)
+    stub.body = lambda payload: json.dumps(
+        {"vector": toy.encode(payload["text"]).tolist()}).encode("utf-8")
+    stub.delay_s = 0.02
+    outputs = {}
+    for parallel in ("4", "1"):
+        stub.max_in_flight = 0
+        out_path = tmp_path / f"{parallel}.json"
+        assert main([command, "--encoder", "remote", "--encoder-dim", "8",
+                     "--endpoint", stub.config.endpoint, "--max-parallel", parallel,
+                     "--out", str(out_path)]) == 0
+        outputs[parallel] = (out_path.read_bytes(), stub.max_in_flight)
+    assert 1 < outputs["4"][1] <= 4
+    assert outputs["1"][1] == 1
+    assert outputs["4"][0] == outputs["1"][0]
 
 
 class TestDeterministicToyEncoder:

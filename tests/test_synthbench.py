@@ -44,9 +44,10 @@ from semproto.synthbench import (
     generate_world,
     initial_probe,
     run_ablation,
-    run_single,
+    run_world,
     select_max_size_proposal,
     train,
+    train_and_evaluate,
 )
 from semproto import backend, synthbench
 
@@ -386,8 +387,10 @@ class TestSelectMaxSizeProposal:
                 if areas[i, j] > areas[i, best]:
                     best = j
             expected[i] = props[i, best]
-        np.testing.assert_array_equal(select_max_size_proposal(areas, props),
-                                      expected)
+        got = select_max_size_proposal(areas, props)
+        np.testing.assert_array_equal(got, expected)
+        # a lone proposal is its image's pseudo-box as it stands: a view
+        assert np.shares_memory(got, props) == (p == 1 and n > 0)
 
 
 class TestBuildToyBank:
@@ -486,8 +489,8 @@ class TestTrain:
 
     def test_default_config_reduces_loss_across_seeds(self):
         for seed in range(5):
-            record = run_single(dataclasses.replace(WorldSpec(), test_per_class=20),
-                                TrainConfig(seed=seed))
+            record = train_and_evaluate(
+                dataclasses.replace(WorldSpec(), test_per_class=20), TrainConfig(seed=seed))[0]
             assert record["loss_summary"]["final"] < record["loss_summary"]["initial"]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -530,6 +533,84 @@ class TestTrain:
         assert len(trace) == cfg.steps
         for r in trace:
             assert abs(r.total - (r.l_det_cls + r.l_weak + r.lam * r.l_scene)) < 1e-12
+
+
+# the shape of the benchmark's train-large workload (perfbench/workloads.py)
+LARGE_WORLD = dict(dim=64, n_classes=48, n_base=30, l_scenes=9,
+                   weak_per_class=20, test_per_class=50)
+
+
+class TestRunWorld:
+    """run_world keeps each weak image's max-size proposal only: a run on
+    it has the full world's bits and holds no distractor proposal."""
+
+    @pytest.mark.parametrize("arm", ABLATION_GRIDS["components"],
+                             ids=lambda arm: arm["arm"])
+    def test_run_world_gives_the_full_worlds_bits(self, arm):
+        spec = WorldSpec(**SMALL_WORLD)
+        cfg = TrainConfig(**FAST_TRAIN, **{k: v for k, v in arm.items() if k != "arm"})
+        runs = []
+        for world in (generate_world(spec), run_world(spec)):
+            probe, reports = train(initial_probe(world), world,
+                                   build_run_bank(world, cfg), cfg)
+            runs.append((probe.weight.tobytes(), probe.bias.tobytes(),
+                         np.array([dataclasses.astuple(r) for r in reports]).tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_train_reads_the_pseudo_boxes_in_place(self, monkeypatch):
+        spec = WorldSpec(**SMALL_WORLD)
+        full, world = generate_world(spec), run_world(spec)
+        n_weak = len(world.weak_y)
+        assert world.weak_proposals.shape == (n_weak, 1, spec.dim)
+        np.testing.assert_array_equal(world.weak_areas[:, 0], full.weak_areas.max(axis=1))
+        read = []
+
+        def recording(areas, proposals):
+            read.append(select_max_size_proposal(areas, proposals))
+            return read[-1]
+
+        monkeypatch.setattr(synthbench, "select_max_size_proposal", recording)
+        cfg = TrainConfig(**FAST_TRAIN)
+        train(initial_probe(world), world, build_run_bank(world, cfg), cfg)
+        [pseudo] = read
+        assert np.shares_memory(pseudo, world.weak_proposals)
+        assert not pseudo.flags.writeable
+        np.testing.assert_array_equal(
+            pseudo, select_max_size_proposal(full.weak_areas, full.weak_proposals))
+
+    def test_traced_peak_of_a_run_holds_no_distractor(self):
+        # One two-step run at the train-large shape, world to evaluation.
+        # numpy reports its allocations to tracemalloc, so the bound counts
+        # arrays. Its peak is the second step's weak term, on top of: the
+        # run world; the bank's vectors and their unit copies; the probe's
+        # three (D, D) matrices; the scene kernel's buffers, one (N, C*L)
+        # and four of a block's rows, the last of bools; the projections
+        # and the scaled scene gradient. The weak term adds its unit
+        # features, gradient, cosines and logits, per-row vectors and one
+        # ufunc reduction buffer. A run that kept the world's distractor
+        # proposals would add (P - 1) * N * D floats, 1.41 MiB here.
+        spec = WorldSpec(**LARGE_WORLD)
+        cfg = TrainConfig(l=9, steps=2)
+        n, d = spec.n_classes * spec.weak_per_class, spec.dim
+        c, cl = spec.n_classes, spec.n_classes * cfg.l
+        rows = min(n, backend.SCENE_BLOCK_BYTES // (8 * cl))
+        world_bytes = 8 * (c * d * (1 + spec.k_states) + spec.l_scenes * d
+                           + (spec.n_base * spec.det_per_class + c * spec.test_per_class)
+                           * (d + 1) + n * (d + 2))
+        bank_bytes = 2 * 8 * (c * d + cl * d)
+        scratch_bytes = 8 * (n * cl + 4 * rows * cl) + rows * cl
+        step_bytes = 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize())
+        # load what a first run imports (numpy.random) before tracing
+        train_and_evaluate(_small_spec(), TrainConfig(steps=1))
+        backend.release_scene_scratch()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_and_evaluate(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= world_bytes + bank_bytes + scratch_bytes + step_bytes
 
 
 class TestEvaluate:
@@ -700,8 +781,8 @@ class TestRunAblation:
 
     def test_flag_off_indistinguishable_from_lambda_zero(self):
         spec = _small_spec()
-        rec_off = run_single(spec, TrainConfig(**SMALL_CFG, use_sapp=False))
-        rec_zero = run_single(spec, TrainConfig(**SMALL_CFG, lam=0.0))
+        rec_off = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, use_sapp=False))[0]
+        rec_zero = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, lam=0.0))[0]
         assert rec_off["metrics"] == rec_zero["metrics"]
         assert rec_off["loss_summary"] == rec_zero["loss_summary"]
 
@@ -713,7 +794,7 @@ class TestRunAblation:
                          "components", [])
 
     def test_record_carries_backend_and_version(self):
-        rec = run_single(_small_spec(), TrainConfig(**SMALL_CFG))
+        rec = train_and_evaluate(_small_spec(), TrainConfig(**SMALL_CFG))[0]
         assert rec["config"]["backend"] == backend.active_backend()
         assert rec["version"] == rec["config"]["version"]
 
@@ -723,7 +804,7 @@ class TestSharedWorlds:
     across the arms that run on it."""
 
     @staticmethod
-    def _assert_records_equal_run_single(records, seeds):
+    def _assert_records_equal_single_runs(records, seeds):
         runs = [r for r in records if r["kind"] == "run"]
         arms = ABLATION_GRIDS["components"]
         assert [(r["arm"], r["seed"]) for r in runs] == [
@@ -732,13 +813,13 @@ class TestSharedWorlds:
         for arm, rec in zip((a for a in arms for _ in seeds), runs):
             overrides = {k: v for k, v in arm.items() if k != "arm"}
             cfg = TrainConfig(**{**SMALL_CFG, **overrides, "seed": rec["seed"]})
-            expected = run_single(_small_spec(), cfg)
+            expected = train_and_evaluate(_small_spec(), cfg)[0]
             assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
 
     def test_records_equal_run_single(self):
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0, 1])
-        self._assert_records_equal_run_single(records, (0, 1))
+        self._assert_records_equal_single_runs(records, (0, 1))
 
     @staticmethod
     def _count_worlds(monkeypatch, tmp_path):
@@ -776,7 +857,7 @@ class TestSharedWorlds:
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0, 1, 2])
         assert generated() == [5, 6, 7] + [7] * (n_cpus - 1)
-        self._assert_records_equal_run_single(records, (0, 1, 2))
+        self._assert_records_equal_single_runs(records, (0, 1, 2))
 
     def test_lone_group_is_split_over_the_cpus(self, monkeypatch, tmp_path):
         # One seed is one world: with two CPUs its four arms run two per
@@ -785,7 +866,7 @@ class TestSharedWorlds:
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0])
         assert generated() == [5] * n_cpus
-        self._assert_records_equal_run_single(records, (0,))
+        self._assert_records_equal_single_runs(records, (0,))
 
 
 class TestSplitGroups:
@@ -854,7 +935,7 @@ class TestMonotoneNoiseSanity:
             accs = []
             for seed in range(5):
                 spec = _small_spec(noise_sigma=noise, test_per_class=40)
-                rec = run_single(spec, TrainConfig(**SMALL_CFG, seed=seed))
+                rec = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, seed=seed))[0]
                 accs.append(rec["metrics"]["acc_all"])
             means.append(np.mean(accs))
             stds.append(np.std(accs, ddof=1))
