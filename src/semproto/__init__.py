@@ -27,7 +27,7 @@ _EXPORTS = {
         "aggregate_similarity_weighted", "aggregate_two_stage", "build_bank",
     ),
     "alignment": (
-        "LossReport", "PseudoLabelGrid", "WeakBatch", "assign_pseudo_labels",
+        "LossReport", "PseudoLabelGrid", "assign_pseudo_labels",
         "det_cls_loss", "scene_loss", "scene_loss_and_grad", "scene_similarities",
         "total_loss", "weak_cls_loss",
     ),

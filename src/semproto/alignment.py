@@ -7,6 +7,10 @@ classification, the combined objective, and hand-derived analytic
 gradients for every loss. Gradients are always taken w.r.t. the input
 feature vectors; because scores are cosines, every gradient is
 orthogonal to its feature.
+
+Every loss takes its batch as arrays: (B, dim) features and (B,)
+integer class labels. The backend kernels check both, once per call;
+this module checks only the hyperparameters.
 """
 
 from dataclasses import dataclass
@@ -17,30 +21,6 @@ from . import backend
 from .core import log_sigmoid, sigmoid, validate_similarity_tensor
 from .errors import ConfigError, DimensionMismatch
 from .prototypes import PrototypeBank
-
-
-@dataclass(frozen=True)
-class WeakBatch:
-    """A batch of pseudo-box features with their image-level labels."""
-
-    features: np.ndarray  # (B, dim)
-    labels: np.ndarray    # (B,) int64 class ids
-
-    def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = backend.integer_labels(self.labels)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise DimensionMismatch(f"features must be (B>=1, dim), got {feats.shape}")
-        if labels.shape != (feats.shape[0],):
-            raise DimensionMismatch(
-                f"labels shape {labels.shape} != batch size {feats.shape[0]}"
-            )
-
-    @property
-    def size(self) -> int:
-        return int(self.features.shape[0])
 
 
 @dataclass(frozen=True)
@@ -75,15 +55,6 @@ class LossReport:
     lam: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "l_det_cls": self.l_det_cls,
-            "l_weak": self.l_weak,
-            "l_scene": self.l_scene,
-            "lambda": self.lam,
-            "total": self.total,
-        }
-
 
 def total_loss(det_part: float, weak_part: float, scene_part: float,
                lam: float) -> LossReport:
@@ -102,12 +73,12 @@ def total_loss(det_part: float, weak_part: float, scene_part: float,
     )
 
 
-def scene_similarities(batch: WeakBatch, bank: PrototypeBank) -> np.ndarray:
-    """Cosine of every batch feature with every scene slot vector.
+def scene_similarities(features, bank: PrototypeBank) -> np.ndarray:
+    """Cosine of every (B, dim) feature with every scene slot vector.
 
     Returns the (B, C, L) similarity tensor, clamped into [-1, 1].
     """
-    return backend.scene_similarity_kernel(batch.features, bank.unit_sapp)
+    return backend.scene_similarity_kernel(features, bank.unit_sapp)
 
 
 def assign_pseudo_labels(s, labels, tau: float,
@@ -142,27 +113,31 @@ def scene_loss(grid: PseudoLabelGrid, logit_scale: float = 1.0) -> float:
     return -float((grid.w * bce).sum()) / grid.s.shape[0]
 
 
-def scene_loss_and_grad(batch: WeakBatch, bank: PrototypeBank, tau: float,
+def scene_loss_and_grad(features, labels, bank: PrototypeBank, tau: float,
                         logit_scale: float = 1.0,
                         detach_weights: bool = False):
-    """Scene loss with its analytic gradient w.r.t. every batch feature.
+    """Scene loss with its analytic gradient w.r.t. every (B, dim) feature,
+    against the (B,) image-level labels.
 
     Pseudo-labels are recomputed as hard constants; the confidence
     weights are differentiated through unless detach_weights is set.
-    Returns (loss, grad) with grad shaped like batch.features.
+    Returns (loss, grad) with grad shaped like features; an empty batch
+    yields loss 0 with a (0, dim) gradient.
     """
     if not -1.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [-1, 1], got {tau}")
     return backend.scene_loss_grad_kernel(
-        batch.features, bank.unit_sapp, batch.labels, tau,
+        features, bank.unit_sapp, labels, tau,
         logit_scale=logit_scale, detach_weights=detach_weights,
     )
 
 
-def weak_cls_loss(batch: WeakBatch, bank: PrototypeBank, temperature: float):
+def weak_cls_loss(features, labels, bank: PrototypeBank, temperature: float):
     """Mean softmax cross-entropy of cosine/temperature logits against
-    the image-level labels, with analytic feature gradients."""
-    return det_cls_loss(batch.features, batch.labels, bank, temperature)
+    the image-level labels, with analytic feature gradients. The same
+    kernel as det_cls_loss, kept a function of its own so that
+    perfbench/spans.py times the weak term apart from the det term."""
+    return det_cls_loss(features, labels, bank, temperature)
 
 
 def det_cls_loss(features, labels, bank: PrototypeBank, temperature: float):

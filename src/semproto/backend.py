@@ -80,20 +80,15 @@ def _unit_features(features, protos: np.ndarray,
     return unit_rows(features)
 
 
-def integer_labels(labels) -> np.ndarray:
-    """labels as contiguous int64. Labels of a non-integer dtype (floats,
-    bools, strings) raise DimensionMismatch rather than being truncated;
-    an empty array of any dtype is no labels."""
+def class_labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
+    """labels as contiguous int64, one integer class id in [0, n_classes)
+    per batch item; anything else raises DimensionMismatch. Labels of a
+    non-integer dtype (floats, bools, strings) raise rather than being
+    truncated; an empty array of any dtype is no labels."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" and labels.size:
         raise DimensionMismatch(f"labels must be integer class ids, got dtype {labels.dtype}")
-    return np.ascontiguousarray(labels, dtype=np.int64)
-
-
-def class_labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
-    """labels as contiguous int64, one integer class id in [0, n_classes)
-    per batch item; anything else raises DimensionMismatch."""
-    labels = integer_labels(labels)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.shape != (n_batch,):
         raise DimensionMismatch(f"labels shape {labels.shape} != batch size {n_batch}")
     # the reductions ndarray.min/max run, without their Python wrappers

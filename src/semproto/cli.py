@@ -33,6 +33,7 @@ from .synthbench import (  # noqa: F401
     generate_world,
     initial_probe,
     run_ablation,
+    run_world,
     select_max_size_proposal,
     train_and_evaluate,
 )
@@ -113,7 +114,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
-    world = generate_world(effective_world(world_spec, cfg))
+    # evaluate scores only the test split: the run world keeps one weak
+    # proposal per image instead of all of them
+    world = run_world(effective_world(world_spec, cfg))
     bank = build_run_bank(world, cfg)
     if args.probe:
         try:

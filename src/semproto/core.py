@@ -92,18 +92,11 @@ def log_sigmoid(x):
     return out
 
 
-def validate_similarity_tensor(s, batch: int | None = None,
-                               classes: int | None = None,
-                               slots: int | None = None) -> np.ndarray:
+def validate_similarity_tensor(s) -> np.ndarray:
     """Check a batch x classes x slots cosine tensor: 3-D, finite, in [-1, 1]."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 3:
         raise DimensionMismatch(f"similarity tensor must be 3-D, got shape {s.shape}")
-    for axis, want in enumerate((batch, classes, slots)):
-        if want is not None and s.shape[axis] != want:
-            raise DimensionMismatch(
-                f"similarity tensor axis {axis} is {s.shape[axis]}, expected {want}"
-            )
     if not np.all(np.isfinite(s)):
         raise InvalidEmbedding("similarity tensor contains NaN or infinity")
     if s.size and (s.min() < -1.0 or s.max() > 1.0):

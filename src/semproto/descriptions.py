@@ -340,8 +340,6 @@ class DeterministicToyEncoder:
     give bitwise-identical vectors across processes and platforms.
     """
 
-    kind = "DeterministicToy"
-
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
@@ -368,8 +366,6 @@ class FixtureEncoder:
     Vectors are stored pre-normalized; the loader re-normalizes and warns
     if any stored norm drifts from 1 by more than 1e-6.
     """
-
-    kind = "FixtureFile"
 
     def __init__(self, path: str):
         import numpy as np
@@ -425,8 +421,6 @@ class FixtureEncoder:
 
 class RemoteEncoder:
     """HTTP client for an external text-encoding service."""
-
-    kind = "RemoteService"
 
     def __init__(self, config: RemoteClientConfig, dim: int):
         self.config = config

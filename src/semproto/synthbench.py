@@ -18,7 +18,6 @@ import numpy as np
 
 from .alignment import (
     LossReport,
-    WeakBatch,
     det_cls_loss,
     scene_loss_and_grad,
     total_loss,
@@ -342,16 +341,6 @@ class ProbeModel:
             raise DivergenceDetected("probe parameters are non-finite")
 
     @classmethod
-    def random(cls, dim_in: int, dim_embed: int, seed: int) -> "ProbeModel":
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal((dim_in, dim_embed)) / math.sqrt(dim_in)
-        return cls(weight=w, bias=np.zeros(dim_embed))
-
-    @classmethod
-    def identity(cls, dim: int) -> "ProbeModel":
-        return cls(weight=np.eye(dim), bias=np.zeros(dim))
-
-    @classmethod
     def near_identity(cls, dim: int, seed: int, jitter: float = 0.5) -> "ProbeModel":
         """Identity plus seeded Gaussian jitter: the stand-in for a
         pretrained feature extractor that starts roughly aligned."""
@@ -372,13 +361,15 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     """Full-batch gradient descent on det + weak + lam * scene.
 
     The weak batch is each weak image's max-size proposal, read from a
-    run world as a view. The scene term is skipped (and recorded as 0 with
-    effective lambda 0) when disabled or weightless, so flag-off and lam=0
-    runs produce identical traces. Raises DivergenceDetected on non-finite
-    loss. A step takes the det term's share of the parameter gradients,
-    then runs the scene term and then the weak one, so that no term peaks
-    on top of an earlier one's arrays; it adds the bias and lam * the scene
-    gradient in place, with the bits of the out-of-place sums.
+    run world as a view; the losses take its projections and the
+    image-level labels as two arrays, p_weak and y_weak. The scene term is
+    skipped (and recorded as 0 with effective lambda 0) when disabled or
+    weightless, so flag-off and lam=0 runs produce identical traces.
+    Raises DivergenceDetected on non-finite loss. A step takes the det
+    term's share of the parameter gradients, then runs the scene term and
+    then the weak one, so that no term peaks on top of an earlier one's
+    arrays; it adds the bias and lam * the scene gradient in place, with
+    the bits of the out-of-place sums.
     The scene kernel's per-thread buffers are released on the way out,
     so what runs next does not peak on top of them.
     """
@@ -401,12 +392,11 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
             del p_det, g_det  # so the weak and scene terms do not peak on them
             p_weak = x_weak @ w
             p_weak += b
-            weak_batch = WeakBatch(p_weak, y_weak)
             scene_val, g_scene = 0.0, None
             if lam_eff > 0.0:
-                scene_val, g_scene = scene_loss_and_grad(weak_batch, bank, config.tau)
+                scene_val, g_scene = scene_loss_and_grad(p_weak, y_weak, bank, config.tau)
                 g_scene *= lam_eff
-            weak_val, g_weak = weak_cls_loss(weak_batch, bank, config.temperature)
+            weak_val, g_weak = weak_cls_loss(p_weak, y_weak, bank, config.temperature)
             if g_scene is not None:
                 g_weak += g_scene
             report = total_loss(det_val, weak_val, scene_val, lam_eff)
@@ -416,7 +406,7 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
 
             grad_w += x_weak.T @ g_weak
             grad_b += np.add.reduce(g_weak, axis=0)
-            del p_weak, weak_batch, g_weak, g_scene  # not alive in the next step
+            del p_weak, g_weak, g_scene  # not alive in the next step
             w -= config.lr * grad_w
             b -= config.lr * grad_b
     finally:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from semproto.alignment import (
-    WeakBatch,
     assign_pseudo_labels,
     det_cls_loss,
     scene_loss,
@@ -159,22 +158,21 @@ def test_c4_analytic_gradients_match_finite_differences():
             bank = _random_bank(rng, 3, 2, 8)
             feats = rng.standard_normal((2, 8))
             labels = rng.integers(3, size=2)
-            _, grad = scene_loss_and_grad(WeakBatch(feats, labels), bank,
+            _, grad = scene_loss_and_grad(feats, labels, bank,
                                           tau=0.25, detach_weights=detach)
             if detach:
                 base = assign_pseudo_labels(
-                    scene_similarities(WeakBatch(feats, labels), bank),
+                    scene_similarities(feats, bank),
                     labels, 0.25)
                 w_frozen = base.w.copy()
 
                 def fn(x):
-                    s = scene_similarities(WeakBatch(x, labels), bank)
+                    s = scene_similarities(x, bank)
                     g = assign_pseudo_labels(s, labels, 0.25)
                     return scene_loss(PseudoLabelGrid(y=g.y, w=w_frozen, s=g.s))
             else:
                 def fn(x):
-                    l, _ = scene_loss_and_grad(WeakBatch(x, labels), bank,
-                                               tau=0.25)
+                    l, _ = scene_loss_and_grad(x, labels, bank, tau=0.25)
                     return l
 
             fd = central_diff_grad(fn, feats, h=h)
@@ -188,10 +186,10 @@ def test_c4_analytic_gradients_match_finite_differences():
             feats = rng.standard_normal((2, 8))
             labels = rng.integers(4, size=2)
             if name == "weak":
-                _, grad = weak_cls_loss(WeakBatch(feats, labels), bank, 0.1)
+                _, grad = weak_cls_loss(feats, labels, bank, 0.1)
 
                 def fn(x):
-                    return weak_cls_loss(WeakBatch(x, labels), bank, 0.1)[0]
+                    return weak_cls_loss(x, labels, bank, 0.1)[0]
             else:
                 _, grad = det_cls_loss(feats, labels, bank, 0.1)
 

@@ -6,7 +6,6 @@ import pytest
 from semproto.alignment import (
     LossReport,
     PseudoLabelGrid,
-    WeakBatch,
     assign_pseudo_labels,
     det_cls_loss,
     scene_loss,
@@ -42,38 +41,44 @@ def _random_bank(rng, n_classes, l, dim):
 def _random_batch(rng, b, n_classes, dim):
     feats = rng.standard_normal((b, dim))
     labels = rng.integers(n_classes, size=b)
-    return WeakBatch(feats, labels)
+    return feats, labels
 
 
-class TestWeakBatch:
+def _weak_losses(bank):
+    """The two weak-split losses, each as a (features, labels) call."""
+    return (lambda x, y: weak_cls_loss(x, y, bank, 0.1),
+            lambda x, y: scene_loss_and_grad(x, y, bank, tau=0.25))
+
+
+class TestWeakLossInputs:
     def test_validates_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            WeakBatch(np.zeros((2, 4)), np.zeros(3, dtype=np.int64))
-        with pytest.raises(DimensionMismatch):
-            WeakBatch(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        bank = _random_bank(np.random.default_rng(98), 3, 2, 4)
+        for loss in _weak_losses(bank):
+            with pytest.raises(DimensionMismatch, match="batch size 2"):
+                loss(np.ones((2, 4)), np.zeros(3, dtype=np.int64))
 
     @pytest.mark.parametrize("labels", [[0.5, 1.5], [0.0, 1.0], [True, False], ["0", "1"]])
     def test_non_integer_labels_rejected(self, labels):
-        # before the kernel: a cast to int64 here would hide the floats from it
-        with pytest.raises(DimensionMismatch, match="integer"):
-            WeakBatch(np.ones((2, 4)), labels)
+        # a cast to int64 before the kernel would hide the floats from it
+        bank = _random_bank(np.random.default_rng(97), 3, 2, 4)
+        for loss in _weak_losses(bank):
+            with pytest.raises(DimensionMismatch, match="integer"):
+                loss(np.ones((2, 4)), labels)
 
     def test_out_of_vocabulary_labels_rejected_at_use(self):
         rng = np.random.default_rng(99)
         bank = _random_bank(rng, 3, 2, 8)
-        batch = WeakBatch(rng.standard_normal((2, 8)), np.array([0, 3]))
-        with pytest.raises(DimensionMismatch):
-            weak_cls_loss(batch, bank, 0.1)
-        with pytest.raises(DimensionMismatch):
-            scene_loss_and_grad(batch, bank, tau=0.25)
+        feats = rng.standard_normal((2, 8))
+        for loss in _weak_losses(bank):
+            with pytest.raises(DimensionMismatch):
+                loss(feats, np.array([0, 3]))
 
 
 class TestSceneSimilarities:
     def test_exact_match_scores_one(self):
         rng = np.random.default_rng(0)
         bank = _random_bank(rng, 2, 3, 8)
-        batch = WeakBatch(bank.sapp[1, 2][None, :], np.array([1]))
-        s = scene_similarities(batch, bank)
+        s = scene_similarities(bank.sapp[1, 2][None, :], bank)
         assert s[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_built_orthogonal_case(self):
@@ -86,7 +91,7 @@ class TestSceneSimilarities:
         bank = PrototypeBank(vocab=("a", "b"), sesp=np.eye(dim)[4:6],
                              sapp=sapp, strategy=Aggregation.MEAN, k=1, l=2)
         feature = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-        s = scene_similarities(WeakBatch(feature[None, :], np.array([0])), bank)
+        s = scene_similarities(feature[None, :], bank)
         np.testing.assert_allclose(
             s[0], [[0.6, 0.8], [0.0, 0.0]], atol=1e-12
         )
@@ -94,8 +99,8 @@ class TestSceneSimilarities:
     def test_range_clamped(self):
         rng = np.random.default_rng(1)
         bank = _random_bank(rng, 4, 3, 16)
-        batch = _random_batch(rng, 8, 4, 16)
-        s = scene_similarities(batch, bank)
+        feats, _ = _random_batch(rng, 8, 4, 16)
+        s = scene_similarities(feats, bank)
         assert s.min() >= -1.0 and s.max() <= 1.0
         assert s.shape == (8, 4, 3)
 
@@ -103,7 +108,7 @@ class TestSceneSimilarities:
         rng = np.random.default_rng(2)
         bank = _random_bank(rng, 2, 2, 8)
         with pytest.raises(DimensionMismatch):
-            scene_similarities(_random_batch(rng, 2, 2, 9), bank)
+            scene_similarities(_random_batch(rng, 2, 2, 9)[0], bank)
 
 
 class TestAssignPseudoLabels:
@@ -214,8 +219,7 @@ class TestSceneLoss:
 
 def _frozen_weight_scene_loss(features, bank, labels, tau, logit_scale, w_frozen):
     """Oracle for the detached flag: grid weights held constant."""
-    batch = WeakBatch(features, labels)
-    s = scene_similarities(batch, bank)
+    s = scene_similarities(features, bank)
     grid = assign_pseudo_labels(s, labels, tau, logit_scale=logit_scale)
     frozen = PseudoLabelGrid(y=grid.y, w=w_frozen, s=grid.s)
     return scene_loss(frozen, logit_scale=logit_scale)
@@ -226,14 +230,14 @@ class TestSceneLossGrad:
         rng = np.random.default_rng(10)
         for trial in range(10):
             bank = _random_bank(rng, 3, 2, 8)
-            batch = _random_batch(rng, 2, 3, 8)
-            loss, grad = scene_loss_and_grad(batch, bank, tau=0.25)
+            feats, labels = _random_batch(rng, 2, 3, 8)
+            loss, grad = scene_loss_and_grad(feats, labels, bank, tau=0.25)
 
             def fn(x):
-                l, _ = scene_loss_and_grad(WeakBatch(x, batch.labels), bank, tau=0.25)
+                l, _ = scene_loss_and_grad(x, labels, bank, tau=0.25)
                 return l
 
-            fd = central_diff_grad(fn, batch.features, h=1e-5)
+            fd = central_diff_grad(fn, feats, h=1e-5)
             rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-30)
             assert rel < 1e-6
 
@@ -241,29 +245,29 @@ class TestSceneLossGrad:
         rng = np.random.default_rng(11)
         for trial in range(6):
             bank = _random_bank(rng, 3, 2, 8)
-            batch = _random_batch(rng, 2, 3, 8)
-            s = scene_similarities(batch, bank)
-            grid = assign_pseudo_labels(s, batch.labels, tau=0.25)
+            feats, labels = _random_batch(rng, 2, 3, 8)
+            s = scene_similarities(feats, bank)
+            grid = assign_pseudo_labels(s, labels, tau=0.25)
             w_frozen = grid.w.copy()
-            _, grad = scene_loss_and_grad(batch, bank, tau=0.25,
+            _, grad = scene_loss_and_grad(feats, labels, bank, tau=0.25,
                                           detach_weights=True)
 
             def fn(x):
                 return _frozen_weight_scene_loss(
-                    x, bank, batch.labels, 0.25, 1.0, w_frozen
+                    x, bank, labels, 0.25, 1.0, w_frozen
                 )
 
-            fd = central_diff_grad(fn, batch.features, h=1e-5)
+            fd = central_diff_grad(fn, feats, h=1e-5)
             rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-30)
             assert rel < 1e-6
 
     def test_fused_loss_agrees_with_grid_path(self):
         rng = np.random.default_rng(12)
         bank = _random_bank(rng, 4, 3, 10)
-        batch = _random_batch(rng, 5, 4, 10)
-        fused, _ = scene_loss_and_grad(batch, bank, tau=0.25)
-        grid = assign_pseudo_labels(scene_similarities(batch, bank),
-                                    batch.labels, tau=0.25)
+        feats, labels = _random_batch(rng, 5, 4, 10)
+        fused, _ = scene_loss_and_grad(feats, labels, bank, tau=0.25)
+        grid = assign_pseudo_labels(scene_similarities(feats, bank),
+                                    labels, tau=0.25)
         assert fused == pytest.approx(scene_loss(grid), rel=1e-9)
 
     def test_deep_saturation_kills_gradient(self):
@@ -272,39 +276,39 @@ class TestSceneLossGrad:
         rng = np.random.default_rng(13)
         bank = _random_bank(rng, 2, 2, 6)
         feats = -bank.sapp[0, 0][None, :]
-        batch = WeakBatch(feats, np.array([1]))
-        _, grad = scene_loss_and_grad(batch, bank, tau=0.9, logit_scale=30.0)
+        _, grad = scene_loss_and_grad(feats, np.array([1]), bank, tau=0.9,
+                                      logit_scale=30.0)
         # only slots anti-aligned with the feature saturate; check the
         # fully-saturated slot's contribution via a one-slot bank
         tiny_bank = PrototypeBank(vocab=("a",), sesp=bank.sesp[:1],
                                   sapp=bank.sapp[:1, :1], strategy=Aggregation.MEAN,
                                   k=1, l=1)
-        batch1 = WeakBatch(-tiny_bank.sapp[0, 0][None, :], np.array([0]))
-        _, g1 = scene_loss_and_grad(batch1, tiny_bank, tau=0.9, logit_scale=30.0)
+        _, g1 = scene_loss_and_grad(-tiny_bank.sapp[0, 0][None, :], np.array([0]),
+                                    tiny_bank, tau=0.9, logit_scale=30.0)
         assert np.abs(g1).max() < 1e-8
 
     def test_gradient_orthogonal_to_feature(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             bank = _random_bank(rng, 3, 2, 12)
-            batch = _random_batch(rng, 3, 3, 12)
-            _, grad = scene_loss_and_grad(batch, bank, tau=0.0)
-            for b in range(batch.size):
+            feats, labels = _random_batch(rng, 3, 3, 12)
+            _, grad = scene_loss_and_grad(feats, labels, bank, tau=0.0)
+            for b in range(len(feats)):
                 g = grad[b]
-                f = batch.features[b]
+                f = feats[b]
                 proj = abs(float(g @ f)) / np.linalg.norm(f)
                 assert proj < 1e-8 * max(np.linalg.norm(g), 1e-30)
 
     def test_feature_scaling_preserves_cosines(self):
         rng = np.random.default_rng(15)
         bank = _random_bank(rng, 2, 2, 8)
-        batch = _random_batch(rng, 2, 2, 8)
-        scaled = WeakBatch(2.0 * batch.features, batch.labels)
-        s1 = scene_similarities(batch, bank)
+        feats, labels = _random_batch(rng, 2, 2, 8)
+        scaled = 2.0 * feats
+        s1 = scene_similarities(feats, bank)
         s2 = scene_similarities(scaled, bank)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
-        _, g1 = scene_loss_and_grad(batch, bank, tau=0.25)
-        _, g2 = scene_loss_and_grad(scaled, bank, tau=0.25)
+        _, g1 = scene_loss_and_grad(feats, labels, bank, tau=0.25)
+        _, g2 = scene_loss_and_grad(scaled, labels, bank, tau=0.25)
         # gradient halves when the feature doubles (1/|f| prefactor)
         np.testing.assert_allclose(g2, g1 / 2.0, atol=1e-10)
 
@@ -313,8 +317,8 @@ class TestClassificationLosses:
     def test_confident_correct_has_tiny_loss(self):
         rng = np.random.default_rng(16)
         bank = _random_bank(rng, 3, 2, 8)
-        batch = WeakBatch(bank.sesp[1][None, :], np.array([1]))
-        loss, _ = weak_cls_loss(batch, bank, temperature=0.001)
+        loss, _ = weak_cls_loss(bank.sesp[1][None, :], np.array([1]), bank,
+                                temperature=0.001)
         assert loss < 1e-3
 
     def test_equidistant_feature_gives_log_c(self):
@@ -324,30 +328,30 @@ class TestClassificationLosses:
         bank = PrototypeBank(vocab=tuple(f"c{i}" for i in range(c)), sesp=sesp,
                              sapp=sapp, strategy=Aggregation.MEAN, k=1, l=1)
         f = sesp.sum(axis=0)
-        loss, _ = weak_cls_loss(WeakBatch(f[None, :], np.array([2])), bank, 0.5)
+        loss, _ = weak_cls_loss(f[None, :], np.array([2]), bank, 0.5)
         assert loss == pytest.approx(math.log(c), abs=1e-12)
 
     def test_weak_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             bank = _random_bank(rng, 4, 2, 8)
-            batch = _random_batch(rng, 3, 4, 8)
-            loss, grad = weak_cls_loss(batch, bank, temperature=0.1)
+            feats, labels = _random_batch(rng, 3, 4, 8)
+            loss, grad = weak_cls_loss(feats, labels, bank, temperature=0.1)
 
             def fn(x):
-                l, _ = weak_cls_loss(WeakBatch(x, batch.labels), bank, 0.1)
+                l, _ = weak_cls_loss(x, labels, bank, 0.1)
                 return l
 
-            fd = central_diff_grad(fn, batch.features, h=1e-5)
+            fd = central_diff_grad(fn, feats, h=1e-5)
             rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-30)
             assert rel < 1e-6
 
     def test_shared_kernel_equality(self):
         rng = np.random.default_rng(18)
         bank = _random_bank(rng, 3, 2, 8)
-        batch = _random_batch(rng, 4, 3, 8)
-        a = weak_cls_loss(batch, bank, 0.2)
-        b = det_cls_loss(batch.features, batch.labels, bank, 0.2)
+        feats, labels = _random_batch(rng, 4, 3, 8)
+        a = weak_cls_loss(feats, labels, bank, 0.2)
+        b = det_cls_loss(feats, labels, bank, 0.2)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -384,18 +388,18 @@ class TestClassificationLosses:
     def test_ce_gradient_orthogonal_to_feature(self):
         rng = np.random.default_rng(21)
         bank = _random_bank(rng, 3, 2, 10)
-        batch = _random_batch(rng, 4, 3, 10)
-        _, grad = weak_cls_loss(batch, bank, 0.1)
-        for b in range(batch.size):
-            proj = abs(float(grad[b] @ batch.features[b]))
-            proj /= np.linalg.norm(batch.features[b])
+        feats, labels = _random_batch(rng, 4, 3, 10)
+        _, grad = weak_cls_loss(feats, labels, bank, 0.1)
+        for b in range(len(feats)):
+            proj = abs(float(grad[b] @ feats[b]))
+            proj /= np.linalg.norm(feats[b])
             assert proj < 1e-8 * max(np.linalg.norm(grad[b]), 1e-30)
 
     def test_temperature_positive(self):
         rng = np.random.default_rng(22)
         bank = _random_bank(rng, 2, 2, 4)
         with pytest.raises(ValueError):
-            weak_cls_loss(_random_batch(rng, 1, 2, 4), bank, 0.0)
+            weak_cls_loss(*_random_batch(rng, 1, 2, 4), bank, 0.0)
 
 
 class TestTotalLoss:
@@ -418,8 +422,3 @@ class TestTotalLoss:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             total_loss(1.0, 1.0, 1.0, lam=-0.1)
-
-    def test_dict_round_trip_uses_lambda_key(self):
-        d = total_loss(1.0, 2.0, 3.0, 0.1).to_dict()
-        assert d["lambda"] == 0.1
-        assert set(d) == {"l_det_cls", "l_weak", "l_scene", "lambda", "total"}

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from semproto import backend
 from semproto.alignment import (
-    WeakBatch,
     assign_pseudo_labels,
     scene_loss,
     scene_loss_and_grad,
@@ -37,6 +36,13 @@ class TestKernelEdgeCases:
         assert loss == 0.0 and grad.shape == (0, 8)
         loss, grad = backend.softmax_ce_kernel(feats, protos, labels, 2.0)
         assert loss == 0.0 and grad.shape == (0, 8)
+        # the weak-split losses pass an empty batch through, as det_cls_loss does
+        bank = PrototypeBank(vocab=("a", "b"), sesp=protos, sapp=sapp,
+                             strategy=Aggregation.MEAN, k=1, l=2)
+        for loss, grad in (weak_cls_loss(feats, labels, bank, 0.5),
+                           scene_loss_and_grad(feats, labels, bank, 0.0)):
+            assert loss == 0.0 and grad.shape == (0, 8)
+        assert scene_similarities(feats, bank).shape == (0, 2, 2)
 
     @pytest.mark.parametrize("feats", [[], np.zeros(0), np.zeros((0, 5)), np.zeros((3, 0))])
     def test_any_empty_array_is_the_empty_batch(self, feats):
@@ -100,7 +106,7 @@ class TestKernelEdgeCases:
                              sapp=np.zeros((1, 1, 4)),
                              strategy=Aggregation.MEAN, k=1, l=1)
         with pytest.raises(ZeroNorm):
-            scene_similarities(WeakBatch(np.ones((1, 4)), np.array([0])), bank)
+            scene_similarities(np.ones((1, 4)), bank)
 
     def test_fused_kernel_clamps_cosines_like_grid_path(self):
         # The feature is anti-parallel to its class's only slot; its raw
@@ -110,10 +116,9 @@ class TestKernelEdgeCases:
         bank = PrototypeBank(vocab=("a",), sesp=rng.standard_normal((1, 6)),
                              sapp=rng.standard_normal((1, 1, 6)),
                              strategy=Aggregation.MEAN, k=1, l=1)
-        batch = WeakBatch(-bank.sapp[0, 0][None, :], np.array([0]))
-        fused, _ = scene_loss_and_grad(batch, bank, -1.0)
-        grid = assign_pseudo_labels(scene_similarities(batch, bank),
-                                    batch.labels, -1.0)
+        feats, labels = -bank.sapp[0, 0][None, :], np.array([0])
+        fused, _ = scene_loss_and_grad(feats, labels, bank, -1.0)
+        grid = assign_pseudo_labels(scene_similarities(feats, bank), labels, -1.0)
         assert grid.y.all()
         assert fused == pytest.approx(scene_loss(grid), rel=1e-12)
 
@@ -163,9 +168,9 @@ def _instances(draw):
         k=1,
         l=l,
     )
-    batch = WeakBatch(rng.standard_normal((b, dim)), rng.integers(c, size=b))
+    feats, labels = rng.standard_normal((b, dim)), rng.integers(c, size=b)
     scales = rng.uniform(1e-3, 1e3, size=(b, 1))
-    return bank, batch, scales
+    return bank, feats, labels, scales
 
 
 _TAU = st.floats(-1.0, 1.0)
@@ -186,39 +191,38 @@ class TestFusedKernelProperties:
     @_SETTINGS
     @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans())
     def test_scene_gradient_rows_orthogonal_to_features(self, inst, tau, gamma, detach):
-        bank, batch, _ = inst
-        _, grad = scene_loss_and_grad(batch, bank, tau, logit_scale=gamma,
+        bank, feats, labels, _ = inst
+        _, grad = scene_loss_and_grad(feats, labels, bank, tau, logit_scale=gamma,
                                       detach_weights=detach)
-        _assert_orthogonal_rows(grad, batch.features)
+        _assert_orthogonal_rows(grad, feats)
 
     @_SETTINGS
     @given(_instances(), _TEMPERATURE)
     def test_ce_gradient_rows_orthogonal_to_features(self, inst, temperature):
-        bank, batch, _ = inst
-        _, grad = weak_cls_loss(batch, bank, temperature)
-        _assert_orthogonal_rows(grad, batch.features)
+        bank, feats, labels, _ = inst
+        _, grad = weak_cls_loss(feats, labels, bank, temperature)
+        _assert_orthogonal_rows(grad, feats)
 
     @_SETTINGS
     @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans(), _TEMPERATURE)
     def test_losses_invariant_to_row_scaling(self, inst, tau, gamma, detach,
                                              temperature):
-        bank, batch, scales = inst
-        scaled = WeakBatch(scales * batch.features, batch.labels)
+        bank, feats, labels, scales = inst
         for fn in (
-            lambda b: scene_loss_and_grad(b, bank, tau, logit_scale=gamma,
+            lambda x: scene_loss_and_grad(x, labels, bank, tau, logit_scale=gamma,
                                           detach_weights=detach)[0],
-            lambda b: weak_cls_loss(b, bank, temperature)[0],
+            lambda x: weak_cls_loss(x, labels, bank, temperature)[0],
         ):
-            assert fn(scaled) == pytest.approx(fn(batch), rel=1e-12, abs=1e-300)
+            assert fn(scales * feats) == pytest.approx(fn(feats), rel=1e-12, abs=1e-300)
 
     @_SETTINGS
     @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans())
     def test_fused_scene_loss_equals_grid_path(self, inst, tau, gamma, detach):
-        bank, batch, _ = inst
-        fused, _ = scene_loss_and_grad(batch, bank, tau, logit_scale=gamma,
+        bank, feats, labels, _ = inst
+        fused, _ = scene_loss_and_grad(feats, labels, bank, tau, logit_scale=gamma,
                                        detach_weights=detach)
-        grid = assign_pseudo_labels(scene_similarities(batch, bank),
-                                    batch.labels, tau, logit_scale=gamma)
+        grid = assign_pseudo_labels(scene_similarities(feats, bank),
+                                    labels, tau, logit_scale=gamma)
         assert fused == pytest.approx(scene_loss(grid, logit_scale=gamma),
                                       rel=1e-12, abs=1e-300)
 
@@ -227,15 +231,14 @@ class TestFusedKernelProperties:
     @given(_instances(), _TAU, _LOGIT_SCALE, st.booleans(), _TEMPERATURE, st.data())
     def test_losses_equivariant_under_batch_permutation(self, inst, tau, gamma,
                                                         detach, temperature, data):
-        bank, batch, _ = inst
-        perm = np.array(data.draw(st.permutations(range(len(batch.labels)))))
-        permuted = WeakBatch(batch.features[perm], batch.labels[perm])
+        bank, feats, labels, _ = inst
+        perm = np.array(data.draw(st.permutations(range(len(labels)))))
         for fn in (
-            lambda b: scene_loss_and_grad(b, bank, tau, logit_scale=gamma,
-                                          detach_weights=detach),
-            lambda b: weak_cls_loss(b, bank, temperature),
+            lambda x, y: scene_loss_and_grad(x, y, bank, tau, logit_scale=gamma,
+                                             detach_weights=detach),
+            lambda x, y: weak_cls_loss(x, y, bank, temperature),
         ):
-            (loss, grad), (p_loss, p_grad) = fn(batch), fn(permuted)
+            (loss, grad), (p_loss, p_grad) = fn(feats, labels), fn(feats[perm], labels[perm])
             assert p_loss == pytest.approx(loss, rel=1e-12, abs=1e-300)
             np.testing.assert_allclose(p_grad, grad[perm], rtol=1e-12,
                                        atol=1e-12 * np.abs(grad).max())

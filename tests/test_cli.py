@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semproto import cli, entry, synthbench
-from semproto.config import CONFIG_SCHEMA
+from semproto.config import CONFIG_SCHEMA, load_config
 from semproto.errors import DivergenceDetected
 from semproto.prototypes import PrototypeBank
 
@@ -68,7 +68,7 @@ PUBLIC_NAMES = {
     "render_scene_prompt", "render_state_prompt",
     "Aggregation", "PrototypeBank", "aggregate_mean", "aggregate_median",
     "aggregate_similarity_weighted", "aggregate_two_stage", "build_bank",
-    "LossReport", "PseudoLabelGrid", "WeakBatch", "assign_pseudo_labels",
+    "LossReport", "PseudoLabelGrid", "assign_pseudo_labels",
     "det_cls_loss", "scene_loss", "scene_loss_and_grad", "scene_similarities",
     "total_loss", "weak_cls_loss",
     "ProbeModel", "ToyWorld", "build_toy_bank", "evaluate", "generate_world",
@@ -729,6 +729,28 @@ class TestTrainEvaluateCommands:
         assert metrics["probe"] == "fresh"
         assert 0.0 <= metrics["metrics"]["acc_all"] <= 1.0
 
+    def test_fresh_evaluation_holds_one_proposal_per_weak_image(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # evaluate scores only the test split, so it builds the run world;
+        # the full world's bank, probe and test split give the same metrics
+        worlds = []
+
+        def build_run_bank(world, cfg):
+            worlds.append(world)
+            return synthbench.build_run_bank(world, cfg)
+
+        monkeypatch.setattr(cli, "build_run_bank", build_run_bank)
+        eval_path = tmp_path / "eval.json"
+        assert cli.main(["evaluate", *SMALL, "--out", str(eval_path)]) == 0
+        capsys.readouterr()
+        assert [w.weak_proposals.shape[1] for w in worlds] == [1]
+        world_spec, cfg = load_config(None, SMALL[1::2])
+        world = synthbench.generate_world(synthbench.effective_world(world_spec, cfg))
+        want = synthbench.evaluate(synthbench.initial_probe(world),
+                                   synthbench.build_run_bank(world, cfg),
+                                   world.test_x, world.test_y, world_spec.n_base)
+        assert json.loads(eval_path.read_text())["metrics"] == want
+
     def test_missing_config_file_exits_2(self, tmp_path):
         out = run_cli("train", "--config", "/nonexistent.json",
                       "--out", str(tmp_path / "x.jsonl"), check=False)
@@ -824,7 +846,7 @@ class TestHelpProvenance:
         assert "[artifact]" in out.stdout
 
     def test_help_lists_every_config_key(self):
-        from semproto.config import CONFIG_SCHEMA
+        from semproto.config import CONFIG_SCHEMA, load_config
 
         out = run_cli("train", "--help")
         for key in CONFIG_SCHEMA:

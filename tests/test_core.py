@@ -145,7 +145,7 @@ class TestEmbeddingValidation:
 class TestSimilarityTensorValidation:
     def test_accepts_valid(self):
         s = np.zeros((2, 3, 4))
-        out = validate_similarity_tensor(s, batch=2, classes=3, slots=4)
+        out = validate_similarity_tensor(s)
         assert out.shape == (2, 3, 4)
 
     def test_rejects_out_of_range(self):
@@ -157,7 +157,3 @@ class TestSimilarityTensorValidation:
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionMismatch):
             validate_similarity_tensor(np.zeros((2, 2)))
-
-    def test_rejects_wrong_axis(self):
-        with pytest.raises(DimensionMismatch):
-            validate_similarity_tensor(np.zeros((2, 3, 4)), classes=5)

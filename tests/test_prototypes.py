@@ -344,8 +344,8 @@ class TestClassify:
     @staticmethod
     def _acc(bank, features, labels) -> float:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return evaluate(ProbeModel.identity(bank.dim), bank, features,
-                        np.asarray(labels), n_base=1)["acc_all"]
+        identity = ProbeModel(np.eye(bank.dim), np.zeros(bank.dim))
+        return evaluate(identity, bank, features, np.asarray(labels), n_base=1)["acc_all"]
 
     def test_self_match_wins(self):
         bank = _orthogonal_bank()

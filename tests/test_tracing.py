@@ -42,6 +42,26 @@ def test_traced_train_runs_clean(tmp_path, capsys):
     assert not hasattr(cli.main, "__wrapped__")  # installed() restored the bindings
 
 
+def test_traced_train_times_each_loss_term(tmp_path, capsys):
+    # det_cls_loss and weak_cls_loss run the same kernel; the kernel's time
+    # is split between them by the span that calls it
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code = cli.main(["train", *SMALL, "--out", str(tmp_path / "run.jsonl")])
+    capsys.readouterr()
+    assert code == 0
+    calls = {}
+    for s in tracer.spans:
+        calls[s.name, s.parent_name] = calls.get((s.name, s.parent_name), 0) + 1
+    steps = 5
+    for name in ("det_cls_loss", "weak_cls_loss", "scene_loss_and_grad"):
+        assert calls["alignment." + name, "synthbench.train"] == steps
+    for caller in ("alignment.det_cls_loss", "alignment.weak_cls_loss"):
+        assert calls["backend.softmax_ce_kernel", caller] == steps
+    assert calls["backend.scene_loss_grad_kernel", "alignment.scene_loss_and_grad"] == steps
+
+
 def test_traced_ablation_runs_clean(tmp_path, capsys):
     # The ablation trains in forked workers: their spans stay in the
     # workers' copies of the tracer, and only the parent's spans land here.
