@@ -1,6 +1,7 @@
 """A/B runs: this checkout against a base revision, on the benchmark.
 
     python3 benchmarks/ab.py BASE_REV [--pairs 10] [--seconds 6] [--seed 77]
+                             [--allow-bench-change]
 
 Checks BASE_REV out into a temporary `git worktree` and, per workload,
 runs each side's own `perfbench/run.py --trace 0` in turn, `--pairs`
@@ -9,19 +10,22 @@ head side is this checkout as it stands, uncommitted edits included,
 copied beside the worktree: peak RSS moves by up to 0.5 MB with the
 length of the checkout's path alone, so both sides run from paths of
 the same length. Refuses to run when the two sides' `perfbench/` trees
-differ, since the two sides must be measured by the same benchmark code.
+differ, since the two sides must be measured by the same benchmark code,
+unless --allow-bench-change is given: a change to the benchmark itself
+is then measured with each side's own benchmark code.
 
 Writes BENCH_<head short sha>.json (with a `-dirty` suffix when tracked
 files have uncommitted changes, as `git describe --dirty` marks them) at
 the repository root. Per workload and end-to-end metric it holds both
 sides' q1/median/q3, the per-pair values and wins, and the verdict of
-`perfbench/compare.py`; it also holds both revisions, the perfbench tree
-both sides ran, the settings and the environment block of the head
-side's first run.
+`perfbench/compare.py`; it also holds both revisions, the git tree hash
+of each side's perfbench/ (`perfbench_tree: {base, head}`), the settings
+and the environment block of the head side's first run.
 """
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -35,17 +39,21 @@ import compare  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def git(*args: str) -> str:
+def git(*args: str, env=None) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.rstrip()
+                          check=True, env=env).stdout.rstrip()
 
 
-def perfbench_differs(base_rev: str) -> bool:
-    """Whether this checkout's perfbench/ (untracked files included)
-    differs from base_rev's."""
-    changed = subprocess.run(["git", "diff", "--quiet", base_rev, "--", "perfbench"],
-                             cwd=ROOT, check=False).returncode != 0
-    return changed or bool(git("ls-files", "--others", "--exclude-standard", "perfbench"))
+def perfbench_tree(rev: str | None = None) -> str:
+    """The git tree hash of perfbench/ at rev or, without one, of this
+    checkout's perfbench/ as it stands (untracked files included, ignored
+    ones not), staged into a scratch index so the real one is untouched."""
+    if rev is not None:
+        return git("rev-parse", f"{rev}:perfbench")
+    with tempfile.TemporaryDirectory(prefix="ab-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "--", "perfbench", env=env)
+        return git("write-tree", "--prefix=perfbench/", env=env)
 
 
 def copy_checkout(dest: Path) -> None:
@@ -96,6 +104,8 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=6.0)
     p.add_argument("--seed", type=int, default=77)
+    p.add_argument("--allow-bench-change", action="store_true",
+                   help="run even when the two sides' perfbench/ trees differ")
     args = p.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         p.error("--pairs must be >= 1 and --seconds > 0")
@@ -109,9 +119,11 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError:
         print(f"ab: {args.base_rev} is not a commit", file=sys.stderr)
         return 2
-    if perfbench_differs(base_rev):
+    trees = {"base": perfbench_tree(base_rev), "head": perfbench_tree()}
+    if trees["base"] != trees["head"] and not args.allow_bench_change:
         print(f"ab: perfbench/ differs between {args.base_rev} and this checkout; "
-              "both sides must run the same benchmark", file=sys.stderr)
+              "both sides must run the same benchmark (or pass --allow-bench-change)",
+              file=sys.stderr)
         return 2
     head_rev = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -143,7 +155,7 @@ def main(argv=None) -> int:
         "base": {"rev": base_rev, "asked": args.base_rev},
         "head": {"rev": head_rev, "dirty": dirty,
                  "changed": git("status", "--porcelain").splitlines()},
-        "perfbench_tree": git("rev-parse", f"{base_rev}:perfbench"),
+        "perfbench_tree": trees,
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "trace": 0, "first_each_pair": order},
         "env": env,

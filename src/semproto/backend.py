@@ -23,9 +23,13 @@ ufuncs and reductions directly rather than numpy's Python-level wrappers
 (np.linalg.norm, np.clip, ndarray.sum/max/mean), with the same bits.
 Results are bitwise reproducible run to run for a fixed OpenBLAS thread
 count; at large shapes the matmuls round differently when OpenBLAS
-splits them over another number of threads.
+splits them over another number of threads. one_blas_thread runs a block
+on one thread and restores the caller's count after it: evaluate runs
+its products there, so scores do not depend on the thread count.
 """
+import contextlib
 import ctypes
+import functools
 import threading
 from pathlib import Path
 
@@ -46,20 +50,55 @@ def active_backend() -> str:
     return "numpy"
 
 
+@functools.cache
+def _bundled_openblas():
+    """(set_num_threads, get_num_threads) of numpy's bundled OpenBLAS,
+    looked up once per process; None when numpy links another BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
 def pin_blas_to_one_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread in this process.
 
     Pool workers call this so that N workers on N cores do not each
     start N BLAS threads. Does nothing when numpy links another BLAS.
     """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in libs.glob("libscipy_openblas64_*.so"):
-        set_threads = getattr(ctypes.CDLL(str(path)),
-                              "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
+    blas = _bundled_openblas()
+    if blas is not None:
+        blas[0](1)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, and
+    on the caller's thread count again once it exits or raises.
+
+    The thread count is the process's, so the package starts no thread
+    that runs BLAS beside the block. Does nothing when numpy links
+    another BLAS.
+    """
+    blas = _bundled_openblas()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    n_threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(n_threads)
 
 
 def _unit_features(features, protos: np.ndarray,

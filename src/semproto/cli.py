@@ -28,6 +28,7 @@ from .synthbench import (  # noqa: F401
     ProbeModel,
     build_run_bank,
     build_toy_bank,
+    draw_test_split,
     effective_world,
     evaluate,
     generate_world,
@@ -116,7 +117,7 @@ def cmd_evaluate(args) -> int:
     world_spec, cfg = load_config(args.config, args.set)
     # evaluate scores only the test split: the run world keeps one weak
     # proposal per image instead of all of them
-    world = run_world(effective_world(world_spec, cfg))
+    world = draw_test_split(run_world(effective_world(world_spec, cfg)))
     bank = build_run_bank(world, cfg)
     if args.probe:
         try:

@@ -191,6 +191,8 @@ def _coerce(key: str, value):
                 raise ValueError(f"not an integer: {value!r}")
             return int(value)
         if isinstance(default, float):
+            if isinstance(value, bool):  # float(True) is 1.0
+                raise ValueError(f"not a number: {value!r}")
             number = float(value)
             if not math.isfinite(number):
                 raise ValueError(f"not a finite number: {value!r}")

@@ -6,7 +6,8 @@ Box-supervised features exist only for base classes; weakly labeled
 images exist for all classes, and their max-size proposal additionally
 carries a scene-context term, which is exactly the visual/textual
 mismatch the scene alignment loss targets. Everything is deterministic
-per seed.
+per seed. A run trains on a run world (run_world): only the max-size
+proposals, and no test split until scoring starts (draw_test_split).
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from .alignment import (
     total_loss,
     weak_cls_loss,
 )
-from .backend import pin_blas_to_one_thread, release_scene_scratch
+from .backend import one_blas_thread, pin_blas_to_one_thread, release_scene_scratch
 from .config import TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
 from .core import ZERO_NORM_EPS, l2_normalize
 from .errors import (
@@ -51,7 +52,9 @@ class ToyWorld:
     Each split is one feature matrix and one int64 label vector. A weak
     image holds its region proposals, not a pseudo-box: training picks one
     per image with select_max_size_proposal(weak_areas, weak_proposals),
-    the only one a run world (run_world) keeps.
+    the only one a run world (run_world) keeps. A run world holds no test
+    split either, only the generator state its draws start from
+    (test_stream), until draw_test_split draws it.
     """
 
     spec: WorldSpec
@@ -63,8 +66,9 @@ class ToyWorld:
     weak_areas: np.ndarray       # (n_weak, proposals_per_image)
     weak_proposals: np.ndarray   # (n_weak, proposals_per_image, dim)
     weak_y: np.ndarray           # (n_weak,) image-level labels
-    test_x: np.ndarray           # (n_test, dim)
-    test_y: np.ndarray           # (n_test,)
+    test_x: np.ndarray | None    # (n_test, dim); None until a run world draws it
+    test_y: np.ndarray | None    # (n_test,)
+    test_stream: dict | None = None  # bit-generator state the test draws start from
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -145,17 +149,10 @@ def _labels(n_classes: int, per_class: int) -> np.ndarray:
     return np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
 
 
-def generate_world(spec: WorldSpec) -> ToyWorld:
-    """Sample factor directions and the three datasets, deterministically.
-
-    Box features:   unit(class + state_strength*state + noise)
-    Weak max-prop:  unit(class + state_strength*state
-                         + context_strength*scene + noise)
-    Test features:  same family as the max-size proposals (context-rich),
-                    since inference-time region features carry the same
-                    surrounding-context content the pseudo-boxes do.
-    Distractor proposals are context-only and never the largest; the
-    context-rich proposal's area is forced strictly largest.
+def _training_world(spec: WorldSpec) -> ToyWorld:
+    """The world's factor directions, det split and weak split, with the
+    generator's state where they leave it (test_stream) in place of the
+    test split, whose draws come last in the stream (see draw_test_split).
 
     The random draws are made row by row, in stream order: that order
     fixes the world's bytes. Each draw is written into an array (the
@@ -205,16 +202,6 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
     d_row = np.flatnonzero(np.arange(n_prop) != ctx_pos[:, None])
     weak_areas.reshape(-1)[ctx_row] = np.maximum.reduce(weak_areas, axis=1) * 1.5
 
-    test_y = _labels(spec.n_classes, spec.test_per_class)
-    test_x = np.empty((len(test_y), dim))
-    test_state = np.empty(len(test_y), dtype=np.int64)
-    test_scene = np.empty(len(test_y), dtype=np.int64)
-    for i in range(len(test_y)):
-        test_state[i] = integers(spec.k_states)
-        test_scene[i] = integers(spec.l_scenes)
-        normal(out=test_x[i])
-    test_state += test_y * spec.k_states
-
     state, context, sigma = spec.state_strength, spec.context_strength, spec.noise_sigma
     _compose_rows(det_x, (class_dirs, det_y), [(state, states, det_state)], sigma)
     flat_proposals, flat_scene = weak_proposals.reshape(-1, dim), weak_scene.reshape(-1)
@@ -222,8 +209,6 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
                   [(state, states, ctx_state), (context, scene_dirs, flat_scene[ctx_row])],
                   sigma, rows=ctx_row)
     _compose_rows(flat_proposals, (scene_dirs, flat_scene[d_row]), [], sigma, rows=d_row)
-    _compose_rows(test_x, (class_dirs, test_y),
-                  [(state, states, test_state), (context, scene_dirs, test_scene)], sigma)
 
     return ToyWorld(
         spec=spec,
@@ -235,9 +220,55 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
         weak_areas=weak_areas,
         weak_proposals=weak_proposals,
         weak_y=weak_y,
-        test_x=test_x,
-        test_y=test_y,
+        test_x=None,
+        test_y=None,
+        test_stream=rng.bit_generator.state,
     )
+
+
+def draw_test_split(world: ToyWorld) -> ToyWorld:
+    """`world` holding its test split. A run world draws it here, from
+    where its weak split's draws ended (test_stream), and composes it as
+    generate_world does, with its bytes; the same world drawn twice gives
+    the same split. A world that holds its test split is returned as is."""
+    if world.test_x is not None:
+        return world
+    spec, dim = world.spec, world.spec.dim
+    rng = np.random.default_rng(spec.seed)
+    rng.bit_generator.state = world.test_stream
+    integers, normal = rng.integers, rng.standard_normal
+    test_y = _labels(spec.n_classes, spec.test_per_class)
+    test_x = np.empty((len(test_y), dim))
+    test_state = np.empty(len(test_y), dtype=np.int64)
+    test_scene = np.empty(len(test_y), dtype=np.int64)
+    for i in range(len(test_y)):
+        test_state[i] = integers(spec.k_states)
+        test_scene[i] = integers(spec.l_scenes)
+        normal(out=test_x[i])
+    test_state += test_y * spec.k_states
+    _compose_rows(test_x, (world.class_dirs, test_y),
+                  [(spec.state_strength, world.state_dirs.reshape(-1, dim), test_state),
+                   (spec.context_strength, world.scene_dirs, test_scene)],
+                  spec.noise_sigma)
+    return dataclasses.replace(world, test_x=test_x, test_y=test_y, test_stream=None)
+
+
+def generate_world(spec: WorldSpec) -> ToyWorld:
+    """Sample factor directions and the three datasets, deterministically.
+
+    Box features:   unit(class + state_strength*state + noise)
+    Weak max-prop:  unit(class + state_strength*state
+                         + context_strength*scene + noise)
+    Test features:  same family as the max-size proposals (context-rich),
+                    since inference-time region features carry the same
+                    surrounding-context content the pseudo-boxes do.
+    Distractor proposals are context-only and never the largest; the
+    context-rich proposal's area is forced strictly largest.
+
+    The draws run in stream order: the factor directions, then the det,
+    weak and test splits, each row by row.
+    """
+    return draw_test_split(_training_world(spec))
 
 
 def select_max_size_proposal(areas, proposals) -> np.ndarray:
@@ -258,8 +289,9 @@ def select_max_size_proposal(areas, proposals) -> np.ndarray:
 
 def run_world(spec: WorldSpec) -> ToyWorld:
     """generate_world(spec) with each weak image cut to its max-size proposal:
-    (N, 1) areas and read-only (N, 1, D) proposals. A run on it has the same bits."""
-    world = generate_world(spec)
+    (N, 1) areas and read-only (N, 1, D) proposals, and no test split until
+    draw_test_split draws it. A run on it has the same bits."""
+    world = _training_world(spec)
     pseudo = select_max_size_proposal(world.weak_areas, world.weak_proposals)
     pseudo.flags.writeable = False
     areas = world.weak_areas.max(axis=1, keepdims=True)
@@ -426,11 +458,13 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _cosines(probe: ProbeModel, bank: PrototypeBank,
              features: np.ndarray) -> np.ndarray:
-    """(N, C) cosines of the projected features with the bank's sesp rows."""
-    proj = probe.apply(features)
-    fn = _row_norms(proj)
-    pn = _row_norms(bank.sesp)
-    cosm = proj @ bank.sesp.T
+    """(N, C) cosines of the projected features with the bank's sesp rows.
+    Both products run on one BLAS thread (see evaluate)."""
+    with one_blas_thread():
+        proj = probe.apply(features)
+        fn = _row_norms(proj)
+        pn = _row_norms(bank.sesp)
+        cosm = proj @ bank.sesp.T
     del proj  # the division's block temporaries would stack on it
     step = _block_rows(cosm.shape[1])
     for lo in range(0, len(cosm), step):
@@ -449,6 +483,9 @@ def evaluate(probe: ProbeModel, bank: PrototypeBank, features: np.ndarray,
     because a product computed in row blocks rounds differently, and the
     row norms and the division run in blocks of at most ROW_BLOCK_BYTES
     per temporary. The peak is the projected features plus the cosines.
+    Both products run on one BLAS thread (backend.one_blas_thread), so
+    the scores do not depend on the caller's OpenBLAS thread count, and
+    no second thread faults in its packing buffers for them.
     """
     if len(labels) == 0:
         raise EmptyTestSet("no test samples")
@@ -512,13 +549,15 @@ def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
 
     Builds run_world(effective_world(world_spec, config)) unless `world`
     is given: that, or the generate_world of that spec, gives the same
-    record. The record echoes the *input* config, so re-running from an
-    echo reproduces the run.
+    record. A world without its test split draws it once training is
+    done, so the split is not alive at training's peak. The record echoes
+    the *input* config, so re-running from an echo reproduces the run.
     """
     if world is None:
         world = run_world(effective_world(world_spec, config))
     bank = build_run_bank(world, config)
     probe, reports = train(initial_probe(world), world, bank, config)
+    world = draw_test_split(world)
     metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
     totals = [r.total for r in reports]
     record = {
@@ -558,8 +597,9 @@ def _split_groups(groups: dict[WorldSpec, list[int]],
 
 
 def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
-    """Build one run world and run each (arm name, config) job on it."""
-    world = run_world(spec)
+    """Build one run world, draw its test split, and run each (arm name,
+    config) job on it: the split is drawn once per chunk, not per arm."""
+    world = draw_test_split(run_world(spec))
     records = []
     for name, cfg_s in jobs:
         record, _ = train_and_evaluate(world_spec, cfg_s, world)

@@ -533,6 +533,59 @@ class TestSceneScratch:
         assert faults / 5 < 810, faults
 
 
+def test_evaluate_runs_its_products_on_one_blas_thread():
+    # In a child process started with two OpenBLAS threads: the thread
+    # count seen at each of evaluate's two products, and after evaluate
+    # returns and after it raises inside its products.
+    script = textwrap.dedent("""
+        import ctypes
+        import json
+        from pathlib import Path
+        import numpy as np
+        from semproto.config import TrainConfig, WorldSpec
+        from semproto.synthbench import build_run_bank, evaluate, generate_world, initial_probe
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        paths = sorted(libs.glob("libscipy_openblas64_*.so"))
+        if not paths:
+            print("absent")
+            raise SystemExit
+        get_threads = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
+        get_threads.restype = ctypes.c_int
+        seen = []
+
+        class Recording(np.ndarray):
+            # features @ W gives a Recording, so both products land here
+            fail_at = None
+
+            def __matmul__(self, other):
+                seen.append(get_threads())
+                if len(seen) == Recording.fail_at:
+                    raise RuntimeError("in the products")
+                return super().__matmul__(other)
+
+        world = generate_world(WorldSpec())
+        bank = build_run_bank(world, TrainConfig())
+        probe = initial_probe(world)
+        features = world.test_x.view(Recording)
+        out = {"before": get_threads()}
+        evaluate(probe, bank, features, world.test_y, world.spec.n_base)
+        out["products"], out["returned"] = list(seen), get_threads()
+        seen.clear()
+        Recording.fail_at = 2
+        try:
+            evaluate(probe, bank, features, world.test_y, world.spec.n_base)
+        except RuntimeError:
+            out["raised"] = get_threads()
+        print(json.dumps(out))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    if out.stdout.strip() == "absent":
+        pytest.skip("numpy does not bundle scipy-openblas")
+    assert json.loads(out.stdout) == {"before": 2, "products": [1, 1],
+                                      "returned": 2, "raised": 2}
+
+
 def test_pin_blas_to_one_thread():
     # In a child process, since the pin holds for the rest of a process.
     script = textwrap.dedent("""

@@ -559,6 +559,28 @@ class TestExitCodes:
         assert err["error"] == "ConfigError" and key in err["message"]
         assert not written
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_boolean_for_a_number_key_exits_2(self, data):
+        # float(True) is 1.0: a boolean for a float key would run with
+        # that number, so it is refused, as it is for an integer key
+        key = data.draw(st.sampled_from(
+            [k for k, f in CONFIG_SCHEMA.items()
+             if type(f.default) in (int, float)]), label="key")
+        command = data.draw(st.sampled_from(["simulate", "train", "evaluate", "ablate"]),
+                            label="command")
+        literal = data.draw(st.sampled_from(["true", "false"]), label="literal")
+        if data.draw(st.booleans(), label="in a config file"):
+            section, name = key.split(".")
+            code, err, written = self._exit_code_and_output(
+                [command], config_text=f'{{"{section}": {{"{name}": {literal}}}}}')
+        else:
+            code, err, written = self._exit_code_and_output(
+                [command, "--set", f"{key}={literal}"])
+        assert code == 2
+        assert err["error"] == "ConfigError" and key in err["message"]
+        assert not written
+
     @settings(max_examples=30, deadline=None)
     @given(command=st.sampled_from(["simulate", "train", "evaluate", "ablate"]),
            world_seed=st.integers(0, 200), offset=st.integers(1, 10**6),

@@ -214,7 +214,7 @@ def _per_row_world(spec):
 
 
 WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(synthbench.ToyWorld)
-                     if f.name != "spec")
+                     if f.name not in ("spec", "test_stream"))
 
 
 @contextlib.contextmanager
@@ -287,6 +287,23 @@ class TestBulkWorld:
             assert np.isfinite(rows).all(), name
             np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0,
                                        rtol=0, atol=1e-12, err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_feasible_specs(), rows=st.sampled_from([1, 2, 3, None]))
+    def test_run_worlds_test_split_equals_generate_worlds(self, spec, rows):
+        # drawn when scoring starts, from where the weak split's draws
+        # ended; drawing it again gives the same split
+        expected = generate_world(spec)
+        world = run_world(spec)
+        assert world.test_x is None and world.test_y is None
+        with _blocks_of(rows):
+            splits = [synthbench.draw_test_split(world) for _ in range(2)]
+        for drawn in splits:
+            assert drawn.test_x.tobytes() == expected.test_x.tobytes()
+            assert drawn.test_y.tobytes() == expected.test_y.tobytes()
+            assert drawn.test_y.dtype == expected.test_y.dtype
+            assert drawn.test_stream is None
+            assert synthbench.draw_test_split(drawn) is drawn
 
     def test_cancelling_terms_raise_zero_norm(self, monkeypatch):
         # each state direction is minus its class direction, so a box
@@ -581,28 +598,44 @@ class TestRunWorld:
         np.testing.assert_array_equal(
             pseudo, select_max_size_proposal(full.weak_areas, full.weak_proposals))
 
-    def test_traced_peak_of_a_run_holds_no_distractor(self):
-        # One two-step run at the train-large shape, world to evaluation.
-        # numpy reports its allocations to tracemalloc, so the bound counts
-        # arrays. Its peak is the second step's weak term, on top of: the
-        # run world; the bank's vectors and their unit copies; the probe's
-        # three (D, D) matrices; the scene kernel's buffers, one (N, C*L)
-        # and four of a block's rows, the last of bools; the projections
-        # and the scaled scene gradient. The weak term adds its unit
-        # features, gradient, cosines and logits, per-row vectors and one
-        # ufunc reduction buffer. A run that kept the world's distractor
-        # proposals would add (P - 1) * N * D floats, 1.41 MiB here.
+    @pytest.mark.parametrize("arm", ABLATION_GRIDS["components"],
+                             ids=lambda arm: arm["arm"])
+    def test_run_world_gives_the_full_worlds_record(self, arm):
+        # the run world draws its test split once training is done
+        cfg = TrainConfig(**FAST_TRAIN, **{k: v for k, v in arm.items() if k != "arm"})
+        spec = WorldSpec(**SMALL_WORLD)
+        full = train_and_evaluate(spec, cfg, generate_world(spec))[0]
+        assert train_and_evaluate(spec, cfg, run_world(spec))[0] == full
+        assert train_and_evaluate(spec, cfg)[0] == full
+
+    @staticmethod
+    def _traced_large_run():
+        """One two-step run at the train-large shape, world to evaluation:
+        its traced peak, and the bytes of what may be alive at its
+        training peak, by part.
+
+        numpy reports its allocations to tracemalloc, so the bound counts
+        arrays. The peak is the second step's weak term, on top of: the
+        run world; the bank's vectors and their unit copies; the probe's
+        three (D, D) matrices; the scene kernel's buffers, one (N, C*L)
+        and four of a block's rows, the last of bools; the projections
+        and the scaled scene gradient. The weak term adds its unit
+        features, gradient, cosines and logits, per-row vectors and one
+        ufunc reduction buffer.
+        """
         spec = WorldSpec(**LARGE_WORLD)
         cfg = TrainConfig(l=9, steps=2)
         n, d = spec.n_classes * spec.weak_per_class, spec.dim
         c, cl = spec.n_classes, spec.n_classes * cfg.l
         rows = min(n, backend.SCENE_BLOCK_BYTES // (8 * cl))
-        world_bytes = 8 * (c * d * (1 + spec.k_states) + spec.l_scenes * d
-                           + (spec.n_base * spec.det_per_class + c * spec.test_per_class)
-                           * (d + 1) + n * (d + 2))
-        bank_bytes = 2 * 8 * (c * d + cl * d)
-        scratch_bytes = 8 * (n * cl + 4 * rows * cl) + rows * cl
-        step_bytes = 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize())
+        parts = {
+            "world": 8 * (c * d * (1 + spec.k_states) + spec.l_scenes * d
+                          + spec.n_base * spec.det_per_class * (d + 1) + n * (d + 2)),
+            "test split": 8 * c * spec.test_per_class * (d + 1),
+            "bank": 2 * 8 * (c * d + cl * d),
+            "scratch": 8 * (n * cl + 4 * rows * cl) + rows * cl,
+            "step": 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
+        }
         # load what a first run imports (numpy.random) before tracing
         train_and_evaluate(_small_spec(), TrainConfig(steps=1))
         backend.release_scene_scratch()
@@ -613,7 +646,20 @@ class TestRunWorld:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= world_bytes + bank_bytes + scratch_bytes + step_bytes
+        return peak, parts
+
+    def test_traced_peak_of_a_run_holds_no_distractor(self):
+        # A run that kept the world's distractor proposals would add
+        # (P - 1) * N * D floats, 1.41 MiB here.
+        peak, parts = self._traced_large_run()
+        assert peak <= sum(parts.values())
+
+    def test_traced_peak_of_a_run_holds_no_test_split(self):
+        # The run draws its test split once training is done, so the
+        # split's features and labels (2400 x 65 floats, 1.19 MiB here)
+        # are not alive at the training peak.
+        peak, parts = self._traced_large_run()
+        assert peak <= sum(parts.values()) - parts["test split"]
 
 
 class TestEvaluate:
@@ -666,10 +712,14 @@ class TestEvaluate:
 
     @staticmethod
     def _whole_array_cosines(probe, bank, features):
-        proj = features @ probe.weight + probe.bias
+        # evaluate's products run on one BLAS thread; with more, OpenBLAS
+        # splits them and rounds differently, so the oracle's run on one too
+        with backend.one_blas_thread():
+            proj = features @ probe.weight + probe.bias
+            cosm = proj @ bank.sesp.T
         fn = np.linalg.norm(proj, axis=1)
         pn = np.linalg.norm(bank.sesp, axis=1)
-        return (proj @ bank.sesp.T) / (fn[:, None] * pn[None, :])
+        return cosm / (fn[:, None] * pn[None, :])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), rows=st.sampled_from([1, 2, 3, None]))
@@ -828,36 +878,48 @@ class TestSharedWorlds:
     @staticmethod
     def _count_worlds(monkeypatch, tmp_path):
         """Cut the affinity mask to at most two CPUs and log the seed of
-        every generated world; returns the CPU count and a function that
-        reads the log.
+        every run world built and of every test split drawn; returns the
+        CPU count and two functions that read the logs.
 
-        The forked workers inherit the patch, but a list they append to
+        The forked workers inherit the patches, but a list they append to
         never reaches this process; a file does.
         """
         cpus = set(sorted(os.sched_getaffinity(0))[:2])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        log = tmp_path / "generated.txt"
-        original = synthbench.generate_world
+        built, drawn = tmp_path / "built.txt", tmp_path / "drawn.txt"
+        build, draw = synthbench.run_world, synthbench.draw_test_split
 
-        def counting(spec):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{spec.seed}\n")
-            return original(spec)
+        def log(path, seed):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed}\n")
 
-        monkeypatch.setattr(synthbench, "generate_world", counting)
-        return len(cpus), lambda: sorted(int(s) for s in log.read_text().split())
+        def counting_build(spec):
+            log(built, spec.seed)
+            return build(spec)
+
+        def counting_draw(world):
+            if world.test_x is None:
+                log(drawn, world.spec.seed)
+            return draw(world)
+
+        monkeypatch.setattr(synthbench, "run_world", counting_build)
+        monkeypatch.setattr(synthbench, "draw_test_split", counting_draw)
+
+        def read(path):
+            return lambda: sorted(int(s) for s in path.read_text().split())
+        return len(cpus), read(built), read(drawn)
 
     def test_one_world_per_distinct_spec(self, monkeypatch, tmp_path):
-        # two worlds on at most two CPUs: each worker generates its own once
-        _, generated = self._count_worlds(monkeypatch, tmp_path)
+        # two worlds on at most two CPUs: each worker builds its own once
+        _, generated, _ = self._count_worlds(monkeypatch, tmp_path)
         run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components",
                      seeds=[0, 1])
         assert generated() == [5, 6]
 
     def test_split_group_records_equal_run_single(self, monkeypatch, tmp_path):
         # At most two CPUs for three worlds: with two, the third world's
-        # arms are split between the workers, and each generates it.
-        n_cpus, generated = self._count_worlds(monkeypatch, tmp_path)
+        # arms are split between the workers, and each builds it.
+        n_cpus, generated, _ = self._count_worlds(monkeypatch, tmp_path)
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0, 1, 2])
         assert generated() == [5, 6, 7] + [7] * (n_cpus - 1)
@@ -865,12 +927,22 @@ class TestSharedWorlds:
 
     def test_lone_group_is_split_over_the_cpus(self, monkeypatch, tmp_path):
         # One seed is one world: with two CPUs its four arms run two per
-        # worker, and each worker generates the world.
-        n_cpus, generated = self._count_worlds(monkeypatch, tmp_path)
+        # worker, and each worker builds the world.
+        n_cpus, generated, _ = self._count_worlds(monkeypatch, tmp_path)
         records = run_ablation(_small_spec(), TrainConfig(**SMALL_CFG),
                                "components", seeds=[0])
         assert generated() == [5] * n_cpus
         self._assert_records_equal_single_runs(records, (0,))
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_each_chunk_draws_its_test_split_once(self, monkeypatch, tmp_path, seeds):
+        # a chunk's arms share its world's test split: one draw per world
+        # a worker builds, not one per arm
+        n_cpus, generated, drawn = self._count_worlds(monkeypatch, tmp_path)
+        run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components", seeds=seeds)
+        n_arms = len(ABLATION_GRIDS["components"])
+        assert drawn() == generated()
+        assert len(drawn()) < n_arms * len(seeds)
 
 
 class TestSplitGroups:
