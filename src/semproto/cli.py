@@ -3,8 +3,8 @@ simulate, train, evaluate and ablate.
 
 This module loads numpy and the whole library; `entry.main` imports it
 only for these commands, once argv has parsed, runs their `cmd_*`
-handlers and maps their errors to exit codes. The text-side commands
-run from `textcli` without it.
+handlers, prints the record fields each returns and maps their errors to
+exit codes. The text-side commands run from `textcli` without it.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from .config import __version__, load_config, resolved_config
 # module that imports it by name; textcli calls the text-side ones through
 # their modules.
 from .descriptions import encode, generate_descriptions  # noqa: F401
-from .entry import _emit, main  # noqa: F401  (perfbench/spans.py patches cli.main)
+from .entry import main  # noqa: F401  (perfbench/spans.py patches cli.main)
 from .errors import DimensionMismatch, MalformedResponse
 from .prototypes import build_bank  # noqa: F401
 from .synthbench import (  # noqa: F401
@@ -82,7 +82,7 @@ def _histogram(labels) -> dict:
     return {str(v): int(n) for v, n in zip(values, counts)}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
     world = generate_world(effective_world(world_spec, cfg))
     splits = {"train_det": world.det_y, "train_weak": world.weak_y, "test": world.test_y}
@@ -95,25 +95,22 @@ def cmd_simulate(args) -> int:
         "version": __version__,
     }
     _write_jsonl(args.out, [summary])
-    _emit({"command": "simulate", "out": args.out,
-           "feature_sha256": summary["feature_sha256"], "version": __version__})
-    return 0
+    return {"out": args.out, "feature_sha256": summary["feature_sha256"]}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
     record, probe = train_and_evaluate(world_spec, cfg)
-    _write_jsonl(args.out, [record])
+    # the probe first: a run record on disk means train finished
     if args.save_probe:
         buf = io.BytesIO()
         np.savez(buf, weight=probe.weight, bias=probe.bias)
         atomic_write(args.save_probe, buf.getvalue())
-    _emit({"command": "train", "out": args.out,
-           "metrics": record["metrics"], "version": __version__})
-    return 0
+    _write_jsonl(args.out, [record])
+    return {"out": args.out, "metrics": record["metrics"]}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
     # evaluate scores only the test split: the run world keeps one weak
     # proposal per image instead of all of them
@@ -144,17 +141,13 @@ def cmd_evaluate(args) -> int:
         "version": __version__,
     }
     _write_jsonl(args.out, [result])
-    _emit({"command": "evaluate", "out": args.out, "metrics": metrics,
-           "version": __version__})
-    return 0
+    return {"out": args.out, "metrics": metrics}
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     records = run_ablation(world_spec, cfg, args.grid, seeds)
     _write_jsonl(args.out, records)
     n_runs = sum(1 for r in records if r.get("kind") == "run")
-    _emit({"command": "ablate", "grid": args.grid, "runs": n_runs,
-           "seeds": args.seeds, "out": args.out, "version": __version__})
-    return 0
+    return {"grid": args.grid, "runs": n_runs, "seeds": args.seeds, "out": args.out}

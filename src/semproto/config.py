@@ -1,5 +1,6 @@
-"""Run configuration: the synthetic-world spec, the training config,
-JSON loading with strict key checking, and the resolved-config echo.
+"""Run configuration: the synthetic-world spec, the training config, the
+ablation grids, JSON loading with strict key checking, and the
+resolved-config echo.
 
 Every key has a documented default and a provenance tag ("paper" for
 defaults taken from the source method, "artifact" for desk-scale
@@ -20,6 +21,20 @@ from .errors import ConfigError, InfeasibleWorld
 __version__ = "0.2.0"
 
 AGGREGATIONS = ("mean", "median", "two_stage", "similarity_weighted")
+
+# Each ablation grid's arms: a label plus the TrainConfig overrides it runs.
+ABLATION_GRIDS = {
+    "components": (
+        {"arm": "baseline", "use_sesp": False, "use_sapp": False},
+        {"arm": "+sesp", "use_sesp": True, "use_sapp": False},
+        {"arm": "+sapp", "use_sesp": False, "use_sapp": True},
+        {"arm": "full", "use_sesp": True, "use_sapp": True},
+    ),
+    "k": tuple({"arm": f"k={v}", "k": v} for v in (3, 5, 7, 9)),
+    "l": tuple({"arm": f"l={v}", "l": v} for v in (3, 5, 7, 9)),
+    "tau": tuple({"arm": f"tau={v}", "tau": v} for v in (0.0, 0.1, 0.25, 0.4)),
+    "aggregator": tuple({"arm": a, "aggregation": a} for a in AGGREGATIONS),
+}
 
 
 @dataclass(frozen=True)
@@ -238,7 +253,7 @@ def load_config(path: str | None = None, overrides=()) -> tuple[WorldSpec, Train
                 raise ConfigError(f"unknown config key '{key}'")
             flat[key] = _coerce(key, value)
     for item in overrides:
-        key, value = item if isinstance(item, tuple) else parse_override(item)
+        key, value = parse_override(item)
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key '{key}'")
         flat[key] = _coerce(key, value)

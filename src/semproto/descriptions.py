@@ -423,6 +423,8 @@ class RemoteEncoder:
     """HTTP client for an external text-encoding service."""
 
     def __init__(self, config: RemoteClientConfig, dim: int):
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         self.config = config
         self.dim = int(dim)
 

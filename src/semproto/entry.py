@@ -3,8 +3,9 @@
 Subcommands: gen-descriptions, encode, build-bank, simulate, train,
 evaluate, ablate. Behavior is driven by a JSON config file plus --set
 key=value overrides (later sources win); every run prints a single-line
-JSON record with the fully resolved config, and every output file is
-written atomically. Errors exit with distinct codes: config 2, data 3,
+JSON record, the outputs of simulate, train, evaluate and ablate echo the
+fully resolved config, and every output file is written atomically.
+Errors exit with distinct codes: config 2, data 3,
 numerical 4, and emit one machine-parsable JSON line on stderr. Any
 other exception is a bug: it propagates with its traceback (exit 1).
 Each subcommand loads only the modules it runs.
@@ -12,13 +13,15 @@ Each subcommand loads only the modules it runs.
 
 # This module imports neither numpy nor any module that does: --version,
 # --help and usage errors end in the parser. A subcommand then loads only
-# the handler module HANDLER_MODULES names for it.
+# the handler module HANDLER_MODULES names for it. Its cmd_<name> handler
+# returns the fields of the command's record, and main prints the record.
+# The --grid and --aggregator choices come from config.
 import argparse
 import json
 import sys
 from importlib import import_module, resources
 
-from .config import __version__, config_help_epilog
+from .config import ABLATION_GRIDS, AGGREGATIONS, __version__, config_help_epilog
 from .errors import (
     AllWeightsZero,
     ConfigError,
@@ -36,9 +39,6 @@ EXIT_NUMERIC = 4
 _CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName)
 _NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected)
 _DATA_ERRORS = (OSError,)
-
-# The keys of synthbench.ABLATION_GRIDS, sorted.
-GRID_NAMES = ("aggregator", "components", "k", "l", "tau")
 
 # The module whose cmd_<name> runs each subcommand: textcli loads numpy
 # only for an embedding, cli loads numpy and the whole library.
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptions", default=fixture_path("descriptions_small.json"),
                    help="descriptions JSON")
     p.add_argument("--aggregator", default="mean",
-                   choices=("mean", "median", "two-stage", "similarity-weighted"),
+                   choices=tuple(a.replace("_", "-") for a in AGGREGATIONS),
                    help="aggregation strategy (default mean [paper])")
     p.add_argument("--k", type=int, default=5,
                    help="states aggregated per class (default 5 [paper])")
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _sub("ablate", "run an ablation grid over seeds")
     _add_config_args(p)
-    p.add_argument("--grid", default="components", choices=GRID_NAMES,
+    p.add_argument("--grid", default="components", choices=sorted(ABLATION_GRIDS),
                    help="which ablation axis to sweep")
     p.add_argument("--seeds", type=int, default=5,
                    help="number of seeds per configuration")
@@ -180,13 +180,16 @@ def _classify_error(exc: Exception) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    """Parse argv, load the chosen subcommand's handler module and run it;
-    a library error prints one JSON line on stderr and returns its exit code."""
+    """Parse argv, load the chosen subcommand's handler module and run it.
+
+    The handler returns its record's fields; main adds the command and the
+    version and prints the record as one JSON line. A library error prints
+    one JSON line on stderr instead and returns its exit code."""
     args = build_parser().parse_args(argv)
     module = import_module(f".{HANDLER_MODULES[args.command]}", __package__)
     handler = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
-        return handler(args)
+        fields = handler(args)
     except Exception as exc:  # mapped to documented exit codes
         kind, code = _classify_error(exc)
         line = json.dumps(
@@ -194,3 +197,5 @@ def main(argv=None) -> int:
         )
         print(line, file=sys.stderr)
         return code
+    _emit({"command": args.command, **fields, "version": __version__})
+    return 0

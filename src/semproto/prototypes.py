@@ -95,7 +95,6 @@ _AGGREGATORS = {
     Aggregation.MEAN: aggregate_mean,
     Aggregation.MEDIAN: aggregate_median,
     Aggregation.TWO_STAGE: aggregate_two_stage,
-    Aggregation.SIMILARITY_WEIGHTED: aggregate_similarity_weighted,
 }
 
 

@@ -25,7 +25,7 @@ from .alignment import (
     weak_cls_loss,
 )
 from .backend import one_blas_thread, pin_blas_to_one_thread, release_scene_scratch
-from .config import TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
+from .config import ABLATION_GRIDS, TrainConfig, WorldSpec, __version__, derive_seed, resolved_config
 from .core import ZERO_NORM_EPS, l2_normalize
 from .errors import (
     ConfigError,
@@ -505,22 +505,6 @@ def evaluate(probe: ProbeModel, bank: PrototypeBank, features: np.ndarray,
     }
 
 
-ABLATION_GRIDS = {
-    "components": (
-        {"arm": "baseline", "use_sesp": False, "use_sapp": False},
-        {"arm": "+sesp", "use_sesp": True, "use_sapp": False},
-        {"arm": "+sapp", "use_sesp": False, "use_sapp": True},
-        {"arm": "full", "use_sesp": True, "use_sapp": True},
-    ),
-    "k": tuple({"arm": f"k={v}", "k": v} for v in (3, 5, 7, 9)),
-    "l": tuple({"arm": f"l={v}", "l": v} for v in (3, 5, 7, 9)),
-    "tau": tuple({"arm": f"tau={v}", "tau": v} for v in (0.0, 0.1, 0.25, 0.4)),
-    "aggregator": tuple(
-        {"arm": s.value, "aggregation": s.value} for s in Aggregation
-    ),
-}
-
-
 def effective_world(world_spec: WorldSpec, config: TrainConfig) -> WorldSpec:
     """The world a run actually samples: the run seed offsets the world seed."""
     return dataclasses.replace(world_spec, seed=world_spec.seed + config.seed)
@@ -609,12 +593,12 @@ def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
     return records
 
 
-def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
+def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid: str,
                  seeds) -> list[dict]:
     """One run per (grid arm, seed) plus per-arm mean/stddev summaries.
 
-    `grid` is a grid name from ABLATION_GRIDS or an explicit sequence of
-    override dicts carrying an "arm" label. Each run's world depends only
+    `grid` names one of config.ABLATION_GRIDS; each of its arms is a label
+    plus the TrainConfig overrides it runs. Each run's world depends only
     on base seed + run seed, so runs are grouped by that world. The groups
     run on a pool of forked worker processes, one per CPU this process
     may use (at most one per run); a worker builds its group's run world
@@ -629,17 +613,12 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if isinstance(grid, str):
-        try:
-            arms = ABLATION_GRIDS[grid]
-        except KeyError:
-            raise ConfigError(
-                f"unknown grid '{grid}', expected one of {sorted(ABLATION_GRIDS)}"
-            ) from None
-    else:
-        arms = tuple(grid)
-    if not arms:
-        raise ConfigError("ablation grid is empty")
+    try:
+        arms = ABLATION_GRIDS[grid]
+    except KeyError:
+        raise ConfigError(
+            f"unknown grid '{grid}', expected one of {sorted(ABLATION_GRIDS)}"
+        ) from None
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
@@ -649,7 +628,7 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
         overrides = {k: v for k, v in arm.items() if k != "arm"}
         cfg_arm = dataclasses.replace(config, **overrides)
         for s in seeds:
-            jobs.append((arm.get("arm", "run"), dataclasses.replace(cfg_arm, seed=s)))
+            jobs.append((arm["arm"], dataclasses.replace(cfg_arm, seed=s)))
     groups: dict[WorldSpec, list[int]] = {}
     for i, (_, cfg_s) in enumerate(jobs):
         groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)
@@ -680,7 +659,7 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid,
     for rec in records:
         by_arm.setdefault(rec["arm"], []).append(rec)
     for arm in arms:
-        name = arm.get("arm", "run")
+        name = arm["arm"]
         runs = by_arm[name]
         means = {}
         stds = {}

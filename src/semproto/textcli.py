@@ -5,14 +5,13 @@ them into a prototype bank.
 Nothing here imports numpy at module level, so gen-descriptions runs
 without it; encode loads it with its first embedding and build-bank with
 `prototypes`. Neither loads the synthetic world, the losses or `cli`.
-`entry.main` runs their `cmd_*` handlers and maps their errors to exit
-codes. The handlers call `descriptions` and `prototypes` through their
-modules, so a wrapper patched into either module sees the call.
+`entry.main` runs their `cmd_*` handlers, prints the record fields each
+returns and maps their errors to exit codes. The handlers call
+`descriptions` and `prototypes` through their modules, so a wrapper
+patched into either module sees the call.
 """
 
 from . import descriptions
-from .config import __version__
-from .entry import _emit
 from .errors import ConfigError
 
 
@@ -35,13 +34,7 @@ def _make_encoder(args):
     raise ConfigError(f"unknown encoder '{args.encoder}'")
 
 
-def _aggregation(flag: str):
-    from .prototypes import Aggregation
-
-    return Aggregation(flag.replace("-", "_"))
-
-
-def cmd_gen_descriptions(args) -> int:
+def cmd_gen_descriptions(args) -> dict:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise ConfigError("--classes is empty")
@@ -51,12 +44,10 @@ def cmd_gen_descriptions(args) -> int:
         client = descriptions.FixtureDescriptionClient(args.fixture)
     sets = descriptions.generate_descriptions(classes, args.k, args.l, client)
     descriptions.write_description_file(args.out, sets)
-    _emit({"command": "gen-descriptions", "classes": sorted(set(classes)),
-           "k": args.k, "l": args.l, "out": args.out, "version": __version__})
-    return 0
+    return {"classes": sorted(set(classes)), "k": args.k, "l": args.l, "out": args.out}
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> dict:
     desc = descriptions.read_description_file(args.descriptions)
     if not desc:  # as build_bank refuses it
         raise ConfigError("no classes to encode")
@@ -64,12 +55,10 @@ def cmd_encode(args) -> int:
     vectors = descriptions.encode_texts(
         [text for name in sorted(desc) for text in desc[name].all_texts()], enc)
     descriptions.write_embedding_fixture(args.out, enc.dim, vectors)
-    _emit({"command": "encode", "encoder": args.encoder, "dim": enc.dim,
-           "texts": len(vectors), "out": args.out, "version": __version__})
-    return 0
+    return {"encoder": args.encoder, "dim": enc.dim, "texts": len(vectors), "out": args.out}
 
 
-def cmd_build_bank(args) -> int:
+def cmd_build_bank(args) -> dict:
     from . import prototypes
 
     desc = descriptions.read_description_file(args.descriptions)
@@ -77,15 +66,14 @@ def cmd_build_bank(args) -> int:
     bank = prototypes.build_bank(
         desc,
         enc,
-        strategy=_aggregation(args.aggregator),
+        strategy=args.aggregator.replace("-", "_"),
         k=args.k,
         l=args.l,
         normalize=not args.no_normalize,
         clamp_negative=not args.no_clamp_negative,
     )
     bank.save(args.out)
-    _emit({
-        "command": "build-bank",
+    return {
         "aggregator": bank.strategy.value,
         "k": args.k,
         "l": args.l,
@@ -94,6 +82,4 @@ def cmd_build_bank(args) -> int:
         "classes": list(bank.vocab),
         "dim": bank.dim,
         "out": args.out,
-        "version": __version__,
-    })
-    return 0
+    }

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semproto import cli, entry, synthbench
-from semproto.config import CONFIG_SCHEMA, load_config
+from semproto.config import AGGREGATIONS, CONFIG_SCHEMA, load_config
 from semproto.errors import DivergenceDetected
 from semproto.prototypes import PrototypeBank
 
@@ -186,10 +186,6 @@ def test_unknown_package_attribute_raises_attribute_error():
             getattr(semproto, name)
 
 
-def test_parser_grid_names_are_the_ablation_grids():
-    assert entry.GRID_NAMES == tuple(sorted(synthbench.ABLATION_GRIDS))
-
-
 class TestBuildBankCommand:
     def test_shipped_fixture_produces_valid_bank(self, tmp_path):
         bank_path = tmp_path / "bank.json"
@@ -202,6 +198,14 @@ class TestBuildBankCommand:
         assert bank.sapp.shape == (2, 5, 32)
         np.testing.assert_allclose(np.linalg.norm(bank.sesp, axis=1), 1.0,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("strategy", AGGREGATIONS)
+    def test_every_aggregator_spelling_builds_its_bank(self, tmp_path, strategy):
+        bank_path = tmp_path / "bank.json"
+        out = run_cli("build-bank", "--aggregator", strategy.replace("_", "-"),
+                      "--out", str(bank_path))
+        assert json.loads(out.stdout)["aggregator"] == strategy
+        assert PrototypeBank.load(str(bank_path)).strategy.value == strategy
 
     def test_median_and_mean_banks_differ(self, tmp_path):
         mean_path = tmp_path / "mean.json"
@@ -619,7 +623,7 @@ class TestExitCodes:
         assert not out_path.exists()
         assert capsys.readouterr().out == ""
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._emit({"loss": float("inf")})
+            entry._emit({"loss": float("inf")})
 
 
 class TestSimulateCommand:
@@ -731,6 +735,22 @@ class TestTrainEvaluateCommands:
                        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "8a87b1064bf4905870871e7e3c5eb5e0927072af01456c872c464ed7b4729f23")
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
+                             ids=["no-record", "earlier-record"])
+    def test_failed_save_probe_leaves_no_run_record(self, tmp_path, capsys, existing):
+        # the probe is written first: a run record on disk means train finished
+        run_path = tmp_path / "run.jsonl"
+        if existing is not None:
+            run_path.write_bytes(existing)
+        code = cli.main(["train", *SMALL, "--out", str(run_path),
+                         "--save-probe", str(tmp_path / "nodir" / "probe.npz")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["exit"] == 3
+        if existing is None:
+            assert not run_path.exists()
+        else:
+            assert run_path.read_bytes() == existing
 
     def test_saved_probe_reproduces_train_metrics(self, tmp_path):
         run_path = tmp_path / "run.jsonl"

@@ -378,6 +378,21 @@ def test_remote_encoding_keeps_max_parallel_requests_in_flight(stub, tmp_path, c
     assert outputs["4"][0] == outputs["1"][0]
 
 
+@pytest.mark.parametrize("command", ["encode", "build-bank"])
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_remote_encoder_dim_below_1_exits_2_before_any_request(stub, tmp_path, capsys,
+                                                              command, dim):
+    # as the toy encoder refuses it; the stub holds a valid answer and a key is set
+    stub.body = b'{"vector": [3.0, 4.0]}'
+    out_path = tmp_path / "out.json"
+    assert main([command, "--encoder", "remote", "--encoder-dim", dim,
+                 "--endpoint", stub.config.endpoint, "--out", str(out_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and dim in err["message"]
+    assert stub.requests == []
+    assert not out_path.exists()
+
+
 class TestDeterministicToyEncoder:
     def test_bitwise_determinism(self):
         enc = DeterministicToyEncoder(dim=32, seed=7)
