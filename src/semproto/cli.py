@@ -28,7 +28,6 @@ from .synthbench import (  # noqa: F401
     ProbeModel,
     build_run_bank,
     build_toy_bank,
-    draw_test_split,
     effective_world,
     evaluate,
     generate_world,
@@ -114,11 +113,14 @@ def cmd_evaluate(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
     # evaluate scores only the test split: the run world keeps one weak
     # proposal per image instead of all of them
-    world = draw_test_split(run_world(effective_world(world_spec, cfg)))
+    world = run_world(effective_world(world_spec, cfg))
     bank = build_run_bank(world, cfg)
     if args.probe:
         try:
-            with np.load(args.probe) as data:
+            data = np.load(args.probe)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy holds one array
+                raise ValueError("not an npz archive")
+            with data:
                 probe = ProbeModel(weight=data["weight"], bias=data["bias"])
         except (ValueError, KeyError, OSError) as exc:
             raise MalformedResponse(f"cannot load probe {args.probe}: {exc}") from exc

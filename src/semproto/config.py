@@ -15,12 +15,21 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import ConfigError, InfeasibleWorld
 
 __version__ = "0.2.0"
 
-AGGREGATIONS = ("mean", "median", "two_stage", "similarity_weighted")
+
+class Aggregation(str, Enum):
+    MEAN = "mean"
+    MEDIAN = "median"
+    TWO_STAGE = "two_stage"
+    SIMILARITY_WEIGHTED = "similarity_weighted"
+
+
+AGGREGATIONS = tuple(a.value for a in Aggregation)  # plain strings, as grids and echoes hold
 
 # Each ablation grid's arms: a label plus the TrainConfig overrides it runs.
 ABLATION_GRIDS = {

@@ -9,12 +9,12 @@ is cosine-based, so normalization never changes scores or argmax).
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .atomic import atomic_write
+from .config import Aggregation
 from .core import as_embedding, cosine, l2_normalize, unit_rows
 # encode stays bound here for perfbench/spans.py, which patches every import of it
 from .descriptions import DescriptionSet, encode, encode_texts  # noqa: F401
@@ -25,13 +25,6 @@ from .errors import (
     EmptyStateList,
     MalformedResponse,
 )
-
-
-class Aggregation(str, Enum):
-    MEAN = "mean"
-    MEDIAN = "median"
-    TWO_STAGE = "two_stage"
-    SIMILARITY_WEIGHTED = "similarity_weighted"
 
 
 def _stack(generic, states) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +187,22 @@ class PrototypeBank:
             payload = json.loads(raw.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise TypeError("top level is not a JSON object")
-            dim = payload["dim"]
-            if isinstance(dim, bool) or not isinstance(dim, int):
-                raise TypeError(f"dim must be an integer, got {dim!r}")
+            dim, vocab, k, l = payload["dim"], payload["vocab"], payload["k"], payload["l"]
+            for name, value in (("dim", dim), ("k", k), ("l", l)):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
+            if k < 0:
+                raise ValueError(f"k must be >= 0, got {k}")
+            if not (isinstance(vocab, list) and all(isinstance(n, str) for n in vocab)
+                    and len(set(vocab)) == len(vocab)):
+                raise TypeError(f"vocab must be a list of distinct names, got {vocab!r}")
             bank = cls(
-                vocab=tuple(payload["vocab"]),
+                vocab=tuple(vocab),
                 sesp=np.array(payload["sesp"], dtype=np.float64),
                 sapp=np.array(payload["sapp"], dtype=np.float64),
                 strategy=Aggregation(payload["strategy"]),
-                k=int(payload["k"]),
-                l=int(payload["l"]),
+                k=k,
+                l=l,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedResponse(f"bank file {path} is malformed: {exc}") from exc
@@ -238,20 +237,28 @@ def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
             raise MalformedResponse(f"class '{name}' has {ds.l} scenes, need {l}")
     vectors = encode_texts([text for name in vocab for text in (
         desc[name].generic, *desc[name].states[:k], *desc[name].scenes[:l])], encoder)
+    classes = ((vectors[ds.generic], [vectors[t] for t in ds.states[:k]],
+                [vectors[t] for t in ds.scenes[:l]]) for ds in map(desc.get, vocab))
+    return assemble_bank(vocab, classes, strategy, k, l, normalize=normalize,
+                         clamp_negative=clamp_negative)
+
+
+def assemble_bank(vocab, classes, strategy, k: int, l: int, normalize: bool = True,
+                  clamp_negative: bool = True) -> PrototypeBank:
+    """The bank of `vocab` from each class's (generic, states, slots)
+    embeddings, given in vocabulary order.
+
+    A class's prototype aggregates its generic and state embeddings
+    (see aggregate); k=0 builds name-only prototypes from the generic
+    embedding alone, as it stands. Its slots stack into its sapp rows.
+    """
+    strategy = Aggregation(strategy)
     sesp_rows = []
     sapp_rows = []
-    for name in vocab:
-        ds = desc[name]
-        generic = vectors[ds.generic]
-        if k == 0:
-            # Name-only prototype: the generic embedding stands alone
-            # (encoders already return unit vectors).
-            proto = generic
-        else:
-            proto = aggregate(strategy, generic, [vectors[t] for t in ds.states[:k]],
-                              normalize=normalize, clamp_negative=clamp_negative)
-        sesp_rows.append(proto)
-        sapp_rows.append(np.stack([vectors[t] for t in ds.scenes[:l]]))
+    for generic, states, slots in classes:
+        sesp_rows.append(generic if k == 0 else aggregate(
+            strategy, generic, states, normalize=normalize, clamp_negative=clamp_negative))
+        sapp_rows.append(np.stack(slots))
     return PrototypeBank(
         vocab=vocab,
         sesp=np.stack(sesp_rows),

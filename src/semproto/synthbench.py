@@ -7,13 +7,15 @@ images exist for all classes, and their max-size proposal additionally
 carries a scene-context term, which is exactly the visual/textual
 mismatch the scene alignment loss targets. Everything is deterministic
 per seed. A run trains on a run world (run_world): only the max-size
-proposals, and no test split until scoring starts (draw_test_split).
+proposals. A world draws its test split when it is first read, so a run
+does not hold it while it trains.
 """
 
 import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .errors import (
 )
 # build_bank stays bound here for perfbench/spans.py, which patches the
 # prototypes functions in every module that imports them by name.
-from .prototypes import Aggregation, PrototypeBank, aggregate, build_bank  # noqa: F401
+from .prototypes import Aggregation, PrototypeBank, assemble_bank, build_bank  # noqa: F401
 
 # Byte budget of one (rows, width) float64 temporary in generate_world's
 # composition and evaluate's norms and division: the rows they work on
@@ -52,9 +54,9 @@ class ToyWorld:
     Each split is one feature matrix and one int64 label vector. A weak
     image holds its region proposals, not a pseudo-box: training picks one
     per image with select_max_size_proposal(weak_areas, weak_proposals),
-    the only one a run world (run_world) keeps. A run world holds no test
-    split either, only the generator state its draws start from
-    (test_stream), until draw_test_split draws it.
+    the only one a run world (run_world) keeps. The test split is drawn
+    once, on the first read of test_x or test_y, from the generator state
+    where the weak split's draws ended (test_stream).
     """
 
     spec: WorldSpec
@@ -66,13 +68,23 @@ class ToyWorld:
     weak_areas: np.ndarray       # (n_weak, proposals_per_image)
     weak_proposals: np.ndarray   # (n_weak, proposals_per_image, dim)
     weak_y: np.ndarray           # (n_weak,) image-level labels
-    test_x: np.ndarray | None    # (n_test, dim); None until a run world draws it
-    test_y: np.ndarray | None    # (n_test,)
-    test_stream: dict | None = None  # bit-generator state the test draws start from
+    test_stream: dict            # bit-generator state the test draws start from
 
     @property
     def class_names(self) -> tuple[str, ...]:
         return tuple(f"class_{i:02d}" for i in range(self.spec.n_classes))
+
+    @cached_property
+    def _test_split(self) -> tuple[np.ndarray, np.ndarray]:
+        return _draw_test_split(self)
+
+    @property
+    def test_x(self) -> np.ndarray:  # (n_test, dim)
+        return self._test_split[0]
+
+    @property
+    def test_y(self) -> np.ndarray:  # (n_test,)
+        return self._test_split[1]
 
 
 # quoted: evaluated at import, it would load numpy.random into the ablation parent
@@ -149,15 +161,24 @@ def _labels(n_classes: int, per_class: int) -> np.ndarray:
     return np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
 
 
-def _training_world(spec: WorldSpec) -> ToyWorld:
-    """The world's factor directions, det split and weak split, with the
-    generator's state where they leave it (test_stream) in place of the
-    test split, whose draws come last in the stream (see draw_test_split).
+def generate_world(spec: WorldSpec) -> ToyWorld:
+    """Sample factor directions and the three datasets, deterministically.
 
-    The random draws are made row by row, in stream order: that order
-    fixes the world's bytes. Each draw is written into an array (the
-    noise straight into the row it perturbs), and each split is then
-    composed over row blocks of at most ROW_BLOCK_BYTES per temporary.
+    Box features:   unit(class + state_strength*state + noise)
+    Weak max-prop:  unit(class + state_strength*state
+                         + context_strength*scene + noise)
+    Test features:  same family as the max-size proposals (context-rich),
+                    since inference-time region features carry the same
+                    surrounding-context content the pseudo-boxes do.
+    Distractor proposals are context-only and never the largest; the
+    context-rich proposal's area is forced strictly largest.
+
+    The draws run in stream order: the factor directions, then the det,
+    weak and test splits, each row by row; that order fixes the world's
+    bytes. The test split's draws are made when it is first read (see
+    ToyWorld). Each draw is written into an array (the noise straight
+    into the row it perturbs), and each split is then composed over row
+    blocks of at most ROW_BLOCK_BYTES per temporary.
     """
     rng = np.random.default_rng(spec.seed)
     dim, n_prop = spec.dim, spec.proposals_per_image
@@ -220,19 +241,14 @@ def _training_world(spec: WorldSpec) -> ToyWorld:
         weak_areas=weak_areas,
         weak_proposals=weak_proposals,
         weak_y=weak_y,
-        test_x=None,
-        test_y=None,
         test_stream=rng.bit_generator.state,
     )
 
 
-def draw_test_split(world: ToyWorld) -> ToyWorld:
-    """`world` holding its test split. A run world draws it here, from
-    where its weak split's draws ended (test_stream), and composes it as
-    generate_world does, with its bytes; the same world drawn twice gives
-    the same split. A world that holds its test split is returned as is."""
-    if world.test_x is not None:
-        return world
+def _draw_test_split(world: ToyWorld) -> tuple[np.ndarray, np.ndarray]:
+    """The test split's features and labels, drawn row by row from where
+    the weak split's draws ended (test_stream) and composed as the other
+    splits are: the same world gives the same split."""
     spec, dim = world.spec, world.spec.dim
     rng = np.random.default_rng(spec.seed)
     rng.bit_generator.state = world.test_stream
@@ -250,25 +266,7 @@ def draw_test_split(world: ToyWorld) -> ToyWorld:
                   [(spec.state_strength, world.state_dirs.reshape(-1, dim), test_state),
                    (spec.context_strength, world.scene_dirs, test_scene)],
                   spec.noise_sigma)
-    return dataclasses.replace(world, test_x=test_x, test_y=test_y, test_stream=None)
-
-
-def generate_world(spec: WorldSpec) -> ToyWorld:
-    """Sample factor directions and the three datasets, deterministically.
-
-    Box features:   unit(class + state_strength*state + noise)
-    Weak max-prop:  unit(class + state_strength*state
-                         + context_strength*scene + noise)
-    Test features:  same family as the max-size proposals (context-rich),
-                    since inference-time region features carry the same
-                    surrounding-context content the pseudo-boxes do.
-    Distractor proposals are context-only and never the largest; the
-    context-rich proposal's area is forced strictly largest.
-
-    The draws run in stream order: the factor directions, then the det,
-    weak and test splits, each row by row.
-    """
-    return draw_test_split(_training_world(spec))
+    return test_x, test_y
 
 
 def select_max_size_proposal(areas, proposals) -> np.ndarray:
@@ -289,9 +287,9 @@ def select_max_size_proposal(areas, proposals) -> np.ndarray:
 
 def run_world(spec: WorldSpec) -> ToyWorld:
     """generate_world(spec) with each weak image cut to its max-size proposal:
-    (N, 1) areas and read-only (N, 1, D) proposals, and no test split until
-    draw_test_split draws it. A run on it has the same bits."""
-    world = _training_world(spec)
+    (N, 1) areas and read-only (N, 1, D) proposals. A run on it has the
+    same bits."""
+    world = generate_world(spec)
     pseudo = select_max_size_proposal(world.weak_areas, world.weak_proposals)
     pseudo.flags.writeable = False
     areas = world.weak_areas.max(axis=1, keepdims=True)
@@ -317,40 +315,21 @@ def build_toy_bank(world: ToyWorld, k: int = 5, l: int = 5,
     def noise() -> np.ndarray:
         return enc_noise_sigma * rng.standard_normal(spec.dim) / sqrt_dim
 
-    sesp_rows = []
-    sapp_rows = []
-    for c in range(spec.n_classes):
-        generic = l2_normalize(world.class_dirs[c] + noise())
-        states = []
-        for kk in range(k):
-            if kk < spec.k_states:
-                sdir = world.state_dirs[c, kk]
-            else:
-                sdir = l2_normalize(rng.standard_normal(spec.dim))
-            states.append(l2_normalize(
-                world.class_dirs[c] + spec.state_strength * sdir + noise()
-            ))
-        slots = []
-        for ll in range(l):
-            if ll < spec.l_scenes:
-                gdir = world.scene_dirs[ll]
-            else:
-                gdir = l2_normalize(rng.standard_normal(spec.dim))
-            slots.append(l2_normalize(
-                world.class_dirs[c] + spec.context_strength * gdir + noise()
-            ))
-        proto = generic if k == 0 else aggregate(strategy, generic, states)
-        sesp_rows.append(proto)
-        sapp_rows.append(np.stack(slots))
+    def embeddings(c: int, dirs: np.ndarray, n: int, strength: float) -> list:
+        """n description embeddings of class c, each offset by strength
+        times a factor direction: the world's first, then fresh ones."""
+        out = []
+        for i in range(n):
+            d = dirs[i] if i < len(dirs) else l2_normalize(rng.standard_normal(spec.dim))
+            out.append(l2_normalize(world.class_dirs[c] + strength * d + noise()))
+        return out
 
-    return PrototypeBank(
-        vocab=world.class_names,
-        sesp=np.stack(sesp_rows),
-        sapp=np.stack(sapp_rows),
-        strategy=Aggregation(strategy),
-        k=k,
-        l=l,
-    )
+    # a generator: each class's draws are made in turn, generic first
+    classes = ((l2_normalize(world.class_dirs[c] + noise()),
+                embeddings(c, world.state_dirs[c], k, spec.state_strength),
+                embeddings(c, world.scene_dirs, l, spec.context_strength))
+               for c in range(spec.n_classes))
+    return assemble_bank(world.class_names, classes, strategy, k, l)
 
 
 @dataclass(frozen=True)
@@ -533,15 +512,15 @@ def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
 
     Builds run_world(effective_world(world_spec, config)) unless `world`
     is given: that, or the generate_world of that spec, gives the same
-    record. A world without its test split draws it once training is
-    done, so the split is not alive at training's peak. The record echoes
-    the *input* config, so re-running from an echo reproduces the run.
+    record. Scoring reads the world's test split after training, so a
+    world that has not drawn it yet does not hold it at training's peak.
+    The record echoes the *input* config, so re-running from an echo
+    reproduces the run.
     """
     if world is None:
         world = run_world(effective_world(world_spec, config))
     bank = build_run_bank(world, config)
     probe, reports = train(initial_probe(world), world, bank, config)
-    world = draw_test_split(world)
     metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
     totals = [r.total for r in reports]
     record = {
@@ -581,9 +560,9 @@ def _split_groups(groups: dict[WorldSpec, list[int]],
 
 
 def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
-    """Build one run world, draw its test split, and run each (arm name,
-    config) job on it: the split is drawn once per chunk, not per arm."""
-    world = draw_test_split(run_world(spec))
+    """Build one run world and run each (arm name, config) job on it: its
+    test split is drawn once per chunk, not per arm."""
+    world = run_world(spec)
     records = []
     for name, cfg_s in jobs:
         record, _ = train_and_evaluate(world_spec, cfg_s, world)

@@ -799,11 +799,17 @@ class TestTrainEvaluateCommands:
         assert out.returncode == 2
 
     def test_corrupt_probe_file_exits_3(self, tmp_path):
-        probe_path = tmp_path / "probe.npz"
-        probe_path.write_text("not an npz")
-        out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
-                      "--out", str(tmp_path / "x.json"), check=False)
-        assert out.returncode == 3
+        # a text file, and a .npy: one array, not an npz archive
+        text, npy = tmp_path / "probe.npz", tmp_path / "probe.npy"
+        text.write_text("not an npz")
+        np.save(npy, np.eye(3))
+        for probe_path in (text, npy):
+            out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
+                          "--out", str(tmp_path / "x.json"), check=False)
+            assert out.returncode == 3
+            error = json.loads(out.stderr.strip().splitlines()[-1])
+            assert error["error"] == "MalformedResponse" and error["exit"] == 3
+            assert not (tmp_path / "x.json").exists()
 
     def test_wrong_shape_probe_exits_3(self, tmp_path):
         probe_path = tmp_path / "probe.npz"

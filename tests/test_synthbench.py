@@ -6,6 +6,7 @@ import os
 import signal
 import tempfile
 import tracemalloc
+import types
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -151,8 +152,9 @@ def _compose_row(base_unit, terms):
 
 
 def _per_row_world(spec):
-    """The reference for generate_world: every draw, composition and
-    normalization made one row at a time, in stream order."""
+    """The reference for generate_world and its test split: every draw,
+    composition and normalization made one row at a time, in stream
+    order, each split an attribute of the namespace returned."""
     rng = np.random.default_rng(spec.seed)
     dim = spec.dim
     class_dirs = synthbench._unit_rows(rng, (spec.n_classes, dim))
@@ -206,15 +208,16 @@ def _per_row_world(spec):
             (spec.context_strength, scene_dirs[scene_idx]),
             (spec.noise_sigma, noise()),
         ])
-    return synthbench.ToyWorld(
+    return types.SimpleNamespace(
         spec=spec, class_dirs=class_dirs, state_dirs=state_dirs,
         scene_dirs=scene_dirs, det_x=det_x, det_y=det_y, weak_areas=weak_areas,
         weak_proposals=weak_proposals, weak_y=weak_y, test_x=test_x, test_y=test_y,
     )
 
 
+# every array a world holds, the lazily drawn test split included
 WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(synthbench.ToyWorld)
-                     if f.name not in ("spec", "test_stream"))
+                     if f.name not in ("spec", "test_stream")) + ("test_x", "test_y")
 
 
 @contextlib.contextmanager
@@ -261,8 +264,10 @@ class TestBulkWorld:
         expected = _per_row_world(spec)
         with _blocks_of(rows):
             world = generate_world(spec)
+            # the test split is drawn here, on its first read
+            arrays = {name: getattr(world, name) for name in WORLD_ARRAYS}
         for name in WORLD_ARRAYS:
-            got, want = getattr(world, name), getattr(expected, name)
+            got, want = arrays[name], getattr(expected, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -291,19 +296,16 @@ class TestBulkWorld:
     @settings(max_examples=40, deadline=None)
     @given(spec=_feasible_specs(), rows=st.sampled_from([1, 2, 3, None]))
     def test_run_worlds_test_split_equals_generate_worlds(self, spec, rows):
-        # drawn when scoring starts, from where the weak split's draws
-        # ended; drawing it again gives the same split
-        expected = generate_world(spec)
+        # drawn on its first read, from where the weak split's draws
+        # ended, and kept: a second read returns the same arrays
+        expected = _per_row_world(spec)
         world = run_world(spec)
-        assert world.test_x is None and world.test_y is None
         with _blocks_of(rows):
-            splits = [synthbench.draw_test_split(world) for _ in range(2)]
-        for drawn in splits:
-            assert drawn.test_x.tobytes() == expected.test_x.tobytes()
-            assert drawn.test_y.tobytes() == expected.test_y.tobytes()
-            assert drawn.test_y.dtype == expected.test_y.dtype
-            assert drawn.test_stream is None
-            assert synthbench.draw_test_split(drawn) is drawn
+            test_x, test_y = world.test_x, world.test_y
+        assert test_x.tobytes() == expected.test_x.tobytes()
+        assert test_y.tobytes() == expected.test_y.tobytes()
+        assert test_y.dtype == expected.test_y.dtype
+        assert world.test_x is world.test_x and world.test_y is test_y
 
     def test_cancelling_terms_raise_zero_norm(self, monkeypatch):
         # each state direction is minus its class direction, so a box
@@ -329,7 +331,8 @@ class TestBulkWorld:
         # per slot a scene; per image the context-rich row's state, slot,
         # row and gathered scene; per distractor its row and gathered scene;
         # test: state, scene) and a few block temporaries, whatever the
-        # split size
+        # split size. The trace covers the test split's draw, on its first
+        # read, too.
         spec = WorldSpec()
         n_det = spec.n_base * spec.det_per_class
         n_weak = spec.n_classes * spec.weak_per_class
@@ -343,6 +346,7 @@ class TestBulkWorld:
         try:
             before = tracemalloc.get_traced_memory()[0]
             world = generate_world(spec)
+            world.test_x
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -887,7 +891,7 @@ class TestSharedWorlds:
         cpus = set(sorted(os.sched_getaffinity(0))[:2])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         built, drawn = tmp_path / "built.txt", tmp_path / "drawn.txt"
-        build, draw = synthbench.run_world, synthbench.draw_test_split
+        build, draw = synthbench.run_world, synthbench._draw_test_split
 
         def log(path, seed):
             with open(path, "a", encoding="utf-8") as fh:
@@ -898,12 +902,11 @@ class TestSharedWorlds:
             return build(spec)
 
         def counting_draw(world):
-            if world.test_x is None:
-                log(drawn, world.spec.seed)
+            log(drawn, world.spec.seed)
             return draw(world)
 
         monkeypatch.setattr(synthbench, "run_world", counting_build)
-        monkeypatch.setattr(synthbench, "draw_test_split", counting_draw)
+        monkeypatch.setattr(synthbench, "_draw_test_split", counting_draw)
 
         def read(path):
             return lambda: sorted(int(s) for s in path.read_text().split())
