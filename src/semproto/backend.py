@@ -7,20 +7,24 @@ rows (PrototypeBank.unit_sesp / unit_sapp prepare them once per bank);
 feature batches are normalized here, per call, because they change every
 step. The kernels hold every check of their array inputs, each done
 once (_unit_features, class_labels); alignment checks only its
-hyperparameters. The fused scene kernel keeps one full (B, C*L) buffer:
-it holds the cosines of its first matrix product, and each row block
-writes its dL/dS back over its own rows, which feed the second product.
-Both products stay whole, so their rounding does not depend on a block
-size; the elementwise work between them runs in row blocks of at most
-SCENE_BLOCK_BYTES per buffer, which stay in L2, and the loss is a
-streamed sum (PairwiseSum) that reduces the blocks' loss products in the
-tree order of one whole-array np.add.reduce. Each thread keeps and
-reuses those buffers across calls of the same shape, so a training loop
-does not fault fresh pages in every step, and the kernel selects the
-sigmoid's branch with exact arithmetic instead of a masked (where=)
-ufunc. The softmax kernel works in place on its logits. The kernels call
-ufuncs and reductions directly rather than numpy's Python-level wrappers
-(np.linalg.norm, np.clip, ndarray.sum/max/mean), with the same bits.
+hyperparameters. The fused scene kernel runs its batch in balanced row
+panels of at most SCENE_PANEL_ROWS rows and keeps one panel buffer: it
+holds the cosines of the panel's first matrix product, and each row
+block writes its dL/dS back over its own rows, which feed the panel's
+second product, written straight into the gradient. A batch that fits
+one panel gets the whole products' bits; a larger one may round
+differently from whole products at shapes where that was not measured.
+The elementwise work between the products runs in row blocks of at most
+SCENE_BLOCK_BYTES per buffer, which stay in L2, so no block size changes
+a bit, and the loss is a streamed sum (PairwiseSum) that reduces the
+blocks' loss products in the tree order of one whole-array
+np.add.reduce. Each thread keeps and reuses those buffers across calls
+of the same shape, so a training loop does not fault fresh pages in
+every step, and the kernel selects the sigmoid's branch with exact
+arithmetic instead of a masked (where=) ufunc. The softmax kernel works
+in place on its logits. The kernels call ufuncs and reductions directly
+rather than numpy's Python-level wrappers (np.linalg.norm, np.clip,
+ndarray.sum/max/mean), with the same bits.
 Results are bitwise reproducible run to run for a fixed OpenBLAS thread
 count; at large shapes the matmuls round differently when OpenBLAS
 splits them over another number of threads. one_blas_thread runs a block
@@ -41,8 +45,11 @@ from .errors import DimensionMismatch
 _scratch = threading.local()
 
 # Byte budget of one (rows, C*L) float64 block buffer in the scene kernel:
-# its block buffers and the block's rows of its two full buffers stay in L2.
+# its block buffers and the block's rows of its panel buffer stay in L2.
 SCENE_BLOCK_BYTES = 256 * 1024
+# Most rows of one of the scene kernel's balanced row panels: a batch of at
+# most this many rows is one panel, so it gets the whole products' bits.
+SCENE_PANEL_ROWS = 256
 
 
 def active_backend() -> str:
@@ -237,21 +244,21 @@ class PairwiseSum:
         return _tree_total(self._n, len(self._buf), iter(self._sums))
 
 
-def _scene_scratch(n_batch: int, n_cols: int,
+def _scene_scratch(panel_rows: int, n_cols: int,
                    n_rows: int) -> tuple[np.ndarray, ...]:
-    """This thread's scene-kernel buffers: one full (B, C*L) float64
-    buffer, three (n_rows, C*L) float64 block buffers, the loss sum's
-    flat node buffer of one block (at least one pairwise leaf), and one
-    (n_rows, C*L) bool buffer.
+    """This thread's scene-kernel buffers: one (panel_rows, C*L) float64
+    panel buffer, three (n_rows, C*L) float64 block buffers, the loss
+    sum's flat node buffer of one block (at least one pairwise leaf), and
+    one (n_rows, C*L) bool buffer.
 
     Kept across calls of the same shape, so the pages stay mapped;
     replaced (the old ones released first) when the shape changes.
     """
     bufs = getattr(_scratch, "scene", None)
-    if (bufs is None or bufs[0].shape != (n_batch, n_cols)
+    if (bufs is None or bufs[0].shape != (panel_rows, n_cols)
             or bufs[1].shape[0] != n_rows):
         _scratch.scene = None
-        bufs = tuple(np.empty((n, n_cols)) for n in (n_batch, n_rows, n_rows, n_rows))
+        bufs = tuple(np.empty((n, n_cols)) for n in (panel_rows, n_rows, n_rows, n_rows))
         bufs += (np.empty(max(n_rows * n_cols, _PAIRWISE_LEAF)),
                  np.empty((n_rows, n_cols), dtype=bool))
         _scratch.scene = bufs
@@ -282,17 +289,25 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     row's own class block, so every slot first gets the negative terms
     and only the gathered block entries with s >= tau are overwritten.
 
-    One (B, C*L) buffer is full size. It first holds the cosines
-    S = fhat @ vhat.T; each block of rows, once done with its cosines,
-    writes its dL/dS over them, so the buffer ends as dL/dS and feeds
-    grad = dL/dS @ vhat. Both products stay whole, because row-blocked
-    GEMMs round differently. Everything in between runs over blocks of
-    rows whose (rows, C*L) float64 buffers fit SCENE_BLOCK_BYTES, so they
-    stay in L2; the default world's weak batch is one block. Each
-    block's loss products go into a PairwiseSum, whose total has the
-    bits of np.add.reduce over the whole (B, C*L) array of them. All
-    buffers are per thread and reused across calls of the same shape;
-    the returned gradient is a new array.
+    The products run in ceil(B / SCENE_PANEL_ROWS) balanced row panels
+    of <= 256 rows (sizes differ by at most one row, so no 1-row tail
+    reaches BLAS). Per panel, one (rows, C*L) buffer first holds the
+    cosines S_p = fhat[p] @ vhat.T; each block of rows, once done with
+    its cosines, writes its dL/dS over them, so the buffer ends as
+    dL/dS_p and feeds grad[p] = dL/dS_p @ vhat, written into the returned
+    gradient. A batch that fits one panel gets the whole products' bits.
+    Row-split GEMMs round like whole ones only at shapes where that was
+    measured: the train-large batch's four 240-row panels do at one BLAS
+    thread, but a larger batch at another shape may round differently
+    from one whole product. Everything between the products runs over
+    blocks of rows whose (rows, C*L) float64 buffers fit
+    SCENE_BLOCK_BYTES, so they stay in L2; a block is cut short at its
+    panel's end, and the default world's weak batch is one panel of one
+    block. Each block's loss products go into a PairwiseSum, whose total
+    has the bits of np.add.reduce over the whole (B, C*L) array of them,
+    whatever the panels and blocks. All buffers are per thread and
+    reused across calls of the same shape; the returned gradient is a
+    new array.
     """
     fhat, fnorm = _unit_features(features, unit_sapp, rank=3)
     n_batch = fhat.shape[0]
@@ -304,68 +319,76 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     gamma = float(logit_scale)
     tau = float(tau)
     vhat = unit_sapp.reshape(n_cols, dim)
-    n_rows = min(n_batch, max(1, SCENE_BLOCK_BYTES // (8 * n_cols)))
-    s_all, t_buf, lp_buf, g_buf, node_buf, neg_buf = _scene_scratch(
-        n_batch, n_cols, n_rows)
+    n_panels = -(-n_batch // SCENE_PANEL_ROWS)
+    panel_rows = -(-n_batch // n_panels)
+    n_rows = min(panel_rows, max(1, SCENE_BLOCK_BYTES // (8 * n_cols)))
+    s_panel, t_buf, lp_buf, g_buf, node_buf, neg_buf = _scene_scratch(
+        panel_rows, n_cols, n_rows)
     # per block row, the flat offsets of slots 0..L-1; adding label * L
     # gives the row's true-class slots
     class_slots = np.arange(n_rows)[:, None] * n_cols + np.arange(n_slots)
     dsum = np.empty(n_batch)  # per row: sum over slots of dlds * s
     loss_sum = PairwiseSum(n_batch * n_cols, node_buf)
+    grad = np.empty_like(fhat)
 
-    np.matmul(fhat, vhat.T, out=s_all)
-    for r0 in range(0, n_batch, n_rows):
-        r1 = min(r0 + n_rows, n_batch)
-        n = r1 - r0
-        s = s_all[r0:r1]
-        t, lp, g, neg = t_buf[:n], lp_buf[:n], g_buf[:n], neg_buf[:n]
+    # panel p holds rows [p * B // n_panels, (p + 1) * B // n_panels)
+    bounds = [p * n_batch // n_panels for p in range(n_panels + 1)]
+    for p0, p1 in zip(bounds, bounds[1:]):
+        s_p = s_panel[:p1 - p0]
+        np.matmul(fhat[p0:p1], vhat.T, out=s_p)
+        for r0 in range(p0, p1, n_rows):
+            r1 = min(r0 + n_rows, p1)
+            n = r1 - r0
+            s = s_p[r0 - p0:r1 - p0]
+            t, lp, g, neg = t_buf[:n], lp_buf[:n], g_buf[:n], neg_buf[:n]
 
-        _clamp_cosines(s)
-        # flat indices of the pseudo-positives: true-class slots with s >= tau
-        block = class_slots[:n] + (labels[r0:r1] * n_slots)[:, None]
-        pos = block[s.ravel()[block] >= tau]
+            _clamp_cosines(s)
+            # flat indices of the pseudo-positives: true-class slots with s >= tau
+            block = class_slots[:n] + (labels[r0:r1] * n_slots)[:, None]
+            pos = block[s.ravel()[block] >= tau]
 
-        np.abs(s, out=t)
-        t *= -abs(gamma)  # -|z|
-        np.exp(t, out=t)
-        np.log1p(t, out=lp)
+            np.abs(s, out=t)
+            t *= -abs(gamma)  # -|z|
+            np.exp(t, out=t)
+            np.log1p(t, out=lp)
 
-        # g = log_sigmoid(-z) everywhere, then log_sigmoid(z) at the positives
-        np.multiply(s, -gamma, out=g)  # -z
-        np.greater(g, 0.0, out=neg)  # z < 0
-        np.minimum(g, 0.0, out=g)
-        g -= lp
-        g.ravel()[pos] = np.minimum(s.ravel()[pos] * gamma, 0.0) - lp.ravel()[pos]
+            # g = log_sigmoid(-z) everywhere, then log_sigmoid(z) at the positives
+            np.multiply(s, -gamma, out=g)  # -z
+            np.greater(g, 0.0, out=neg)  # z < 0
+            np.minimum(g, 0.0, out=g)
+            g -= lp
+            g.ravel()[pos] = np.minimum(s.ravel()[pos] * gamma, 0.0) - lp.ravel()[pos]
 
-        sig = lp
-        np.multiply(t, neg, out=sig)
-        t += 1.0
-        np.logical_not(neg, out=neg)
-        sig += neg
-        sig /= t  # sigmoid(z)
+            sig = lp
+            np.multiply(t, neg, out=sig)
+            t += 1.0
+            np.logical_not(neg, out=neg)
+            sig += neg
+            sig /= t  # sigmoid(z)
 
-        np.multiply(sig, g, out=t)  # the loss products
-        loss_sum.add(t.ravel())
+            np.multiply(sig, g, out=t)  # the loss products
+            loss_sum.add(t.ravel())
 
-        # dlds = -(gamma / B) * [sig * (y - sig) + (sig * (1 - sig) * g unless detached)],
-        # built in g once the weight term has read it
-        if not detach_weights:
-            np.subtract(1.0, sig, out=t)
-            t *= sig
-            t *= g
-        dlds = g
-        np.subtract(0.0, sig, out=dlds)
-        dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
-        dlds *= sig
-        if not detach_weights:
-            dlds += t
-        dlds *= -(gamma / n_batch)
-        np.multiply(dlds, s, out=t)
-        np.add.reduce(t, axis=1, out=dsum[r0:r1])
-        np.copyto(s, dlds)  # the cosines are used up
+            # dlds = -(gamma / B) * [sig * (y - sig)
+            #                        + (sig * (1 - sig) * g unless detached)],
+            # built in g once the weight term has read it
+            if not detach_weights:
+                np.subtract(1.0, sig, out=t)
+                t *= sig
+                t *= g
+            dlds = g
+            np.subtract(0.0, sig, out=dlds)
+            dlds.ravel()[pos] = 1.0 - sig.ravel()[pos]
+            dlds *= sig
+            if not detach_weights:
+                dlds += t
+            dlds *= -(gamma / n_batch)
+            np.multiply(dlds, s, out=t)
+            np.add.reduce(t, axis=1, out=dsum[r0:r1])
+            np.copyto(s, dlds)  # the cosines are used up
+        np.matmul(s_p, vhat, out=grad[p0:p1])
 
     loss = -loss_sum.total() / n_batch
-    grad = s_all @ vhat
     fhat *= dsum[:, None]
     grad -= fhat
     grad /= fnorm

@@ -180,7 +180,9 @@ class PrototypeBank:
     def load(cls, path: str) -> "PrototypeBank":
         """Read a bank file written by save(). A missing file raises
         FileNotFoundError; content that is not a bank raises
-        MalformedResponse naming the file."""
+        MalformedResponse naming the file, as does a vocab out of
+        lexicographic order, whose rows would not match the labels
+        build_bank gives the same names."""
         with open(path, "rb") as fh:
             raw = fh.read()
         try:
@@ -193,9 +195,12 @@ class PrototypeBank:
                     raise TypeError(f"{name} must be an integer, got {value!r}")
             if k < 0:
                 raise ValueError(f"k must be >= 0, got {k}")
+            if l < 1:
+                raise ValueError(f"l must be >= 1, got {l}")
             if not (isinstance(vocab, list) and all(isinstance(n, str) for n in vocab)
-                    and len(set(vocab)) == len(vocab)):
-                raise TypeError(f"vocab must be a list of distinct names, got {vocab!r}")
+                    and all(a < b for a, b in zip(vocab, vocab[1:]))):
+                raise TypeError("vocab must be a list of distinct names in lexicographic "
+                                f"order, got {vocab!r}")
             bank = cls(
                 vocab=tuple(vocab),
                 sesp=np.array(payload["sesp"], dtype=np.float64),

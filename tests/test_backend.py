@@ -362,6 +362,34 @@ def test_scene_kernel_bits_do_not_depend_on_block_size(b, c, l, dim, block_rows,
     assert results[0] == results[1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(9, 70), st.integers(1, 6), st.integers(1, 5),
+       st.integers(2, 16), st.integers(1, 6), st.integers(0, 2**32 - 1), _TAU,
+       _LOGIT_SCALE, st.booleans())
+def test_scene_kernel_bits_across_panels_do_not_depend_on_block_size(
+        panel_rows, b, c, l, dim, block_rows, seed, tau, gamma, detach):
+    # Panels of at most panel_rows rows on both sides, so every batch spans
+    # several panels, of uneven sizes where their count does not divide B.
+    # Blocks of block_rows rows are cut short at a panel's end, and a
+    # panel of at most 8 x 30 elements is often smaller than a loss-sum
+    # tree node (at least a 128-element leaf), so nodes cross panels.
+    args = (*kernel_inputs(b, c, l, dim, seed), tau, gamma, detach)
+    row_bytes = 8 * c * l
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, "SCENE_PANEL_ROWS", panel_rows)
+        for budget in (panel_rows * row_bytes, block_rows * row_bytes + row_bytes // 2):
+            mp.setattr(backend, "SCENE_BLOCK_BYTES", budget)
+            loss, grad = backend.scene_loss_grad_kernel(*args)
+            results.append((np.float64(loss).tobytes(), grad.tobytes()))
+    assert results[0] == results[1]
+    # and each panel's rows land where one whole-batch panel puts them
+    whole_loss, whole_grad = backend.scene_loss_grad_kernel(*args)
+    assert loss == pytest.approx(whole_loss, rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(grad, whole_grad, rtol=0,
+                               atol=1e-12 * np.abs(whole_grad).max())
+
+
 def softmax_inputs(b, c, dim, seed=7):
     # features near their class's prototype, at mixed norms
     rng = np.random.default_rng(seed)
@@ -476,15 +504,18 @@ class TestSceneScratch:
             w.join()
         assert failures == []
 
-    def test_large_shape_holds_one_full_buffer(self):
-        # The (B, C*L) float64 buffer is 3.3 MB here, the gradient and the
-        # unit features 0.5 MB each, a block buffer 0.25 MB. Called with no
-        # buffers, the kernel allocates one full buffer, its block buffers
-        # and its gradient, and less than another full buffer beside them;
-        # a warm call allocates its gradient and its unit features, and
-        # less than an eighth of a full buffer beside them.
+    def test_large_shape_holds_one_panel_buffer(self):
+        # A full (B, C*L) float64 buffer would be 3.3 MB here; the batch is
+        # four 240-row panels, and one (240, C*L) panel buffer is 0.83 MB,
+        # the gradient and the unit features 0.5 MB each, a block buffer
+        # 0.25 MB. Called with no buffers, the kernel allocates one panel
+        # buffer, its block buffers and its gradient, and less than another
+        # panel beside them; a warm call allocates its gradient and its
+        # unit features, and less than an eighth of a full buffer beside them.
         b, c, l, dim = _LARGE_SHAPE
         full, grad = 8 * b * c * l, 8 * b * dim
+        panel = 8 * 240 * c * l
+        assert -(-b // backend.SCENE_PANEL_ROWS) == 4  # 4 balanced panels of 240 rows
         rows = backend.SCENE_BLOCK_BYTES // (8 * c * l)
         blocks = 4 * 8 * rows * c * l + rows * c * l  # 3 float, the node buffer, bool
         args = (*kernel_inputs(*_LARGE_SHAPE), 0.25)
@@ -499,7 +530,7 @@ class TestSceneScratch:
             warm = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert cold - full - blocks - grad < full, (cold, full)
+        assert cold - panel - blocks - grad < panel, (cold, panel)
         assert warm - 2 * grad < full / 8, (warm, full)
 
     def test_repeated_calls_leave_traced_memory_flat(self):

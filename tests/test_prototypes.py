@@ -300,15 +300,18 @@ class TestBankPersistence:
         _bank_body(vocab="a"),
         _bank_body(vocab=[1]),
         _bank_body(vocab=["a", "a"], sesp=[[1.0, 0.0]] * 2, sapp=[[[0.0, 1.0]]] * 2),
+        _bank_body(vocab=["b", "a"], sesp=[[1.0, 0.0]] * 2, sapp=[[[0.0, 1.0]]] * 2),
         _bank_body(k=2.7),
         _bank_body(k="5"),
         _bank_body(k=True),
         _bank_body(k=-3),
         _bank_body(l=1.5),
+        _bank_body(l=-1, sapp=[]),
+        _bank_body(l=0, sapp=[[]]),
     ], ids=["missing-arrays", "missing-dim", "string-dim", "float-dim",
             "bool-dim", "not-json", "not-an-object", "not-utf8", "string-vocab",
-            "int-vocab", "duplicate-vocab", "float-k", "string-k", "bool-k",
-            "negative-k", "float-l"])
+            "int-vocab", "duplicate-vocab", "unsorted-vocab", "float-k", "string-k",
+            "bool-k", "negative-k", "float-l", "negative-l", "zero-l"])
     def test_malformed_file(self, tmp_path, body):
         assert PrototypeBank.load(str(_write(tmp_path, _bank_body()))).dim == 2
         path = _write(tmp_path, body)

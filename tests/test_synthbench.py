@@ -621,23 +621,25 @@ class TestRunWorld:
         numpy reports its allocations to tracemalloc, so the bound counts
         arrays. The peak is the second step's weak term, on top of: the
         run world; the bank's vectors and their unit copies; the probe's
-        three (D, D) matrices; the scene kernel's buffers, one (N, C*L)
-        and four of a block's rows, the last of bools; the projections
-        and the scaled scene gradient. The weak term adds its unit
-        features, gradient, cosines and logits, per-row vectors and one
-        ufunc reduction buffer.
+        three (D, D) matrices; the scene kernel's buffers, one of a
+        balanced panel's rows and four of a block's rows, the last of
+        bools; the projections and the scaled scene gradient. The weak
+        term adds its unit features, gradient, cosines and logits, per-row
+        vectors and one ufunc reduction buffer.
         """
         spec = WorldSpec(**LARGE_WORLD)
         cfg = TrainConfig(l=9, steps=2)
         n, d = spec.n_classes * spec.weak_per_class, spec.dim
         c, cl = spec.n_classes, spec.n_classes * cfg.l
-        rows = min(n, backend.SCENE_BLOCK_BYTES // (8 * cl))
+        n_panels = -(-n // backend.SCENE_PANEL_ROWS)
+        panel_rows = -(-n // n_panels)
+        rows = min(panel_rows, backend.SCENE_BLOCK_BYTES // (8 * cl))
         parts = {
             "world": 8 * (c * d * (1 + spec.k_states) + spec.l_scenes * d
                           + spec.n_base * spec.det_per_class * (d + 1) + n * (d + 2)),
             "test split": 8 * c * spec.test_per_class * (d + 1),
             "bank": 2 * 8 * (c * d + cl * d),
-            "scratch": 8 * (n * cl + 4 * rows * cl) + rows * cl,
+            "scratch": 8 * (panel_rows * cl + 4 * rows * cl) + rows * cl,
             "step": 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
         }
         # load what a first run imports (numpy.random) before tracing
