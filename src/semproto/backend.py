@@ -331,7 +331,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     loss_sum = PairwiseSum(n_batch * n_cols, node_buf)
     grad = np.empty_like(fhat)
 
-    # panel p holds rows [p * B // n_panels, (p + 1) * B // n_panels)
+    # balanced panels: their sizes differ by at most one row
     bounds = [p * n_batch // n_panels for p in range(n_panels + 1)]
     for p0, p1 in zip(bounds, bounds[1:]):
         s_p = s_panel[:p1 - p0]
