@@ -9,6 +9,7 @@ exit codes. The text-side commands run from `textcli` without it.
 
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -55,13 +56,15 @@ def _world_checksum(world) -> str:
 
     Each split is packed into record arrays of those fields, one block of
     rows (at most ROW_BLOCK_BYTES) at a time, and hashed with one update
-    per block: the byte stream of hashing row by row."""
+    per block: the byte stream of hashing row by row. The test split is
+    packed block by block as world.test_blocks() draws it."""
     weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
     n_prop, dim = world.weak_proposals.shape[1:]
     row = [("x", "<f8", (dim,)), ("y", "<u4")]
     h = hashlib.sha256()
-    for x, y, weak in ((world.det_x, world.det_y, False), (weak_x, world.weak_y, True),
-                       (world.test_x, world.test_y, False)):
+    for x, y in itertools.chain([(world.det_x, world.det_y), (weak_x, world.weak_y)],
+                                world.test_blocks()):
+        weak = x is weak_x
         dtype = np.dtype(row + ([("extra", "<f8", (n_prop, dim + 1))] if weak else []))
         step = max(1, ROW_BLOCK_BYTES // dtype.itemsize)
         for lo in range(0, len(y), step):
@@ -99,7 +102,7 @@ def cmd_simulate(args) -> dict:
 
 def cmd_train(args) -> dict:
     world_spec, cfg = load_config(args.config, args.set)
-    record, probe = train_and_evaluate(world_spec, cfg)
+    [(record, probe)] = train_and_evaluate(world_spec, [cfg])
     # the probe first: a run record on disk means train finished
     if args.save_probe:
         buf = io.BytesIO()
@@ -134,7 +137,7 @@ def cmd_evaluate(args) -> dict:
     else:
         probe = initial_probe(world)
         probe_src = "fresh"
-    metrics = evaluate(probe, bank, world.test_x, world.test_y, world_spec.n_base)
+    [metrics] = evaluate([(probe, bank)], world.test_blocks(), world_spec.n_base)
     result = {
         "kind": "evaluation",
         "config": resolved_config(world_spec, cfg),

@@ -180,9 +180,10 @@ class PrototypeBank:
     def load(cls, path: str) -> "PrototypeBank":
         """Read a bank file written by save(). A missing file raises
         FileNotFoundError; content that is not a bank raises
-        MalformedResponse naming the file, as does a vocab out of
-        lexicographic order, whose rows would not match the labels
-        build_bank gives the same names."""
+        MalformedResponse naming the file, as do arrays whose shapes
+        disagree with the vocab, l or each other, a NaN or infinity, and a
+        vocab out of lexicographic order, whose rows would not match the
+        labels build_bank gives the same names."""
         with open(path, "rb") as fh:
             raw = fh.read()
         try:
@@ -209,7 +210,8 @@ class PrototypeBank:
                 k=k,
                 l=l,
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, DimensionMismatch,
+                MalformedResponse) as exc:
             raise MalformedResponse(f"bank file {path} is malformed: {exc}") from exc
         if bank.dim != dim:
             raise DimensionMismatch(f"bank file {path}: declared dim disagrees with arrays")

@@ -7,15 +7,15 @@ images exist for all classes, and their max-size proposal additionally
 carries a scene-context term, which is exactly the visual/textual
 mismatch the scene alignment loss targets. Everything is deterministic
 per seed. A run trains on a run world (run_world): only the max-size
-proposals. A world draws its test split when it is first read, so a run
-does not hold it while it trains.
+proposals. A world holds no test split: it streams it in row blocks
+(ToyWorld.test_blocks), drawn anew on each pass, and evaluate scores
+the blocks as they come.
 """
 
 import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +42,9 @@ from .errors import (
 from .prototypes import Aggregation, PrototypeBank, assemble_bank, build_bank  # noqa: F401
 
 # Byte budget of one (rows, width) float64 temporary in generate_world's
-# composition and evaluate's norms and division: the rows they work on
-# stay in cache, and no temporary grows with the split.
+# composition, a test block's features and evaluate's norms and division:
+# the rows they work on stay in cache, and no temporary grows with the
+# split.
 ROW_BLOCK_BYTES = 64 * 1024
 
 
@@ -51,12 +52,13 @@ ROW_BLOCK_BYTES = 64 * 1024
 class ToyWorld:
     """Generated splits plus the ground-truth factor directions.
 
-    Each split is one feature matrix and one int64 label vector. A weak
-    image holds its region proposals, not a pseudo-box: training picks one
-    per image with select_max_size_proposal(weak_areas, weak_proposals),
-    the only one a run world (run_world) keeps. The test split is drawn
-    once, on the first read of test_x or test_y, from the generator state
-    where the weak split's draws ended (test_stream).
+    Each training split is one feature matrix and one int64 label vector.
+    A weak image holds its region proposals, not a pseudo-box: training
+    picks one per image with select_max_size_proposal(weak_areas,
+    weak_proposals), the only one a run world (run_world) keeps. The test
+    split is not held: test_blocks() draws it in row blocks from the
+    generator state where the weak split's draws ended (test_stream), the
+    same bytes on every pass, and test_y gives its labels.
     """
 
     spec: WorldSpec
@@ -74,17 +76,41 @@ class ToyWorld:
     def class_names(self) -> tuple[str, ...]:
         return tuple(f"class_{i:02d}" for i in range(self.spec.n_classes))
 
-    @cached_property
-    def _test_split(self) -> tuple[np.ndarray, np.ndarray]:
-        return _draw_test_split(self)
-
-    @property
-    def test_x(self) -> np.ndarray:  # (n_test, dim)
-        return self._test_split[0]
-
     @property
     def test_y(self) -> np.ndarray:  # (n_test,)
-        return self._test_split[1]
+        return _labels(self.spec.n_classes, self.spec.test_per_class)
+
+    def test_blocks(self):
+        """Yield the test split's (features, labels) in row order, one
+        block of at most ROW_BLOCK_BYTES of features at a time.
+
+        Each row's draws are made in turn from test_stream, as the other
+        splits' are, and each block is composed as they are, so every pass
+        gives the same bytes and no pass holds an (n_test, dim) array.
+        """
+        spec, dim = self.spec, self.spec.dim
+        rng = np.random.default_rng(spec.seed)
+        rng.bit_generator.state = self.test_stream
+        integers, normal = rng.integers, rng.standard_normal
+        states = self.state_dirs.reshape(-1, dim)
+        n_test, step = spec.n_classes * spec.test_per_class, _block_rows(dim)
+        for lo in range(0, n_test, step):
+            # the labels' slice of test_y, without test_y
+            labels = np.arange(lo, min(lo + step, n_test), dtype=np.int64)
+            labels //= spec.test_per_class
+            features = np.empty((len(labels), dim))
+            state = np.empty(len(labels), dtype=np.int64)
+            scene = np.empty(len(labels), dtype=np.int64)
+            for i in range(len(labels)):
+                state[i] = integers(spec.k_states)
+                scene[i] = integers(spec.l_scenes)
+                normal(out=features[i])
+            state += labels * spec.k_states
+            _compose_rows(features, (self.class_dirs, labels),
+                          [(spec.state_strength, states, state),
+                           (spec.context_strength, self.scene_dirs, scene)],
+                          spec.noise_sigma)
+            yield features, labels
 
 
 # quoted: evaluated at import, it would load numpy.random into the ablation parent
@@ -175,10 +201,10 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
 
     The draws run in stream order: the factor directions, then the det,
     weak and test splits, each row by row; that order fixes the world's
-    bytes. The test split's draws are made when it is first read (see
-    ToyWorld). Each draw is written into an array (the noise straight
-    into the row it perturbs), and each split is then composed over row
-    blocks of at most ROW_BLOCK_BYTES per temporary.
+    bytes. The test split's draws are made on each pass over it (see
+    ToyWorld.test_blocks). Each draw is written into an array (the noise
+    straight into the row it perturbs), and each split is then composed
+    over row blocks of at most ROW_BLOCK_BYTES per temporary.
     """
     rng = np.random.default_rng(spec.seed)
     dim, n_prop = spec.dim, spec.proposals_per_image
@@ -243,30 +269,6 @@ def generate_world(spec: WorldSpec) -> ToyWorld:
         weak_y=weak_y,
         test_stream=rng.bit_generator.state,
     )
-
-
-def _draw_test_split(world: ToyWorld) -> tuple[np.ndarray, np.ndarray]:
-    """The test split's features and labels, drawn row by row from where
-    the weak split's draws ended (test_stream) and composed as the other
-    splits are: the same world gives the same split."""
-    spec, dim = world.spec, world.spec.dim
-    rng = np.random.default_rng(spec.seed)
-    rng.bit_generator.state = world.test_stream
-    integers, normal = rng.integers, rng.standard_normal
-    test_y = _labels(spec.n_classes, spec.test_per_class)
-    test_x = np.empty((len(test_y), dim))
-    test_state = np.empty(len(test_y), dtype=np.int64)
-    test_scene = np.empty(len(test_y), dtype=np.int64)
-    for i in range(len(test_y)):
-        test_state[i] = integers(spec.k_states)
-        test_scene[i] = integers(spec.l_scenes)
-        normal(out=test_x[i])
-    test_state += test_y * spec.k_states
-    _compose_rows(test_x, (world.class_dirs, test_y),
-                  [(spec.state_strength, world.state_dirs.reshape(-1, dim), test_state),
-                   (spec.context_strength, world.scene_dirs, test_scene)],
-                  spec.noise_sigma)
-    return test_x, test_y
 
 
 def select_max_size_proposal(areas, proposals) -> np.ndarray:
@@ -437,8 +439,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _cosines(probe: ProbeModel, bank: PrototypeBank,
              features: np.ndarray) -> np.ndarray:
-    """(N, C) cosines of the projected features with the bank's sesp rows.
-    Both products run on one BLAS thread (see evaluate)."""
+    """(N, C) cosines of the projected features with the bank's sesp rows,
+    with the bits of the whole-array (proj @ sesp.T) / (|proj| |sesp|):
+    both products stay whole, and the row norms and the division run in
+    blocks of at most ROW_BLOCK_BYTES per temporary. Both products run on
+    one BLAS thread (see evaluate)."""
     with one_blas_thread():
         proj = probe.apply(features)
         fn = _row_norms(proj)
@@ -452,36 +457,42 @@ def _cosines(probe: ProbeModel, bank: PrototypeBank,
     return cosm
 
 
-def evaluate(probe: ProbeModel, bank: PrototypeBank, features: np.ndarray,
-             labels: np.ndarray, n_base: int) -> dict:
-    """Top-1 accuracy of cosine argmax classification, split by
-    base/novel membership (novel = class_id >= n_base).
+def evaluate(scorers, blocks, n_base: int) -> list[dict]:
+    """Top-1 accuracy of cosine argmax classification for each (probe,
+    bank) in `scorers`, split by base/novel membership (novel = class_id
+    >= n_base), in one pass over `blocks` of (features, labels).
 
-    Scores the split in place, with the bits of the whole-array
-    (proj @ sesp.T) / (|proj| |sesp|): both matrix products stay whole,
-    because a product computed in row blocks rounds differently, and the
-    row norms and the division run in blocks of at most ROW_BLOCK_BYTES
-    per temporary. The peak is the projected features plus the cosines.
-    Both products run on one BLAS thread (backend.one_blas_thread), so
-    the scores do not depend on the caller's OpenBLAS thread count, and
-    no second thread faults in its packing buffers for them.
+    Each block is scored by every scorer and then dropped; an accuracy is
+    hits / count, the bits of the mean of a boolean array (nan for a side
+    with no sample). A block's cosines are _cosines'. Its projection
+    proj = features @ W may round differently from the whole split's, so
+    a streamed split (ToyWorld.test_blocks) is scored by its blocks'
+    cosines. Both products run on one BLAS thread
+    (backend.one_blas_thread), so the scores do not depend on the
+    caller's OpenBLAS thread count, and no second thread faults in its
+    packing buffers for them.
     """
-    if len(labels) == 0:
+    # (all, novel) samples, and per scorer (all, novel) hits
+    counts = np.zeros(2, dtype=np.int64)
+    hits = np.zeros((len(scorers), 2), dtype=np.int64)
+    for features, labels in blocks:
+        novel = labels >= n_base
+        counts += (len(labels), np.count_nonzero(novel))
+        for run_hits, (probe, bank) in zip(hits, scorers):
+            correct = _cosines(probe, bank, features).argmax(axis=1) == labels
+            run_hits += (np.count_nonzero(correct), np.count_nonzero(correct & novel))
+    n_all, n_novel = counts.tolist()
+    if n_all == 0:
         raise EmptyTestSet("no test samples")
-    cosm = _cosines(probe, bank, features)
-    pred = cosm.argmax(axis=1)
-    correct = pred == labels
-    base_mask = labels < n_base
-    novel_mask = ~base_mask
 
-    def _acc(mask) -> float:
-        return float(correct[mask].mean()) if mask.any() else float("nan")
+    def _acc(n_hits: int, n: int) -> float:
+        return n_hits / n if n else float("nan")
 
-    return {
-        "acc_novel": _acc(novel_mask),
-        "acc_base": _acc(base_mask),
-        "acc_all": float(correct.mean()),
-    }
+    return [{
+        "acc_novel": _acc(novel_hits, n_novel),
+        "acc_base": _acc(all_hits - novel_hits, n_all - n_novel),
+        "acc_all": all_hits / n_all,
+    } for all_hits, novel_hits in hits.tolist()]
 
 
 def effective_world(world_spec: WorldSpec, config: TrainConfig) -> WorldSpec:
@@ -506,36 +517,47 @@ def initial_probe(world: ToyWorld) -> ProbeModel:
                                     derive_seed(world.spec.seed, "probe"))
 
 
-def train_and_evaluate(world_spec: WorldSpec, config: TrainConfig,
-                       world: ToyWorld | None = None) -> tuple[dict, ProbeModel]:
-    """Run one configuration end to end: its record and its trained probe.
+def train_and_evaluate(world_spec: WorldSpec, configs,
+                       world: ToyWorld | None = None) -> list[tuple[dict, ProbeModel]]:
+    """Run configurations that share one run seed end to end: each one's
+    record and trained probe, in order.
 
     Builds run_world(effective_world(world_spec, config)) unless `world`
     is given: that, or the generate_world of that spec, gives the same
-    record. Scoring reads the world's test split after training, so a
-    world that has not drawn it yet does not hold it at training's peak.
-    The record echoes the *input* config, so re-running from an echo
-    reproduces the run.
+    records. Each configuration trains on it in turn; then every trained
+    probe is scored in one pass over the world's test blocks, which are
+    drawn after training, so no run holds the test split at training's
+    peak. A run's record is the one it gets run alone. Each record echoes
+    its *input* config, so re-running from an echo reproduces the run.
     """
+    seeds = sorted({cfg.seed for cfg in configs})
+    if len(seeds) != 1:
+        raise ConfigError(f"one pass needs configs of one run seed, got seeds {seeds}")
     if world is None:
-        world = run_world(effective_world(world_spec, config))
-    bank = build_run_bank(world, config)
-    probe, reports = train(initial_probe(world), world, bank, config)
-    metrics = evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
-    totals = [r.total for r in reports]
-    record = {
-        "kind": "run",
-        "config": resolved_config(world_spec, config),
-        "metrics": metrics,
-        "loss_summary": {
-            "initial": totals[0],
-            "final": totals[-1],
-            "min": min(totals),
-            "steps": len(totals),
-        },
-        "version": __version__,
-    }
-    return record, probe
+        world = run_world(effective_world(world_spec, configs[0]))
+    runs = []
+    for config in configs:
+        bank = build_run_bank(world, config)
+        probe, reports = train(initial_probe(world), world, bank, config)
+        runs.append((probe, bank, [r.total for r in reports]))
+    metrics = evaluate([(probe, bank) for probe, bank, _ in runs],
+                       world.test_blocks(), world.spec.n_base)
+    out = []
+    for config, (probe, _, totals), run_metrics in zip(configs, runs, metrics):
+        record = {
+            "kind": "run",
+            "config": resolved_config(world_spec, config),
+            "metrics": run_metrics,
+            "loss_summary": {
+                "initial": totals[0],
+                "final": totals[-1],
+                "min": min(totals),
+                "steps": len(totals),
+            },
+            "version": __version__,
+        }
+        out.append((record, probe))
+    return out
 
 
 def _split_groups(groups: dict[WorldSpec, list[int]],
@@ -560,12 +582,12 @@ def _split_groups(groups: dict[WorldSpec, list[int]],
 
 
 def _run_group(world_spec: WorldSpec, spec: WorldSpec, jobs) -> list[dict]:
-    """Build one run world and run each (arm name, config) job on it: its
-    test split is drawn once per chunk, not per arm."""
-    world = run_world(spec)
+    """Build one run world and run its (arm name, config) jobs on it in one
+    train_and_evaluate: its test split is drawn once per chunk, not per
+    arm."""
+    runs = train_and_evaluate(world_spec, [cfg_s for _, cfg_s in jobs], run_world(spec))
     records = []
-    for name, cfg_s in jobs:
-        record, _ = train_and_evaluate(world_spec, cfg_s, world)
+    for (name, cfg_s), (record, _) in zip(jobs, runs):
         record["arm"] = name
         record["seed"] = cfg_s.seed
         records.append(record)
@@ -612,10 +634,11 @@ def run_ablation(world_spec: WorldSpec, config: TrainConfig, grid: str,
     for i, (_, cfg_s) in enumerate(jobs):
         groups.setdefault(effective_world(world_spec, cfg_s), []).append(i)
 
-    # Workers get specs and configs, never worlds: a world's test rows
-    # alone pickle to over a megabyte. fork lets workers inherit the loaded
-    # package instead of importing it again; the package starts no threads
-    # of its own, and OpenBLAS rebuilds its thread pool after a fork.
+    # Workers get specs and configs, never worlds: each worker generates
+    # its own, so nothing world-sized is pickled. fork lets workers inherit
+    # the loaded package instead of importing it again; the package starts
+    # no threads of its own, and OpenBLAS rebuilds its thread pool after a
+    # fork.
     n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
     pool = ProcessPoolExecutor(max_workers=n_workers,
                                mp_context=multiprocessing.get_context("fork"),

@@ -597,14 +597,16 @@ def test_evaluate_runs_its_products_on_one_blas_thread():
         world = generate_world(WorldSpec())
         bank = build_run_bank(world, TrainConfig())
         probe = initial_probe(world)
-        features = world.test_x.view(Recording)
+        # the whole split as one block: two products
+        features = np.concatenate([x for x, _ in world.test_blocks()])
+        blocks = [(features.view(Recording), world.test_y)]
         out = {"before": get_threads()}
-        evaluate(probe, bank, features, world.test_y, world.spec.n_base)
+        evaluate([(probe, bank)], blocks, world.spec.n_base)
         out["products"], out["returned"] = list(seen), get_threads()
         seen.clear()
         Recording.fail_at = 2
         try:
-            evaluate(probe, bank, features, world.test_y, world.spec.n_base)
+            evaluate([(probe, bank)], blocks, world.spec.n_base)
         except RuntimeError:
             out["raised"] = get_threads()
         print(json.dumps(out))

@@ -788,9 +788,9 @@ class TestTrainEvaluateCommands:
         assert [w.weak_proposals.shape[1] for w in worlds] == [1]
         world_spec, cfg = load_config(None, SMALL[1::2])
         world = synthbench.generate_world(synthbench.effective_world(world_spec, cfg))
-        want = synthbench.evaluate(synthbench.initial_probe(world),
-                                   synthbench.build_run_bank(world, cfg),
-                                   world.test_x, world.test_y, world_spec.n_base)
+        [want] = synthbench.evaluate(
+            [(synthbench.initial_probe(world), synthbench.build_run_bank(world, cfg))],
+            world.test_blocks(), world_spec.n_base)
         assert json.loads(eval_path.read_text())["metrics"] == want
 
     def test_missing_config_file_exits_2(self, tmp_path):

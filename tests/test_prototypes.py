@@ -308,10 +308,20 @@ class TestBankPersistence:
         _bank_body(l=1.5),
         _bank_body(l=-1, sapp=[]),
         _bank_body(l=0, sapp=[[]]),
+        _bank_body(vocab=["a", "b"]),
+        _bank_body(sesp=[1.0, 0.0]),
+        _bank_body(sapp=[[[0.0, 1.0]], [[1.0, 0.0]]]),
+        _bank_body(sapp=[[0.0, 1.0]]),
+        _bank_body(l=2),
+        _bank_body(sapp=[[[0.0, 1.0, 0.0]]]),
+        _bank_body(sesp=[[float("nan"), 0.0]]),
+        _bank_body(sapp=[[[0.0, float("inf")]]]),
     ], ids=["missing-arrays", "missing-dim", "string-dim", "float-dim",
             "bool-dim", "not-json", "not-an-object", "not-utf8", "string-vocab",
             "int-vocab", "duplicate-vocab", "unsorted-vocab", "float-k", "string-k",
-            "bool-k", "negative-k", "float-l", "negative-l", "zero-l"])
+            "bool-k", "negative-k", "float-l", "negative-l", "zero-l",
+            "sesp-rows-not-vocab", "flat-sesp", "sapp-rows-not-vocab", "flat-sapp",
+            "sapp-slots-not-l", "sapp-dim-not-sesp", "nan-sesp", "inf-sapp"])
     def test_malformed_file(self, tmp_path, body):
         assert PrototypeBank.load(str(_write(tmp_path, _bank_body()))).dim == 2
         path = _write(tmp_path, body)
@@ -358,7 +368,8 @@ class TestClassify:
     def _acc(bank, features, labels) -> float:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         identity = ProbeModel(np.eye(bank.dim), np.zeros(bank.dim))
-        return evaluate(identity, bank, features, np.asarray(labels), n_base=1)["acc_all"]
+        [metrics] = evaluate([(identity, bank)], [(features, np.asarray(labels))], n_base=1)
+        return metrics["acc_all"]
 
     def test_self_match_wins(self):
         bank = _orthogonal_bank()

@@ -58,11 +58,24 @@ SMALL_WORLD = dict(dim=20, n_classes=6, n_base=4, k_states=3, l_scenes=3,
 FAST_TRAIN = dict(steps=40, temperature=0.2)
 
 
+def _test_split(world):
+    """The test split's (features, labels), joined from one pass over its
+    blocks."""
+    blocks = list(world.test_blocks())
+    return (np.concatenate([x for x, _ in blocks]),
+            np.concatenate([y for _, y in blocks]))
+
+
 def _splits(world):
     """(features, labels) per split; the weak split's are its pseudo-boxes."""
     weak_x = select_max_size_proposal(world.weak_areas, world.weak_proposals)
-    return ((world.det_x, world.det_y), (weak_x, world.weak_y),
-            (world.test_x, world.test_y))
+    return ((world.det_x, world.det_y), (weak_x, world.weak_y), _test_split(world))
+
+
+def _run_record(world_spec, config, world=None):
+    """The record of one configuration run alone."""
+    [(record, _)] = train_and_evaluate(world_spec, [config], world)
+    return record
 
 
 class TestGenerateWorld:
@@ -215,9 +228,9 @@ def _per_row_world(spec):
     )
 
 
-# every array a world holds, the lazily drawn test split included
+# every array a world holds; its test split is streamed, not held
 WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(synthbench.ToyWorld)
-                     if f.name not in ("spec", "test_stream")) + ("test_x", "test_y")
+                     if f.name not in ("spec", "test_stream"))
 
 
 @contextlib.contextmanager
@@ -264,9 +277,9 @@ class TestBulkWorld:
         expected = _per_row_world(spec)
         with _blocks_of(rows):
             world = generate_world(spec)
-            # the test split is drawn here, on its first read
             arrays = {name: getattr(world, name) for name in WORLD_ARRAYS}
-        for name in WORLD_ARRAYS:
+            arrays["test_x"], arrays["test_y"] = _test_split(world)
+        for name in arrays:
             got, want = arrays[name], getattr(expected, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -286,9 +299,10 @@ class TestBulkWorld:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             world = generate_world(spec)
-        for name in ("class_dirs", "state_dirs", "scene_dirs", "det_x",
-                     "weak_proposals", "test_x"):
-            rows = getattr(world, name)
+        arrays = {name: getattr(world, name) for name in
+                  ("class_dirs", "state_dirs", "scene_dirs", "det_x", "weak_proposals")}
+        arrays["test_x"] = _test_split(world)[0]
+        for name, rows in arrays.items():
             assert np.isfinite(rows).all(), name
             np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0,
                                        rtol=0, atol=1e-12, err_msg=name)
@@ -296,16 +310,25 @@ class TestBulkWorld:
     @settings(max_examples=40, deadline=None)
     @given(spec=_feasible_specs(), rows=st.sampled_from([1, 2, 3, None]))
     def test_run_worlds_test_split_equals_generate_worlds(self, spec, rows):
-        # drawn on its first read, from where the weak split's draws
-        # ended, and kept: a second read returns the same arrays
+        # each pass draws it from where the weak split's draws ended, in
+        # row order and in full blocks but the last, with the same bytes
         expected = _per_row_world(spec)
         world = run_world(spec)
         with _blocks_of(rows):
-            test_x, test_y = world.test_x, world.test_y
-        assert test_x.tobytes() == expected.test_x.tobytes()
-        assert test_y.tobytes() == expected.test_y.tobytes()
-        assert test_y.dtype == expected.test_y.dtype
-        assert world.test_x is world.test_x and world.test_y is test_y
+            passes = [list(world.test_blocks()) for _ in range(2)]
+        n_test = len(expected.test_y)
+        step = rows or synthbench._block_rows(spec.dim)
+        for blocks in passes:
+            assert [len(y) for _, y in blocks] == [
+                min(step, n_test - lo) for lo in range(0, n_test, step)]
+            for x, y in blocks:
+                assert x.shape == (len(y), spec.dim) and x.dtype == np.float64
+                assert y.dtype == expected.test_y.dtype
+                if rows is None:
+                    assert x.nbytes <= synthbench.ROW_BLOCK_BYTES
+            assert b"".join(x.tobytes() for x, _ in blocks) == expected.test_x.tobytes()
+            assert b"".join(y.tobytes() for _, y in blocks) == expected.test_y.tobytes()
+        assert world.test_y.tobytes() == expected.test_y.tobytes()
 
     def test_cancelling_terms_raise_zero_norm(self, monkeypatch):
         # each state direction is minus its class direction, so a box
@@ -329,16 +352,13 @@ class TestBulkWorld:
         # numpy reports its allocations to tracemalloc, so the bound is
         # exact: the world's arrays, one int64 per index (det: state; weak:
         # per slot a scene; per image the context-rich row's state, slot,
-        # row and gathered scene; per distractor its row and gathered scene;
-        # test: state, scene) and a few block temporaries, whatever the
-        # split size. The trace covers the test split's draw, on its first
-        # read, too.
+        # row and gathered scene; per distractor its row and gathered
+        # scene) and a few block temporaries, whatever the split size. The
+        # world holds no test split (see TestEvaluate for a pass over it).
         spec = WorldSpec()
         n_det = spec.n_base * spec.det_per_class
         n_weak = spec.n_classes * spec.weak_per_class
-        n_test = spec.n_classes * spec.test_per_class
-        index_bytes = 8 * (n_det + (3 * spec.proposals_per_image + 2) * n_weak
-                           + 2 * n_test)
+        index_bytes = 8 * (n_det + (3 * spec.proposals_per_image + 2) * n_weak)
         # the first generate_world in a process imports numpy.random: load it
         # before tracing, or its modules count towards the peak
         np.random.default_rng(0)
@@ -346,7 +366,6 @@ class TestBulkWorld:
         try:
             before = tracemalloc.get_traced_memory()[0]
             world = generate_world(spec)
-            world.test_x
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -435,7 +454,7 @@ class TestBuildToyBank:
                                        enc_noise_sigma=0.1, seed=7)
             sesp = build_toy_bank(world, k=spec.k_states, l=3,
                                   enc_noise_sigma=0.1, seed=7)
-            feats, labels = world.test_x, world.test_y
+            feats, labels = _test_split(world)
             fhat = feats / np.linalg.norm(feats, axis=1, keepdims=True)
 
             def mean_cos(bank):
@@ -513,8 +532,8 @@ class TestTrain:
 
     def test_default_config_reduces_loss_across_seeds(self):
         for seed in range(5):
-            record = train_and_evaluate(
-                dataclasses.replace(WorldSpec(), test_per_class=20), TrainConfig(seed=seed))[0]
+            record = _run_record(
+                dataclasses.replace(WorldSpec(), test_per_class=20), TrainConfig(seed=seed))
             assert record["loss_summary"]["final"] < record["loss_summary"]["initial"]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -608,9 +627,9 @@ class TestRunWorld:
         # the run world draws its test split once training is done
         cfg = TrainConfig(**FAST_TRAIN, **{k: v for k, v in arm.items() if k != "arm"})
         spec = WorldSpec(**SMALL_WORLD)
-        full = train_and_evaluate(spec, cfg, generate_world(spec))[0]
-        assert train_and_evaluate(spec, cfg, run_world(spec))[0] == full
-        assert train_and_evaluate(spec, cfg)[0] == full
+        full = _run_record(spec, cfg, generate_world(spec))
+        assert _run_record(spec, cfg, run_world(spec)) == full
+        assert _run_record(spec, cfg) == full
 
     @staticmethod
     def _traced_large_run():
@@ -643,12 +662,12 @@ class TestRunWorld:
             "step": 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
         }
         # load what a first run imports (numpy.random) before tracing
-        train_and_evaluate(_small_spec(), TrainConfig(steps=1))
+        _run_record(_small_spec(), TrainConfig(steps=1))
         backend.release_scene_scratch()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_and_evaluate(spec, cfg)
+            _run_record(spec, cfg)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -675,7 +694,7 @@ class TestEvaluate:
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, enc_noise_sigma=0.0, seed=0)
         identity = ProbeModel(np.eye(spec.dim), np.zeros(spec.dim))
-        metrics = evaluate(identity, bank, world.test_x, world.test_y, spec.n_base)
+        [metrics] = evaluate([(identity, bank)], world.test_blocks(), spec.n_base)
         assert metrics == {"acc_novel": 1.0, "acc_base": 1.0, "acc_all": 1.0}
 
     def test_random_probe_sits_at_chance(self):
@@ -687,8 +706,7 @@ class TestEvaluate:
         for seed in range(4):
             w = np.random.default_rng(seed).standard_normal((spec.dim, spec.dim))
             probe = ProbeModel(w / math.sqrt(spec.dim), np.zeros(spec.dim))
-            accs.append(evaluate(probe, bank, world.test_x, world.test_y,
-                                 4)["acc_all"])
+            accs.append(evaluate([(probe, bank)], world.test_blocks(), 4)[0]["acc_all"])
         n = 8 * 150
         p = 1.0 / 8
         sigma = np.sqrt(p * (1 - p) / n)
@@ -699,7 +717,7 @@ class TestEvaluate:
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, seed=0)
         probe = ProbeModel.near_identity(spec.dim, seed=2)
-        m = evaluate(probe, bank, world.test_x, world.test_y, spec.n_base)
+        [m] = evaluate([(probe, bank)], world.test_blocks(), spec.n_base)
         labels = world.test_y
         n_base_samples = int((labels < spec.n_base).sum())
         n_novel = len(labels) - n_base_samples
@@ -711,8 +729,11 @@ class TestEvaluate:
         world = generate_world(spec)
         bank = build_toy_bank(world, k=3, l=3, seed=0)
         with pytest.raises(EmptyTestSet):
-            evaluate(ProbeModel(np.eye(spec.dim), np.zeros(spec.dim)), bank,
-                     np.zeros((0, spec.dim)), np.zeros(0, dtype=np.int64),
+            evaluate([(ProbeModel(np.eye(spec.dim), np.zeros(spec.dim)), bank)],
+                     [(np.zeros((0, spec.dim)), np.zeros(0, dtype=np.int64))],
+                     spec.n_base)
+        with pytest.raises(EmptyTestSet):
+            evaluate([(ProbeModel(np.eye(spec.dim), np.zeros(spec.dim)), bank)], [],
                      spec.n_base)
 
 
@@ -755,7 +776,7 @@ class TestEvaluate:
 
         with _blocks_of(rows):
             cosines = synthbench._cosines(probe, bank, features)
-            metrics = evaluate(probe, bank, features, labels, n_base)
+            [metrics] = evaluate([(probe, bank)], [(features, labels)], n_base)
         assert cosines.tobytes() == expected.tobytes()
         np.testing.assert_equal(metrics, {"acc_novel": acc(~base),
                                           "acc_base": acc(base),
@@ -763,10 +784,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_classes", [None, 64])
     def test_traced_peak_is_the_projection_plus_the_cosines(self, n_classes):
-        # N*D for the projected features and N*C for the cosines, plus
-        # two block budgets; numpy reports its allocations to tracemalloc,
-        # so the bound is exact. The run's own bank, and a bank wider than
-        # the features, where the cosines' division dominates.
+        # Scoring one block of N rows: N*D for the projected features and
+        # N*C for the cosines, plus two block budgets; numpy reports its
+        # allocations to tracemalloc, so the bound is exact. The run's own
+        # bank, and a bank wider than the features, where the cosines'
+        # division dominates. The whole test split is the block here.
         world = generate_world(WorldSpec())
         bank = build_run_bank(world, TrainConfig())
         if n_classes is not None:
@@ -778,15 +800,65 @@ class TestEvaluate:
                 strategy=Aggregation.MEAN, k=1, l=1,
             )
         probe = initial_probe(world)
-        n, c = len(world.test_y), len(bank.vocab)
+        block = _test_split(world)
+        n, c = len(block[1]), len(bank.vocab)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            evaluate(probe, bank, world.test_x, world.test_y, world.spec.n_base)
+            evaluate([(probe, bank)], [block], world.spec.n_base)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n * bank.dim + n * c) + 2 * synthbench.ROW_BLOCK_BYTES
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_scores_each_run_as_alone(self, data):
+        # several (probe, bank) pairs of different embedding widths scored
+        # in one pass over blocks cut anywhere get what each gets alone
+        n = data.draw(st.integers(1, 120), label="N")
+        d_in = data.draw(st.integers(1, 40), label="dim_in")
+        c = data.draw(st.integers(2, 12), label="C")
+        n_base = data.draw(st.integers(1, c - 1), label="n_base")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scorers = []
+        for d_emb in data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4),
+                               label="dim_embed"):
+            scorers.append((
+                ProbeModel(weight=rng.standard_normal((d_in, d_emb)),
+                           bias=rng.standard_normal(d_emb)),
+                PrototypeBank(vocab=tuple(f"class_{i:02d}" for i in range(c)),
+                              sesp=rng.standard_normal((c, d_emb)),
+                              sapp=rng.standard_normal((c, 1, d_emb)),
+                              strategy=Aggregation.MEAN, k=1, l=1)))
+        features = rng.standard_normal((n, d_in))
+        labels = rng.integers(c, size=n)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5), label="cuts"))
+        bounds = list(zip([0, *cuts], [*cuts, n]))
+        blocks = [(features[lo:hi], labels[lo:hi]) for lo, hi in bounds]
+        together = evaluate(scorers, blocks, n_base)
+        alone = [evaluate([scorer], blocks, n_base)[0] for scorer in scorers]
+        np.testing.assert_equal(together, alone)
+
+    def test_scoring_a_world_holds_no_test_split(self):
+        # Scoring the default world's four component arms in one pass, as
+        # an ablation chunk does, allocates less than one (n_test, D)
+        # array: the split is drawn and scored one block at a time.
+        spec = WorldSpec()
+        world = run_world(spec)
+        scorers = []
+        for arm in ABLATION_GRIDS["components"]:
+            cfg = TrainConfig(**{k: v for k, v in arm.items() if k != "arm"})
+            scorers.append((initial_probe(world), build_run_bank(world, cfg)))
+        n_test = spec.n_classes * spec.test_per_class
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(scorers, world.test_blocks(), spec.n_base)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_test * spec.dim
 
 SMALL_CFG = dict(steps=40, temperature=0.2)
 
@@ -841,8 +913,8 @@ class TestRunAblation:
 
     def test_flag_off_indistinguishable_from_lambda_zero(self):
         spec = _small_spec()
-        rec_off = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, use_sapp=False))[0]
-        rec_zero = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, lam=0.0))[0]
+        rec_off = _run_record(spec, TrainConfig(**SMALL_CFG, use_sapp=False))
+        rec_zero = _run_record(spec, TrainConfig(**SMALL_CFG, lam=0.0))
         assert rec_off["metrics"] == rec_zero["metrics"]
         assert rec_off["loss_summary"] == rec_zero["loss_summary"]
 
@@ -854,7 +926,7 @@ class TestRunAblation:
                          "components", [])
 
     def test_record_carries_backend_and_version(self):
-        rec = train_and_evaluate(_small_spec(), TrainConfig(**SMALL_CFG))[0]
+        rec = _run_record(_small_spec(), TrainConfig(**SMALL_CFG))
         assert rec["config"]["backend"] == backend.active_backend()
         assert rec["version"] == rec["config"]["version"]
 
@@ -873,7 +945,7 @@ class TestSharedWorlds:
         for arm, rec in zip((a for a in arms for _ in seeds), runs):
             overrides = {k: v for k, v in arm.items() if k != "arm"}
             cfg = TrainConfig(**{**SMALL_CFG, **overrides, "seed": rec["seed"]})
-            expected = train_and_evaluate(_small_spec(), cfg)[0]
+            expected = _run_record(_small_spec(), cfg)
             assert {k: v for k, v in rec.items() if k not in ("arm", "seed")} == expected
 
     def test_records_equal_run_single(self):
@@ -881,11 +953,33 @@ class TestSharedWorlds:
                                "components", seeds=[0, 1])
         self._assert_records_equal_single_runs(records, (0, 1))
 
+    def test_one_pass_runs_equal_single_runs(self):
+        # the arms trained on one world and scored in one pass get the
+        # records and probes each gets run alone
+        cfgs = [TrainConfig(**{**SMALL_CFG, **{k: v for k, v in arm.items() if k != "arm"},
+                               "seed": 1})
+                for arm in ABLATION_GRIDS["components"]]
+        runs = train_and_evaluate(_small_spec(), cfgs)
+        assert len(runs) == len(cfgs)
+        for cfg, (record, probe) in zip(cfgs, runs):
+            [(alone, alone_probe)] = train_and_evaluate(_small_spec(), [cfg])
+            assert record == alone
+            assert probe.weight.tobytes() == alone_probe.weight.tobytes()
+            assert probe.bias.tobytes() == alone_probe.bias.tobytes()
+
+    def test_one_pass_needs_one_run_seed(self):
+        # configs of different run seeds have different worlds
+        with pytest.raises(ConfigError, match="seed"):
+            train_and_evaluate(_small_spec(), [TrainConfig(**SMALL_CFG, seed=0),
+                                               TrainConfig(**SMALL_CFG, seed=1)])
+        with pytest.raises(ConfigError, match="seed"):
+            train_and_evaluate(_small_spec(), [])
+
     @staticmethod
     def _count_worlds(monkeypatch, tmp_path):
         """Cut the affinity mask to at most two CPUs and log the seed of
-        every run world built and of every test split drawn; returns the
-        CPU count and two functions that read the logs.
+        every run world built and of every pass over a test split; returns
+        the CPU count and two functions that read the logs.
 
         The forked workers inherit the patches, but a list they append to
         never reaches this process; a file does.
@@ -893,7 +987,7 @@ class TestSharedWorlds:
         cpus = set(sorted(os.sched_getaffinity(0))[:2])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         built, drawn = tmp_path / "built.txt", tmp_path / "drawn.txt"
-        build, draw = synthbench.run_world, synthbench._draw_test_split
+        build, blocks = synthbench.run_world, synthbench.ToyWorld.test_blocks
 
         def log(path, seed):
             with open(path, "a", encoding="utf-8") as fh:
@@ -903,12 +997,12 @@ class TestSharedWorlds:
             log(built, spec.seed)
             return build(spec)
 
-        def counting_draw(world):
+        def counting_pass(world):
             log(drawn, world.spec.seed)
-            return draw(world)
+            yield from blocks(world)
 
         monkeypatch.setattr(synthbench, "run_world", counting_build)
-        monkeypatch.setattr(synthbench, "_draw_test_split", counting_draw)
+        monkeypatch.setattr(synthbench.ToyWorld, "test_blocks", counting_pass)
 
         def read(path):
             return lambda: sorted(int(s) for s in path.read_text().split())
@@ -941,8 +1035,8 @@ class TestSharedWorlds:
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
     def test_each_chunk_draws_its_test_split_once(self, monkeypatch, tmp_path, seeds):
-        # a chunk's arms share its world's test split: one draw per world
-        # a worker builds, not one per arm
+        # a chunk's arms are scored in one pass over its world's test
+        # split: one pass per world a worker builds, not one per arm
         n_cpus, generated, drawn = self._count_worlds(monkeypatch, tmp_path)
         run_ablation(_small_spec(), TrainConfig(**SMALL_CFG), "components", seeds=seeds)
         n_arms = len(ABLATION_GRIDS["components"])
@@ -1016,7 +1110,7 @@ class TestMonotoneNoiseSanity:
             accs = []
             for seed in range(5):
                 spec = _small_spec(noise_sigma=noise, test_per_class=40)
-                rec = train_and_evaluate(spec, TrainConfig(**SMALL_CFG, seed=seed))[0]
+                rec = _run_record(spec, TrainConfig(**SMALL_CFG, seed=seed))
                 accs.append(rec["metrics"]["acc_all"])
             means.append(np.mean(accs))
             stds.append(np.std(accs, ddof=1))
