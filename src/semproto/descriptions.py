@@ -1,12 +1,15 @@
-"""Textual class descriptions: prompt rendering, generation clients,
-and pluggable text encoders.
+"""Textual class descriptions: prompt rendering, the description file,
+and the text encoders.
 
 Three prompt families exist per class: a generic appearance description,
 K state-specific descriptions, and L scene phrases of the form
-"<class> + context". Generation is delegated to a client (checked-in
-fixture by default, remote HTTP service optionally); encoding to a text
-encoder (deterministic toy hash encoder or embedding-fixture lookup by
-default, remote service optionally). Everything shipped runs offline.
+"<class> + context". The package reaches no service: descriptions come
+from a description file (`FixtureDescriptionClient`), and embeddings from
+the deterministic toy hash encoder or an embedding fixture
+(`FixtureEncoder`). Descriptions and embeddings made elsewhere, say by an
+LLM answering the `render_*_prompt` prompts and by any text encoder, come
+in as files in the `write_description_file` and `write_embedding_fixture`
+formats.
 
 Prompts, clients and description files need no numpy: the encoders load
 it, and the vector checks in `core`, on first use, so `semproto
@@ -15,8 +18,6 @@ gen-descriptions` never imports it.
 
 import hashlib
 import json
-import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -200,88 +201,6 @@ def write_description_file(path: str, sets: dict) -> None:
     atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class RemoteClientConfig:
-    """Connection settings for a remote generation/encoding service."""
-
-    endpoint: str
-    api_key_env: str = "SEMPROTO_API_KEY"
-    timeout_s: float = 30.0
-    max_parallel: int = 4
-
-    def __post_init__(self):
-        # 0 would make the socket non-blocking; -1, nan, inf break it
-        if not 0.0 < self.timeout_s < math.inf:
-            raise ConfigError(
-                f"timeout must be finite and > 0 seconds, got {self.timeout_s}")
-        if self.max_parallel < 1:
-            raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
-
-
-def _post_json(config: RemoteClientConfig, payload: dict, unavailable) -> dict:
-    """POST `payload` as JSON; return the JSON object the endpoint answers.
-
-    No API key, no answer or a truncated one raises `unavailable` (the
-    caller's error class); a body that is not a UTF-8 JSON object,
-    MalformedResponse.
-    """
-    # Imported here: http, ssl and email would add to every CLI start.
-    import http.client
-    import urllib.request
-
-    key = os.environ.get(config.api_key_env, "")
-    if not key:
-        raise unavailable(f"API key environment variable {config.api_key_env} is not set")
-    req = urllib.request.Request(
-        config.endpoint,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json",
-                 "Authorization": f"Bearer {key}"},
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=config.timeout_s) as resp:
-            raw = resp.read()
-    except (OSError, http.client.HTTPException) as exc:  # URLError and timeouts are OSErrors
-        raise unavailable(f"request to {config.endpoint} failed: {exc!r}") from exc
-    try:
-        rec = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedResponse(f"endpoint {config.endpoint} returned non-JSON body: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise MalformedResponse(f"endpoint {config.endpoint} returned JSON that is not an object")
-    return rec
-
-
-class RemoteDescriptionClient:
-    """HTTP client for an external description-generation service.
-
-    POSTs the three rendered prompts per class and expects a JSON body
-    {"generic": str, "states": [str], "scenes": [str]}. The response must
-    arrive pre-split into clean lists; parsing policy is the service's.
-    """
-
-    def __init__(self, config: RemoteClientConfig):
-        self.config = config
-
-    @property
-    def max_parallel(self) -> int:
-        return self.config.max_parallel
-
-    def build_payload(self, class_name: str) -> dict:
-        return {
-            "class_name": class_name,
-            "prompts": {
-                "generic": render_generic_prompt(class_name),
-                "state": render_state_prompt(class_name),
-                "scene": render_scene_prompt(class_name),
-            },
-        }
-
-    def describe(self, class_name: str) -> dict:
-        rec = _post_json(self.config, self.build_payload(class_name), ClientUnavailable)
-        return _check_record(f"service response for class '{class_name}'", rec)
-
-
 def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
     generic = rec["generic"].strip()
     states = [s.strip() for s in rec["states"]]
@@ -295,30 +214,16 @@ def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
     return DescriptionSet(class_name, generic, tuple(states[:k]), tuple(scenes[:l]))
 
 
-def _map_parallel(fn, items: list, parallel: int) -> list:
-    """[fn(item) for item in items], with up to `parallel` calls in flight
-    on a thread pool when parallel > 1 and there is more than one item."""
-    if parallel > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(parallel, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def generate_descriptions(class_names, k: int, l: int, client) -> dict:
     """Fetch and validate exactly k states and l scenes per class.
 
-    Results are merged in sorted class-name order regardless of the
-    client's completion order; remote clients with max_parallel > 1 are
-    queried concurrently.
+    `client.describe(name)` is called once per distinct class, in sorted
+    class-name order, and the result keeps that order.
     """
     if k < 1 or l < 1:
         raise ConfigError(f"k and l must be >= 1, got k={k}, l={l}")
-    names = [_require_name(n) for n in class_names]
-    ordered = sorted(set(names))
-    recs = _map_parallel(client.describe, ordered, int(getattr(client, "max_parallel", 1)))
-    return {name: _build_set(name, rec, k, l) for name, rec in zip(ordered, recs)}
+    names = sorted({_require_name(n) for n in class_names})
+    return {name: _build_set(name, client.describe(name), k, l) for name in names}
 
 
 def _json_vector(values, dim: int | None = None) -> "np.ndarray":
@@ -419,26 +324,6 @@ class FixtureEncoder:
             ) from None
 
 
-class RemoteEncoder:
-    """HTTP client for an external text-encoding service."""
-
-    def __init__(self, config: RemoteClientConfig, dim: int):
-        if dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {dim}")
-        self.config = config
-        self.dim = int(dim)
-
-    @property
-    def max_parallel(self) -> int:
-        return self.config.max_parallel
-
-    def encode(self, text: str) -> "np.ndarray":
-        rec = _post_json(self.config, {"text": text}, EncoderUnavailable)
-        if "vector" not in rec:
-            raise MalformedResponse("encoder response missing 'vector'")
-        return _json_vector(rec["vector"], dim=self.dim)
-
-
 def encode(text: str, encoder) -> "np.ndarray":
     """Encode text into an l2-normalized float64 embedding of encoder.dim.
 
@@ -463,12 +348,8 @@ def encode(text: str, encoder) -> "np.ndarray":
 
 def encode_texts(texts, encoder) -> dict:
     """{text: encode(text, encoder)} for each distinct text, in first-seen
-    order. An encoder with max_parallel > 1 (the remote one) gets up to
-    that many requests at once; the others run serially in this thread."""
-    distinct = list(dict.fromkeys(texts))
-    vectors = _map_parallel(lambda text: encode(text, encoder), distinct,
-                            int(getattr(encoder, "max_parallel", 1)))
-    return dict(zip(distinct, vectors))
+    order."""
+    return {text: encode(text, encoder) for text in dict.fromkeys(texts)}
 
 
 def write_embedding_fixture(path: str, dim: int, records: dict) -> None:

@@ -61,25 +61,14 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_encoder_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder", choices=("toy", "fixture", "remote"),
+    p.add_argument("--encoder", choices=("toy", "fixture"),
                    default="fixture", help="text encoder backend")
     p.add_argument("--embeddings", default=fixture_path("embeddings_small.json"),
                    help="embedding fixture JSON (encoder=fixture)")
     p.add_argument("--encoder-dim", type=int, default=32,
-                   help="embedding dimension (encoder=toy/remote)")
+                   help="embedding dimension (encoder=toy)")
     p.add_argument("--encoder-seed", type=int, default=7,
                    help="toy encoder seed [artifact]")
-
-
-def _add_remote_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--endpoint", default=None,
-                   help="remote service URL (enables the remote client)")
-    p.add_argument("--api-key-env", default="SEMPROTO_API_KEY",
-                   help="environment variable holding the API key")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="remote request timeout in seconds")
-    p.add_argument("--max-parallel", type=int, default=4,
-                   help="max concurrent remote requests")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = _sub("gen-descriptions",
-             "generate per-class descriptions from a fixture or remote service")
+             "generate per-class descriptions from a description fixture")
     p.add_argument("--classes", required=True,
                    help="comma-separated class names")
     p.add_argument("--k", type=int, default=5,
@@ -109,14 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene phrases per class (default 5 [paper])")
     p.add_argument("--fixture", default=fixture_path("descriptions_small.json"),
                    help="description fixture JSON (default: shipped 2-class fixture)")
-    _add_remote_args(p)
     p.add_argument("--out", required=True, help="output descriptions JSON")
 
     p = _sub("encode", "encode every description text into an embedding fixture")
     p.add_argument("--descriptions", default=fixture_path("descriptions_small.json"),
                    help="descriptions JSON to encode")
     _add_encoder_args(p)
-    _add_remote_args(p)
     p.add_argument("--out", required=True, help="output embedding fixture JSON")
 
     p = _sub("build-bank", "aggregate encoded descriptions into a prototype bank file")
@@ -134,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-clamp-negative", action="store_true",
                    help="let negative similarity weights through unclamped [artifact]")
     _add_encoder_args(p)
-    _add_remote_args(p)
     p.add_argument("--out", required=True, help="output bank JSON")
 
     p = _sub("simulate", "generate the synthetic world and write its summary")

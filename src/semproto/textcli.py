@@ -15,22 +15,12 @@ from . import descriptions
 from .errors import ConfigError
 
 
-def _remote_config(args) -> descriptions.RemoteClientConfig:
-    return descriptions.RemoteClientConfig(
-        endpoint=args.endpoint, api_key_env=args.api_key_env,
-        timeout_s=args.timeout, max_parallel=args.max_parallel)
-
-
 def _make_encoder(args):
     if args.encoder == "toy":
         return descriptions.DeterministicToyEncoder(dim=args.encoder_dim,
                                                     seed=args.encoder_seed)
     if args.encoder == "fixture":
         return descriptions.FixtureEncoder(args.embeddings)
-    if args.encoder == "remote":
-        if not args.endpoint:
-            raise ConfigError("--encoder remote requires --endpoint")
-        return descriptions.RemoteEncoder(_remote_config(args), dim=args.encoder_dim)
     raise ConfigError(f"unknown encoder '{args.encoder}'")
 
 
@@ -38,10 +28,7 @@ def cmd_gen_descriptions(args) -> dict:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise ConfigError("--classes is empty")
-    if args.endpoint:
-        client = descriptions.RemoteDescriptionClient(_remote_config(args))
-    else:
-        client = descriptions.FixtureDescriptionClient(args.fixture)
+    client = descriptions.FixtureDescriptionClient(args.fixture)
     sets = descriptions.generate_descriptions(classes, args.k, args.l, client)
     descriptions.write_description_file(args.out, sets)
     return {"classes": sorted(set(classes)), "k": args.k, "l": args.l, "out": args.out}

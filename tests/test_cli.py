@@ -493,32 +493,6 @@ class TestExitCodes:
         assert err["error"] == "ConfigError" and "no classes" in err["message"]
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        *(pytest.param("timeout", v, id=v) for v in ("-1", "nan", "inf", "0")),
-        *(pytest.param("max-parallel", v, id=f"max-parallel{v}") for v in ("0", "-1")),
-    ])
-    def test_bad_timeout_exits_2_before_any_request(self, tmp_path, capsys,
-                                                    monkeypatch, flag, value):
-        # checked before any socket opens: the socket layer raises a bare
-        # ValueError or OverflowError for a timeout of -1, nan and inf, 0
-        # would make it non-blocking, and fewer than one parallel request
-        # would run the classes serially without a word
-        import urllib.request
-
-        def no_request(*args, **kwargs):
-            raise AssertionError("a request was made")
-
-        monkeypatch.setenv("SEMPROTO_API_KEY", "x")
-        monkeypatch.setattr(urllib.request, "urlopen", no_request)
-        out_path = tmp_path / "desc.json"
-        code = cli.main(["gen-descriptions", "--classes", "cat",
-                         "--endpoint", "http://127.0.0.1:9/",
-                         f"--{flag}={value}", "--out", str(out_path)])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigError" and flag.replace("-", "_") in err["message"]
-        assert not out_path.exists()
-
     @staticmethod
     def _exit_code_and_output(argv, config_text=None):
         """Run argv in-process with a fresh --out (and --config, when

@@ -1,8 +1,5 @@
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +10,6 @@ from semproto.descriptions import (
     FixtureDescriptionClient,
     FixtureEncoder,
     GENERIC_PROMPT_TEMPLATE,
-    RemoteClientConfig,
-    RemoteDescriptionClient,
-    RemoteEncoder,
     SCENE_PROMPT_TEMPLATE,
     STATE_PROMPT_TEMPLATE,
     encode,
@@ -25,7 +19,7 @@ from semproto.descriptions import (
     render_state_prompt,
     write_embedding_fixture,
 )
-from semproto.entry import fixture_path, main
+from semproto.entry import fixture_path
 from semproto.errors import (
     ClientUnavailable,
     DimensionMismatch,
@@ -211,186 +205,6 @@ class TestFixtureDescriptionClient:
     def test_missing_file(self):
         with pytest.raises(ClientUnavailable):
             FixtureDescriptionClient("/nonexistent/descriptions.json")
-
-
-class TestRemoteClients:
-    def test_payload_carries_all_three_prompts(self):
-        client = RemoteDescriptionClient(RemoteClientConfig(endpoint="http://x"))
-        payload = client.build_payload("cat")
-        assert payload["prompts"]["state"] == render_state_prompt("cat")
-        assert payload["prompts"]["generic"] == render_generic_prompt("cat")
-        assert payload["prompts"]["scene"] == render_scene_prompt("cat")
-
-    def test_missing_api_key(self, monkeypatch):
-        monkeypatch.delenv("SEMPROTO_API_KEY", raising=False)
-        client = RemoteDescriptionClient(RemoteClientConfig(endpoint="http://x"))
-        with pytest.raises(ClientUnavailable):
-            client.describe("cat")
-
-    def test_unreachable_endpoint(self, monkeypatch):
-        monkeypatch.setenv("SEMPROTO_API_KEY", "k")
-        cfg = RemoteClientConfig(endpoint="http://127.0.0.1:9/none", timeout_s=0.5)
-        with pytest.raises(ClientUnavailable):
-            RemoteDescriptionClient(cfg).describe("cat")
-
-    def test_remote_encoder_unreachable(self, monkeypatch):
-        monkeypatch.setenv("SEMPROTO_API_KEY", "k")
-        cfg = RemoteClientConfig(endpoint="http://127.0.0.1:9/none", timeout_s=0.5)
-        with pytest.raises(EncoderUnavailable):
-            RemoteEncoder(cfg, dim=8).encode("cat")
-
-
-@pytest.fixture
-def stub(monkeypatch):
-    """A loopback-only HTTP service answering every POST with `stub.body`,
-    or with `stub.body(payload)` when it is callable (announced as
-    `stub.content_length` bytes, if set), after waiting up to
-    `stub.delay_s`; it records each request and the most requests it held
-    at once (`stub.max_in_flight`)."""
-    state = SimpleNamespace(body=b"{}", content_length=None, delay_s=0.0,
-                            requests=[], release=threading.Event(),
-                            in_flight=0, max_in_flight=0, lock=threading.Lock())
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            payload = json.loads(self.rfile.read(length))
-            with state.lock:
-                state.requests.append((self.headers["Authorization"], payload))
-                state.in_flight += 1
-                state.max_in_flight = max(state.max_in_flight, state.in_flight)
-            state.release.wait(state.delay_s)
-            body = state.body(payload) if callable(state.body) else state.body
-            with state.lock:  # before the answer, which lets the client send again
-                state.in_flight -= 1
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length",
-                             str(state.content_length or len(body)))
-            self.end_headers()
-            try:
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # the client gave up waiting
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    monkeypatch.setenv("no_proxy", "*")
-    monkeypatch.setenv("SEMPROTO_API_KEY", "secret")
-    state.config = RemoteClientConfig(
-        endpoint=f"http://127.0.0.1:{server.server_address[1]}/", timeout_s=5.0)
-    try:
-        yield state
-    finally:
-        state.release.set()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-def _describe(config):
-    return RemoteDescriptionClient(config).describe("cat")
-
-
-def _encode(config):
-    return RemoteEncoder(config, dim=2).encode("a cat")
-
-
-# (call, the client's "unavailable" error, a valid body, a body missing a key)
-REMOTE_CLIENTS = {
-    "descriptions": (_describe, ClientUnavailable,
-                     b'{"generic": "a cat", "states": ["a sleeping cat"], '
-                     b'"scenes": ["cat on a sofa"]}',
-                     b'{"generic": "a cat", "states": ["a sleeping cat"]}'),
-    "encoder": (_encode, EncoderUnavailable, b'{"vector": [3.0, 4.0]}',
-                b'{"embedding": [3.0, 4.0]}'),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(REMOTE_CLIENTS))
-class TestRemoteClientsAgainstStub:
-    def test_valid_response(self, stub, kind):
-        call, _, good, _ = REMOTE_CLIENTS[kind]
-        stub.body = good
-        result = call(stub.config)
-        if kind == "encoder":
-            np.testing.assert_array_equal(result, [3.0, 4.0])
-        else:
-            assert result["scenes"] == ["cat on a sofa"]
-        assert [auth for auth, _ in stub.requests] == ["Bearer secret"]
-
-    def test_timeout(self, stub, kind):
-        call, unavailable, good, _ = REMOTE_CLIENTS[kind]
-        stub.body, stub.delay_s = good, 5.0
-        with pytest.raises(unavailable, match="timed out"):
-            call(RemoteClientConfig(endpoint=stub.config.endpoint, timeout_s=0.2))
-
-    def test_truncated_body(self, stub, kind):
-        call, unavailable, good, _ = REMOTE_CLIENTS[kind]
-        stub.body, stub.content_length = good[:10], len(good)
-        with pytest.raises(unavailable, match="IncompleteRead"):
-            call(stub.config)
-
-    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}", b"[1, 2]", b'"text"'])
-    def test_bad_body_is_malformed(self, stub, kind, body):
-        call = REMOTE_CLIENTS[kind][0]
-        stub.body = body
-        with pytest.raises(MalformedResponse):
-            call(stub.config)
-
-    def test_missing_key_is_malformed(self, stub, kind):
-        call, _, _, missing = REMOTE_CLIENTS[kind]
-        stub.body = missing
-        with pytest.raises(MalformedResponse, match="missing"):
-            call(stub.config)
-
-    def test_unset_api_key_sends_nothing(self, stub, kind, monkeypatch):
-        call, unavailable, _, _ = REMOTE_CLIENTS[kind]
-        monkeypatch.delenv("SEMPROTO_API_KEY")
-        with pytest.raises(unavailable, match="SEMPROTO_API_KEY"):
-            call(stub.config)
-        assert stub.requests == []
-
-
-@pytest.mark.parametrize("command", ["encode", "build-bank"])
-def test_remote_encoding_keeps_max_parallel_requests_in_flight(stub, tmp_path, command):
-    # each text gets its own vector, so the two runs' files can only match
-    # if every text's answer lands in its own place
-    toy = DeterministicToyEncoder(dim=8, seed=3)
-    stub.body = lambda payload: json.dumps(
-        {"vector": toy.encode(payload["text"]).tolist()}).encode("utf-8")
-    stub.delay_s = 0.02
-    outputs = {}
-    for parallel in ("4", "1"):
-        stub.max_in_flight = 0
-        out_path = tmp_path / f"{parallel}.json"
-        assert main([command, "--encoder", "remote", "--encoder-dim", "8",
-                     "--endpoint", stub.config.endpoint, "--max-parallel", parallel,
-                     "--out", str(out_path)]) == 0
-        outputs[parallel] = (out_path.read_bytes(), stub.max_in_flight)
-    assert 1 < outputs["4"][1] <= 4
-    assert outputs["1"][1] == 1
-    assert outputs["4"][0] == outputs["1"][0]
-
-
-@pytest.mark.parametrize("command", ["encode", "build-bank"])
-@pytest.mark.parametrize("dim", ["0", "-3"])
-def test_remote_encoder_dim_below_1_exits_2_before_any_request(stub, tmp_path, capsys,
-                                                              command, dim):
-    # as the toy encoder refuses it; the stub holds a valid answer and a key is set
-    stub.body = b'{"vector": [3.0, 4.0]}'
-    out_path = tmp_path / "out.json"
-    assert main([command, "--encoder", "remote", "--encoder-dim", dim,
-                 "--endpoint", stub.config.endpoint, "--out", str(out_path)]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError" and dim in err["message"]
-    assert stub.requests == []
-    assert not out_path.exists()
 
 
 class TestDeterministicToyEncoder:
