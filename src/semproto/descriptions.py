@@ -156,7 +156,8 @@ class FixtureDescriptionClient:
 
     File format (the description file, also read by read_description_file
     and written by write_description_file): top-level map class_name ->
-    {"generic": str, "states": [str], "scenes": [str]}.
+    {"generic": str, "states": [str], "scenes": [str]}, with no blank
+    class name.
     """
 
     def __init__(self, path: str):
@@ -164,6 +165,9 @@ class FixtureDescriptionClient:
         data = _read_json(path, "description file", ClientUnavailable)
         if not isinstance(data, dict):
             raise MalformedResponse(f"description file {path}: top level must be a map")
+        for name in data:
+            if not name.strip():
+                raise MalformedResponse(f"description file {path}: blank class name {name!r}")
         self._data = data
 
     def describe(self, class_name: str) -> dict:
@@ -269,7 +273,8 @@ class FixtureEncoder:
     File format (written by write_embedding_fixture):
     {"dim": int, "records": [{"text": str, "vector": [float]}]}.
     Vectors are stored pre-normalized; the loader re-normalizes and warns
-    if any stored norm drifts from 1 by more than 1e-6.
+    if any stored norm drifts from 1 by more than 1e-6. A stored norm below
+    1e-6, the floor `encode` puts on an encoder's raw output, is malformed.
     """
 
     def __init__(self, path: str):
@@ -304,6 +309,10 @@ class FixtureEncoder:
                     f"fixture declares {self.dim}"
                 )
             norm = float(np.linalg.norm(vec))
+            if norm < 1e-6:
+                raise MalformedResponse(
+                    f"embedding fixture {path}: record for {rec['text']!r} has norm "
+                    f"{norm:.3g}, below 1e-6")
             if abs(norm - 1.0) > 1e-6:
                 drifted += 1
             self._table[rec["text"]] = l2_normalize(vec)

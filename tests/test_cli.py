@@ -46,13 +46,32 @@ def run_cli(*args, check=True, preexec_fn=None):
     return out
 
 
-def test_cli_import_leaves_network_and_pool_modules_unloaded():
-    # They load only on the remote-client and parallel paths.
-    script = ("import json, sys, semproto.cli; print(json.dumps(sorted(m for m in ("
-              "'http.client', 'urllib.request', 'ssl', 'email', 'concurrent.futures')"
-              " if m in sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True)
+def test_cli_import_leaves_network_and_pool_modules_unloaded(tmp_path):
+    # The package holds no network client, and the process pool loads only
+    # in `ablate`: importing the library and running the README's
+    # gen-descriptions, encode and build-bank load none of these modules.
+    from .test_golden import golden
+
+    text_argvs = [argv for argv in golden.readme_commands()
+                  if argv[0] in ("gen-descriptions", "encode", "build-bank")]
+    assert [argv[0] for argv in text_argvs] == ["gen-descriptions", "encode", "build-bank"]
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import semproto.cli
+        from semproto import entry
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert entry.main(argv) == 0, argv
+        print(json.dumps(sorted(m for m in (
+            "http.client", "urllib.request", "ssl", "email", "concurrent.futures")
+            if m in sys.modules)))
+    """)
+    # the outputs land in tmp_path, so the package path must not be relative
+    src = str(Path(entry.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(text_argvs)],
+                         capture_output=True, text=True, check=True, cwd=tmp_path, env=env)
     assert json.loads(out.stdout) == []
 
 
@@ -297,15 +316,18 @@ _RANDOM_BYTES = st.binary(max_size=64).filter(lambda raw: not _is_json_object(ra
 
 @st.composite
 def _malformed_description_files(draw) -> bytes:
-    """A description file whose record for class `cat` breaks the format."""
+    """A description file whose record for class `cat` breaks the format,
+    or which also holds a record under a blank class name."""
     rec = {key: list(value) if isinstance(value, list) else value
            for key, value in _GOOD_DESC.items()}
     how = draw(st.sampled_from(["bytes", "top", "record", "missing", "generic",
-                                "list", "item"]))
+                                "list", "item", "blank-name"]))
     if how == "bytes":
         return draw(_RANDOM_BYTES)
     if how == "top":
         return _json_bytes(draw(_NON_MAP))
+    if how == "blank-name":
+        return _json_bytes({"cat": rec, draw(st.text(" \t\n", max_size=3)): rec})
     if how == "record":
         rec = draw(_NON_MAP)
     elif how == "missing":
@@ -338,7 +360,7 @@ def _malformed_embedding_fixtures(draw) -> bytes:
     i = draw(st.integers(0, len(fixture["records"]) - 1))
     rec = fixture["records"][i]
     how = draw(st.sampled_from(["bytes", "top", "missing", "dim", "records", "record",
-                                "text", "vector", "entry"]))
+                                "text", "vector", "entry", "tiny"]))
     if how == "bytes":
         return draw(_RANDOM_BYTES)
     if how == "top":
@@ -357,6 +379,9 @@ def _malformed_embedding_fixtures(draw) -> bytes:
         rec["text"] = draw(_NON_STRING)
     elif how == "vector":
         rec["vector"] = draw(_NON_LIST)
+    elif how == "tiny":  # the unit vector scaled below encode's 1e-6 norm floor
+        scale = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.9e-7)))
+        rec["vector"] = [x * scale for x in rec["vector"]]
     else:
         rec["vector"][draw(st.integers(0, 3))] = draw(_NON_NUMBER)
     return _json_bytes(fixture)
@@ -419,6 +444,11 @@ class TestMalformedInputFiles:
          "InvalidEmbedding"),
         ({"dim": 1, "records": [{"text": "a cat", "vector": [10**400]}]},
          "InvalidEmbedding"),
+        # below encode's 1e-6 floor on a raw vector, zero included
+        ({"dim": 2, "records": [{"text": "a cat", "vector": [0.0, 0.0]}]},
+         "MalformedResponse"),
+        ({"dim": 2, "records": [{"text": "a cat", "vector": [6e-10, 8e-10]}]},
+         "MalformedResponse"),
     ])
     def test_embedding_fixture_bad_value_exits_3(self, tmp_path, fixture, error):
         emb_path = tmp_path / "emb.json"
@@ -474,6 +504,9 @@ class TestExitCodes:
         ["ablate", "--seeds", "0"],
         ["gen-descriptions", "--classes", "cat", "--k", "0"],
         ["encode", "--encoder", "toy", "--encoder-dim", "0"],
+        ["encode", "--encoder", "toy", "--encoder-dim", "-3"],
+        ["build-bank", "--encoder", "toy", "--encoder-dim", "0"],
+        ["build-bank", "--encoder", "toy", "--encoder-dim", "-3"],
     ])
     def test_bad_argument_exits_2_as_config_error(self, tmp_path, capsys, argv):
         out_path = tmp_path / "out.json"
