@@ -741,7 +741,7 @@ class TestTrainEvaluateCommands:
                        cwd=Path(__file__).parent.parent,
                        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "8a87b1064bf4905870871e7e3c5eb5e0927072af01456c872c464ed7b4729f23")
+            "82f36792e1072ccef7df22944feedb682f9e8d9cae0f5ced5cc11efdfdb035ac")
 
     @pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
                              ids=["no-record", "earlier-record"])
