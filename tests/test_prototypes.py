@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -12,6 +15,7 @@ from semproto.descriptions import (
     FixtureDescriptionClient,
     generate_descriptions,
 )
+from semproto import entry
 from semproto.entry import fixture_path
 from semproto.errors import (
     AllWeightsZero,
@@ -30,7 +34,13 @@ from semproto.prototypes import (
     aggregate_two_stage,
     build_bank,
 )
-from semproto.synthbench import ProbeModel, evaluate
+from semproto.synthbench import (
+    ProbeModel,
+    WorldSpec,
+    build_toy_bank,
+    evaluate,
+    generate_world,
+)
 
 from .oracles import (
     mean_agg_loop,
@@ -258,6 +268,39 @@ class TestBuildBank:
         mean_bank = build_bank(desc, enc, strategy=Aggregation.MEAN)
         median_bank = build_bank(desc, enc, strategy=Aggregation.MEDIAN)
         assert np.linalg.norm(mean_bank.sesp - median_bank.sesp) > 0
+
+class TestBankPins:
+    """The exact bytes of every aggregator's bank: the file build-bank
+    writes from the shipped fixtures, and the toy bank of the default
+    world. The shipped cat and dog each have a state embedding with a
+    negative cosine to their generic one, so the similarity-weighted file
+    pin runs the clamp."""
+
+    @pytest.mark.parametrize("aggregator, digest", [
+        ("mean", "d76719623359a64e7be4bf86a8fc7e2a8a03b57fdd5e6a917fab802072803ed2"),
+        ("median", "6774bc07182b408745173c02683703335a5558f46672551906a885c5a8c04e76"),
+        ("two-stage", "afbbc08cc25a96cf94c0319ed0f2b2b9b9d2829e0faf19bd80f776c89ce0cbf7"),
+        ("similarity-weighted",
+         "b01ed305ca97dcdfdf04986eb24ec3b049df5c6bd6a847b21383a44ad544ba04"),
+    ])
+    def test_build_bank_file_is_pinned(self, tmp_path, aggregator, digest):
+        out = tmp_path / "bank.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert entry.main(["build-bank", "--aggregator", aggregator,
+                               "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("strategy, digest", [
+        ("mean", "bfdea3ea98f04ab2359241bdb00369e8e4ac8c3cc480b5cff3e8cf36bdca2486"),
+        ("median", "065b1e4b986c0eabcb6e31cc45aac0f6cfc828598ce4da32e55f0578f2bb02f2"),
+        ("two_stage", "6617fd2763b89418c4a5080cccab10eeff55db591923c922b0de70f7e52bd92c"),
+        ("similarity_weighted",
+         "72f9f4b5bd1d0723e9c995ea01ee934df3639a47e8246ce1b60fc705314f1284"),
+    ])
+    def test_toy_bank_is_pinned(self, strategy, digest):
+        bank = build_toy_bank(generate_world(WorldSpec()), strategy=strategy)
+        assert hashlib.sha256(bank.sesp.tobytes()).hexdigest() == digest
+
 
 def _bank_body(**changes) -> bytes:
     """A valid 1-class, dim-2 bank file; a change to None drops the key."""
