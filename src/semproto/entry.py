@@ -23,7 +23,6 @@ from importlib import import_module, resources
 
 from .config import ABLATION_GRIDS, AGGREGATIONS, __version__, config_help_epilog
 from .errors import (
-    AllWeightsZero,
     ConfigError,
     DivergenceDetected,
     EmptyClassName,
@@ -37,7 +36,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _CONFIG_ERRORS = (ConfigError, InfeasibleWorld, EmptyClassName)
-_NUMERIC_ERRORS = (ZeroNorm, AllWeightsZero, DivergenceDetected)
+_NUMERIC_ERRORS = (ZeroNorm, DivergenceDetected)
 _DATA_ERRORS = (OSError,)
 
 # The module whose cmd_<name> runs each subcommand: textcli loads numpy
@@ -116,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="states aggregated per class (default 5 [paper])")
     p.add_argument("--l", type=int, default=5,
                    help="scene slots per class (default 5 [paper])")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="keep raw aggregates instead of unit prototypes [artifact]")
-    p.add_argument("--no-clamp-negative", action="store_true",
-                   help="let negative similarity weights through unclamped [artifact]")
     _add_encoder_args(p)
     p.add_argument("--out", required=True, help="output bank JSON")
 

@@ -54,10 +54,6 @@ class EmptyStateList(SemprotoError):
     """An aggregator was called with no state embeddings."""
 
 
-class AllWeightsZero(SemprotoError):
-    """Every clamped similarity weight is zero; no aggregate exists."""
-
-
 class InfeasibleWorld(SemprotoError):
     """A WorldSpec violates its own feasibility invariants."""
 

@@ -1,10 +1,10 @@
 """Prototype construction: per-class aggregated vectors plus the
 per-class scene slot bank, with JSON persistence.
 
-Four aggregation strategies are supported; mean is the default. All
-aggregators return l2-normalized vectors unless normalization is
-disabled, in which case the raw aggregate is preserved (classification
-is cosine-based, so normalization never changes scores or argmax).
+Four aggregation strategies are supported; mean is the default. Every
+aggregator returns an l2-normalized vector; similarity weighting clamps
+negative weights to 0, so its weights sum to at least 1 and no aggregate
+fails for want of weight.
 """
 
 import json
@@ -19,7 +19,6 @@ from .core import as_embedding, cosine, l2_normalize, unit_rows
 # encode stays bound here for perfbench/spans.py, which patches every import of it
 from .descriptions import DescriptionSet, encode, encode_texts  # noqa: F401
 from .errors import (
-    AllWeightsZero,
     ConfigError,
     DimensionMismatch,
     EmptyStateList,
@@ -35,70 +34,55 @@ def _stack(generic, states) -> tuple[np.ndarray, np.ndarray]:
     return g, np.stack(rows)
 
 
-def _finish(v: np.ndarray, normalize: bool) -> np.ndarray:
-    return l2_normalize(v) if normalize else v
-
-
-def aggregate_mean(generic, states, normalize: bool = True) -> np.ndarray:
+def aggregate_mean(generic, states) -> np.ndarray:
     """Arithmetic mean of the generic and all K state embeddings."""
     g, st = _stack(generic, states)
-    return _finish((g + st.sum(axis=0)) / (st.shape[0] + 1), normalize)
+    return l2_normalize((g + st.sum(axis=0)) / (st.shape[0] + 1))
 
 
-def aggregate_median(generic, states, normalize: bool = True) -> np.ndarray:
+def aggregate_median(generic, states) -> np.ndarray:
     """Element-wise median across the K+1 embeddings.
 
     Even counts take the mean of the two middle values per coordinate;
     a median vector that degenerates to zero raises ZeroNorm.
     """
     g, st = _stack(generic, states)
-    med = np.median(np.vstack([g[None, :], st]), axis=0)
-    return _finish(med, normalize)
+    return l2_normalize(np.median(np.vstack([g[None, :], st]), axis=0))
 
 
-def aggregate_two_stage(generic, states, normalize: bool = True) -> np.ndarray:
+def aggregate_two_stage(generic, states) -> np.ndarray:
     """Average the K state embeddings first, then average with the
     generic embedding (equal weight to the two stages)."""
     g, st = _stack(generic, states)
-    return _finish((g + st.mean(axis=0)) / 2.0, normalize)
+    return l2_normalize((g + st.mean(axis=0)) / 2.0)
 
 
-def aggregate_similarity_weighted(generic, states, normalize: bool = True,
-                                  clamp_negative: bool = True) -> np.ndarray:
+def aggregate_similarity_weighted(generic, states) -> np.ndarray:
     """Weighted average with each embedding weighted proportionally to
     its cosine similarity with the generic embedding.
 
     The generic embedding participates with weight proportional to 1.
-    Negative weights are clamped to 0 by default (a negative weight
-    would flip a vector's direction); disable via clamp_negative.
+    Negative weights are clamped to 0 (a negative weight would flip a
+    vector's direction), so the weights sum to at least 1 and every
+    input has an aggregate.
     """
     g, st = _stack(generic, states)
-    weights = np.array([1.0] + [cosine(s, g) for s in st])
-    if clamp_negative:
-        weights = np.maximum(weights, 0.0)
-    total = float(weights.sum())
-    if abs(total) < 1e-12:
-        raise AllWeightsZero("all clamped similarity weights are zero")
-    weights = weights / total
+    weights = np.maximum(np.array([1.0] + [cosine(s, g) for s in st]), 0.0)
+    weights = weights / float(weights.sum())
     stacked = np.vstack([g[None, :], st])
-    return _finish(weights @ stacked, normalize)
+    return l2_normalize(weights @ stacked)
 
 
 _AGGREGATORS = {
     Aggregation.MEAN: aggregate_mean,
     Aggregation.MEDIAN: aggregate_median,
     Aggregation.TWO_STAGE: aggregate_two_stage,
+    Aggregation.SIMILARITY_WEIGHTED: aggregate_similarity_weighted,
 }
 
 
-def aggregate(strategy, generic, states, normalize: bool = True,
-              clamp_negative: bool = True) -> np.ndarray:
-    strategy = Aggregation(strategy)
-    if strategy is Aggregation.SIMILARITY_WEIGHTED:
-        return aggregate_similarity_weighted(generic, states,
-                                             normalize=normalize,
-                                             clamp_negative=clamp_negative)
-    return _AGGREGATORS[strategy](generic, states, normalize=normalize)
+def aggregate(strategy, generic, states) -> np.ndarray:
+    return _AGGREGATORS[Aggregation(strategy)](generic, states)
 
 
 def _read_only_unit_rows(protos: np.ndarray) -> np.ndarray:
@@ -219,8 +203,7 @@ class PrototypeBank:
 
 
 def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
-               l: int = 5, normalize: bool = True,
-               clamp_negative: bool = True) -> PrototypeBank:
+               l: int = 5) -> PrototypeBank:
     """Encode descriptions and aggregate them into a PrototypeBank.
 
     Uses the first k states and first l scenes of each DescriptionSet
@@ -246,12 +229,10 @@ def build_bank(desc: dict, encoder, strategy=Aggregation.MEAN, k: int = 5,
         desc[name].generic, *desc[name].states[:k], *desc[name].scenes[:l])], encoder)
     classes = ((vectors[ds.generic], [vectors[t] for t in ds.states[:k]],
                 [vectors[t] for t in ds.scenes[:l]]) for ds in map(desc.get, vocab))
-    return assemble_bank(vocab, classes, strategy, k, l, normalize=normalize,
-                         clamp_negative=clamp_negative)
+    return assemble_bank(vocab, classes, strategy, k, l)
 
 
-def assemble_bank(vocab, classes, strategy, k: int, l: int, normalize: bool = True,
-                  clamp_negative: bool = True) -> PrototypeBank:
+def assemble_bank(vocab, classes, strategy, k: int, l: int) -> PrototypeBank:
     """The bank of `vocab` from each class's (generic, states, slots)
     embeddings, given in vocabulary order.
 
@@ -263,8 +244,7 @@ def assemble_bank(vocab, classes, strategy, k: int, l: int, normalize: bool = Tr
     sesp_rows = []
     sapp_rows = []
     for generic, states, slots in classes:
-        sesp_rows.append(generic if k == 0 else aggregate(
-            strategy, generic, states, normalize=normalize, clamp_negative=clamp_negative))
+        sesp_rows.append(generic if k == 0 else aggregate(strategy, generic, states))
         sapp_rows.append(np.stack(slots))
     return PrototypeBank(
         vocab=vocab,

@@ -56,16 +56,12 @@ def cmd_build_bank(args) -> dict:
         strategy=args.aggregator.replace("-", "_"),
         k=args.k,
         l=args.l,
-        normalize=not args.no_normalize,
-        clamp_negative=not args.no_clamp_negative,
     )
     bank.save(args.out)
     return {
         "aggregator": bank.strategy.value,
         "k": args.k,
         "l": args.l,
-        "normalize": not args.no_normalize,
-        "clamp_negative": not args.no_clamp_negative,
         "classes": list(bank.vocab),
         "dim": bank.dim,
         "out": args.out,

@@ -18,7 +18,6 @@ from semproto.descriptions import (
 from semproto import entry
 from semproto.entry import fixture_path
 from semproto.errors import (
-    AllWeightsZero,
     DimensionMismatch,
     EmptyStateList,
     MalformedResponse,
@@ -66,10 +65,6 @@ class TestAggregateMean:
         out = aggregate_mean([1.0, 0.0], [[0.0, 1.0]])
         np.testing.assert_allclose(out, [SQRT2_2, SQRT2_2], atol=1e-15)
 
-    def test_raw_mean_matches_formula(self):
-        out = aggregate_mean([1.0, 0.0], [[0.0, 1.0]], normalize=False)
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
-
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(10)
         for k in (1, 5, 9):
@@ -96,8 +91,8 @@ class TestAggregateMedian:
     def test_robust_to_outlier(self):
         g = np.array([1.0, 1.0])
         states = [np.array([2.0, 2.0]), np.array([100.0, 100.0])]
-        out = aggregate_median(g, states, normalize=False)
-        np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-15)
+        out = aggregate_median(g, states)
+        np.testing.assert_allclose(out, [SQRT2_2, SQRT2_2], atol=1e-15)
 
     def test_even_count_matches_sort_oracle(self):
         rng = np.random.default_rng(11)
@@ -159,15 +154,6 @@ class TestAggregateSimilarityWeighted:
         states = [np.eye(6)[i] for i in range(1, 4)]
         out = aggregate_similarity_weighted(g, states)
         np.testing.assert_allclose(out, g, atol=1e-12)
-
-    def test_all_weights_zero_without_clamp(self):
-        g = np.array([1.0, 0.0])
-        # two states at 120 degrees: cosines are -0.5 each, summing the
-        # weight vector [1, -0.5, -0.5] to zero
-        s1 = np.array([-0.5, np.sqrt(3) / 2])
-        s2 = np.array([-0.5, -np.sqrt(3) / 2])
-        with pytest.raises(AllWeightsZero):
-            aggregate_similarity_weighted(g, [s1, s2], clamp_negative=False)
 
     def test_negative_weights_clamped_by_default(self):
         g = np.array([1.0, 0.0])
@@ -430,17 +416,6 @@ class TestClassify:
         f = bank.sesp[1] + 0.1 * bank.sesp[2]
         assert self._acc(bank, [f, f], [1, 2]) == 0.5
         assert self._acc(bank, f, [1]) == 1.0
-
-    def test_normalization_flag_does_not_change_logits(self):
-        desc = _fixture_descriptions()
-        enc = DeterministicToyEncoder(dim=16, seed=7)
-        raw = build_bank(desc, enc, normalize=False)
-        unit = build_bank(desc, enc, normalize=True)
-        np.testing.assert_allclose(raw.unit_sesp, unit.unit_sesp, atol=1e-12)
-        rng = np.random.default_rng(20)
-        f = rng.standard_normal((30, 16))
-        labels = rng.integers(2, size=30)
-        assert self._acc(raw, f, labels) == self._acc(unit, f, labels)
 
     def test_dim_mismatch(self):
         bank = _orthogonal_bank()
