@@ -274,7 +274,8 @@ class FixtureEncoder:
     {"dim": int, "records": [{"text": str, "vector": [float]}]}.
     Vectors are stored pre-normalized; the loader re-normalizes and warns
     if any stored norm drifts from 1 by more than 1e-6. A stored norm below
-    1e-6, the floor `encode` puts on an encoder's raw output, is malformed.
+    1e-6, the floor `encode` puts on an encoder's raw output, is malformed,
+    and so is a second record for one text.
     """
 
     def __init__(self, path: str):
@@ -313,6 +314,9 @@ class FixtureEncoder:
                 raise MalformedResponse(
                     f"embedding fixture {path}: record for {rec['text']!r} has norm "
                     f"{norm:.3g}, below 1e-6")
+            if rec["text"] in self._table:
+                raise MalformedResponse(
+                    f"embedding fixture {path}: more than one record for {rec['text']!r}")
             if abs(norm - 1.0) > 1e-6:
                 drifted += 1
             self._table[rec["text"]] = l2_normalize(vec)

@@ -18,12 +18,7 @@ from .config import Aggregation
 from .core import as_embedding, cosine, l2_normalize, unit_rows
 # encode stays bound here for perfbench/spans.py, which patches every import of it
 from .descriptions import DescriptionSet, encode, encode_texts  # noqa: F401
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyStateList,
-    MalformedResponse,
-)
+from .errors import ConfigError, DimensionMismatch, EmptyStateList, MalformedResponse
 
 
 def _stack(generic, states) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +90,10 @@ def _read_only_unit_rows(protos: np.ndarray) -> np.ndarray:
 class PrototypeBank:
     """Per-class prototypes (C x dim) plus scene slot vectors (C x L x dim).
 
-    Vocabulary order is lexicographic over class names; a class's row in
-    sesp and sapp, and its label in the loss kernels, is its position in
-    that order. Banks are immutable and safe to share: the arrays are
+    Vocabulary order is lexicographic over distinct class names (a bank
+    out of that order raises MalformedResponse); a class's row in sesp and
+    sapp, and its label in the loss kernels, is its position in that
+    order. Banks are immutable and safe to share: the arrays are
     read-only copies, so the unit-row views the loss kernels use
     (unit_sesp, unit_sapp) are computed once and never go stale.
     """
@@ -114,7 +110,12 @@ class PrototypeBank:
         sapp = np.array(self.sapp, dtype=np.float64)
         sesp.flags.writeable = False
         sapp.flags.writeable = False
-        object.__setattr__(self, "vocab", tuple(self.vocab))
+        vocab = tuple(self.vocab)
+        if not (all(isinstance(n, str) for n in vocab)
+                and all(a < b for a, b in zip(vocab, vocab[1:]))):
+            raise MalformedResponse("vocab must hold distinct names in lexicographic "
+                                    f"order, got {vocab!r}")
+        object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "sesp", sesp)
         object.__setattr__(self, "sapp", sapp)
         c = len(self.vocab)
@@ -182,12 +183,10 @@ class PrototypeBank:
                 raise ValueError(f"k must be >= 0, got {k}")
             if l < 1:
                 raise ValueError(f"l must be >= 1, got {l}")
-            if not (isinstance(vocab, list) and all(isinstance(n, str) for n in vocab)
-                    and all(a < b for a, b in zip(vocab, vocab[1:]))):
-                raise TypeError("vocab must be a list of distinct names in lexicographic "
-                                f"order, got {vocab!r}")
+            if not isinstance(vocab, list):
+                raise TypeError(f"vocab must be a list, got {vocab!r}")
             bank = cls(
-                vocab=tuple(vocab),
+                vocab=vocab,
                 sesp=np.array(payload["sesp"], dtype=np.float64),
                 sapp=np.array(payload["sapp"], dtype=np.float64),
                 strategy=Aggregation(payload["strategy"]),

@@ -74,7 +74,9 @@ class ToyWorld:
 
     @property
     def class_names(self) -> tuple[str, ...]:
-        return tuple(f"class_{i:02d}" for i in range(self.spec.n_classes))
+        # zero-padded to one width, so lexicographic order is index order
+        width = max(2, len(str(self.spec.n_classes - 1)))
+        return tuple(f"class_{i:0{width}d}" for i in range(self.spec.n_classes))
 
     @property
     def test_y(self) -> np.ndarray:  # (n_test,)

@@ -360,7 +360,8 @@ def _malformed_embedding_fixtures(draw) -> bytes:
     i = draw(st.integers(0, len(fixture["records"]) - 1))
     rec = fixture["records"][i]
     how = draw(st.sampled_from(["bytes", "top", "missing", "dim", "records", "record",
-                                "text", "vector", "entry", "tiny"]))
+                                "text", "vector", "entry", "tiny",
+                                "duplicate-text"]))
     if how == "bytes":
         return draw(_RANDOM_BYTES)
     if how == "top":
@@ -382,6 +383,8 @@ def _malformed_embedding_fixtures(draw) -> bytes:
     elif how == "tiny":  # the unit vector scaled below encode's 1e-6 norm floor
         scale = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.9e-7)))
         rec["vector"] = [x * scale for x in rec["vector"]]
+    elif how == "duplicate-text":  # a second record for the text, another vector
+        fixture["records"].append({"text": rec["text"], "vector": rec["vector"][::-1]})
     else:
         rec["vector"][draw(st.integers(0, 3))] = draw(_NON_NUMBER)
     return _json_bytes(fixture)

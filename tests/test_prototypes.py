@@ -357,6 +357,20 @@ class TestBankPersistence:
         with pytest.raises(MalformedResponse, match="bank.json"):
             PrototypeBank.load(str(path))
 
+    def test_toy_bank_of_101_classes_round_trips(self, tmp_path):
+        # class_100 must sort after class_99, or load refuses what save wrote
+        bank = build_toy_bank(generate_world(WorldSpec(n_classes=101, n_base=50, dim=111)))
+        path = tmp_path / "bank.json"
+        bank.save(str(path))
+        loaded = PrototypeBank.load(str(path))
+        assert loaded.vocab == bank.vocab
+        np.testing.assert_array_equal(loaded.sesp, bank.sesp)
+
+    def test_unsorted_vocab_is_refused_on_construction(self):
+        with pytest.raises(MalformedResponse, match="lexicographic"):
+            PrototypeBank(vocab=("b", "a"), sesp=np.eye(2), sapp=np.eye(2)[:, None],
+                          strategy=Aggregation.MEAN, k=1, l=1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             PrototypeBank.load(str(tmp_path / "absent.json"))

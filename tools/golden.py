@@ -8,7 +8,8 @@ sha256 of the command's stdout and of every file it writes there.
 the walk-through and compares them.
 
     python tools/golden.py            # compare against tests/golden.json
-    python tools/golden.py --update   # rewrite tests/golden.json
+    python tools/golden.py --update   # rewrite tests/golden.json, printing
+                                      # each digest that moved
 """
 
 import argparse
@@ -90,18 +91,19 @@ def mismatches(pinned: list[dict], got: list[dict]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {MANIFEST.relative_to(ROOT)}")
+                        help="rewrite the manifest, printing each digest that moved")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         got = run_walkthrough(readme_commands(), Path(tmp))
-    if args.update:
-        MANIFEST.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {len(got)} commands to {MANIFEST}")
-        return 0
     pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
     lines = mismatches(pinned, got)
     if [p["argv"] for p in pinned] != [g["argv"] for g in got]:
         lines.append("the README's commands are not the pinned ones")
+    if args.update:
+        print("\n".join(lines) or "no digest moved")
+        MANIFEST.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(got)} commands to {MANIFEST}")
+        return 0
     print("\n".join(lines) or "every digest matches")
     return 1 if lines else 0
 
