@@ -744,7 +744,7 @@ class TestTrainEvaluateCommands:
                        cwd=Path(__file__).parent.parent,
                        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "82f36792e1072ccef7df22944feedb682f9e8d9cae0f5ced5cc11efdfdb035ac")
+            "3df2ebf34c358dff06cd59f7deed1ee7f4265e0e1220be3de66ceafd6f20b28a")
 
     @pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
                              ids=["no-record", "earlier-record"])
