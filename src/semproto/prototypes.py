@@ -58,8 +58,8 @@ def aggregate_similarity_weighted(generic, states) -> np.ndarray:
 
     The generic embedding participates with weight proportional to 1.
     Negative weights are clamped to 0 (a negative weight would flip a
-    vector's direction), so the weights sum to at least 1 and every
-    input has an aggregate.
+    vector's direction), so the weights sum to at least 1 and no
+    aggregate fails for want of weight.
     """
     g, st = _stack(generic, states)
     weights = np.maximum(np.array([1.0] + [cosine(s, g) for s in st]), 0.0)

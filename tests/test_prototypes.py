@@ -89,8 +89,10 @@ class TestAggregateMedian:
         np.testing.assert_allclose(aggregate_median(g, [g, g]), g, atol=1e-15)
 
     def test_robust_to_outlier(self):
-        g = np.array([1.0, 1.0])
-        states = [np.array([2.0, 2.0]), np.array([100.0, 100.0])]
+        # the outlier points away from the other two, so the mean's
+        # direction is far from the median's [2, 2]
+        g = np.array([1.0, 3.0])
+        states = [np.array([2.0, 2.0]), np.array([100.0, -100.0])]
         out = aggregate_median(g, states)
         np.testing.assert_allclose(out, [SQRT2_2, SQRT2_2], atol=1e-15)
 
