@@ -18,9 +18,9 @@ _EXPORTS = {
     "config": ("TrainConfig", "WorldSpec", "__version__"),
     "core": ("cosine", "l2_normalize", "log_sigmoid", "sigmoid"),
     "descriptions": (
-        "DescriptionSet", "DeterministicToyEncoder", "FixtureDescriptionClient",
-        "FixtureEncoder", "encode", "generate_descriptions", "render_generic_prompt",
-        "render_scene_prompt", "render_state_prompt",
+        "DescriptionSet", "DeterministicToyEncoder", "FixtureEncoder", "encode",
+        "generate_descriptions", "render_generic_prompt", "render_scene_prompt",
+        "render_state_prompt",
     ),
     "prototypes": (
         "Aggregation", "PrototypeBank", "aggregate_mean", "aggregate_median",

@@ -235,7 +235,7 @@ def parse_override(text: str) -> tuple[str, object]:
     raw = raw.strip()
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of more digits than int() takes
         value = raw
     return key, value
 
@@ -248,13 +248,12 @@ def load_config(path: str | None = None, overrides=()) -> tuple[WorldSpec, Train
     """
     flat = {key: f.default for key, f in CONFIG_SCHEMA.items()}
     if path is not None:
+        from .atomic import read_json  # --version loads entry, config and errors only
+
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = read_json(path, "config file", ConfigError)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: top level must be a map")
         for key, value in _flatten_file(data).items():

@@ -4,16 +4,17 @@ and the text encoders.
 Three prompt families exist per class: a generic appearance description,
 K state-specific descriptions, and L scene phrases of the form
 "<class> + context". The package reaches no service: descriptions come
-from a description file (`FixtureDescriptionClient`), and embeddings from
-the deterministic toy hash encoder or an embedding fixture
-(`FixtureEncoder`). Descriptions and embeddings made elsewhere, say by an
-LLM answering the `render_*_prompt` prompts and by any text encoder, come
-in as files in the `write_description_file` and `write_embedding_fixture`
-formats.
+from a description file (`generate_descriptions` selects from one,
+`read_description_file` loads all of one), and embeddings from the
+deterministic toy hash encoder or an embedding fixture (`FixtureEncoder`),
+both read by `atomic.read_json`. Descriptions and embeddings made
+elsewhere, say by an LLM answering the `render_*_prompt` prompts and by
+any text encoder, come in as files in the `write_description_file` and
+`write_embedding_fixture` formats.
 
-Prompts, clients and description files need no numpy: the encoders load
-it, and the vector checks in `core`, on first use, so `semproto
-gen-descriptions` never imports it.
+Prompts and description files need no numpy: the encoders load it, and
+the vector checks in `core`, on first use, so `semproto gen-descriptions`
+never imports it.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json
 from .errors import (
     ClientUnavailable,
     ConfigError,
@@ -122,22 +123,9 @@ class DescriptionSet:
         return [self.generic, *self.states, *self.scenes]
 
 
-def _read_json(path: str, what: str, unavailable):
-    """Parse a JSON input file; an unreadable file raises `unavailable`
-    (the caller's error class); bytes that are not UTF-8 JSON raise
-    MalformedResponse."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise unavailable(f"cannot read {what} {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedResponse(f"{what} {path} is not UTF-8 JSON: {exc}") from exc
-
-
-def _check_record(where: str, rec) -> dict:
-    """`rec` if it is a {"generic": str, "states": [str], "scenes": [str]}
-    map, else MalformedResponse naming `where`."""
+def _check_record(where: str, rec) -> None:
+    """Raise MalformedResponse naming `where` unless `rec` is a
+    {"generic": str, "states": [str], "scenes": [str]} map."""
     if not isinstance(rec, dict):
         raise MalformedResponse(f"{where}: record must be a map")
     for key in ("generic", "states", "scenes"):
@@ -148,51 +136,31 @@ def _check_record(where: str, rec) -> dict:
                 raise MalformedResponse(f"{where}: 'generic' must be a string")
         elif not (isinstance(rec[key], list) and all(isinstance(t, str) for t in rec[key])):
             raise MalformedResponse(f"{where}: '{key}' must be a list of strings")
-    return rec
 
 
-class FixtureDescriptionClient:
-    """Serves pre-generated descriptions from a checked-in JSON file.
-
-    File format (the description file, also read by read_description_file
-    and written by write_description_file): top-level map class_name ->
-    {"generic": str, "states": [str], "scenes": [str]}, with no blank
-    class name.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        data = _read_json(path, "description file", ClientUnavailable)
-        if not isinstance(data, dict):
-            raise MalformedResponse(f"description file {path}: top level must be a map")
-        for name in data:
-            if not name.strip():
-                raise MalformedResponse(f"description file {path}: blank class name {name!r}")
-        self._data = data
-
-    def describe(self, class_name: str) -> dict:
-        _require_name(class_name)
-        if class_name not in self._data:
-            raise ClientUnavailable(
-                f"fixture {self.path} has no descriptions for class '{class_name}'"
-            )
-        return _check_record(f"fixture {self.path}, class '{class_name}'",
-                             self._data[class_name])
+def _read_records(path: str) -> dict:
+    """The description file at `path` (the write_description_file format:
+    a map class_name -> {"generic": str, "states": [str], "scenes": [str]},
+    no blank class name) as that map. An unreadable file raises
+    ClientUnavailable."""
+    try:
+        data = read_json(path, "description file", MalformedResponse)
+    except OSError as exc:
+        raise ClientUnavailable(f"cannot read description file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedResponse(f"description file {path}: top level must be a map")
+    for name, rec in data.items():
+        if not name.strip():
+            raise MalformedResponse(f"description file {path}: blank class name {name!r}")
+        _check_record(f"description file {path}, class '{name}'", rec)
+    return data
 
 
 def read_description_file(path: str) -> dict:
     """Load a description file into {class_name: DescriptionSet}."""
-    client = FixtureDescriptionClient(path)
-    out = {}
-    for name in client._data:
-        rec = client.describe(name)
-        out[name] = DescriptionSet(
-            class_name=name,
-            generic=rec["generic"],
-            states=tuple(rec["states"]),
-            scenes=tuple(rec["scenes"]),
-        )
-    return out
+    return {name: DescriptionSet(name, rec["generic"], tuple(rec["states"]),
+                                 tuple(rec["scenes"]))
+            for name, rec in _read_records(path).items()}
 
 
 def write_description_file(path: str, sets: dict) -> None:
@@ -206,28 +174,33 @@ def write_description_file(path: str, sets: dict) -> None:
 
 
 def _build_set(class_name: str, rec: dict, k: int, l: int) -> DescriptionSet:
-    generic = rec["generic"].strip()
     states = [s.strip() for s in rec["states"]]
     scenes = [s.strip() for s in rec["scenes"]]
-    if len(states) < k:
-        raise InsufficientDescriptions(class_name, len(states), k, kind="states")
-    if len(scenes) < l:
-        raise InsufficientDescriptions(class_name, len(scenes), l, kind="scenes")
-    # Over-production is truncated in response order; under-production
-    # errors above rather than being padded.
-    return DescriptionSet(class_name, generic, tuple(states[:k]), tuple(scenes[:l]))
+    for kind, texts, wanted in (("states", states, k), ("scenes", scenes, l)):
+        if len(texts) < wanted:
+            raise InsufficientDescriptions(class_name, len(texts), wanted, kind=kind)
+    # Over-production is truncated in file order; under-production errors
+    # above rather than being padded.
+    return DescriptionSet(class_name, rec["generic"].strip(), tuple(states[:k]),
+                          tuple(scenes[:l]))
 
 
-def generate_descriptions(class_names, k: int, l: int, client) -> dict:
-    """Fetch and validate exactly k states and l scenes per class.
+def generate_descriptions(class_names, k: int, l: int, path: str) -> dict:
+    """Exactly k states and l scenes per class from the description file
+    at `path`, read once.
 
-    `client.describe(name)` is called once per distinct class, in sorted
-    class-name order, and the result keeps that order.
+    The result holds the distinct class names in sorted order; a class
+    the file has no record for raises ClientUnavailable.
     """
     if k < 1 or l < 1:
         raise ConfigError(f"k and l must be >= 1, got k={k}, l={l}")
     names = sorted({_require_name(n) for n in class_names})
-    return {name: _build_set(name, client.describe(name), k, l) for name in names}
+    records = _read_records(path)
+    for name in names:
+        if name not in records:
+            raise ClientUnavailable(
+                f"description file {path} has no descriptions for class '{name}'")
+    return {name: _build_set(name, records[name], k, l) for name in names}
 
 
 def _json_vector(values, dim: int | None = None) -> "np.ndarray":
@@ -284,16 +257,13 @@ class FixtureEncoder:
         from .core import l2_normalize
 
         self.path = path
-        data = _read_json(path, "embedding fixture", EncoderUnavailable)
         try:
-            self.dim = data["dim"]
-            if isinstance(self.dim, bool) or not isinstance(self.dim, int):
-                raise TypeError(f"dim must be an integer, got {self.dim!r}")
-            records = data["records"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedResponse(
-                f"embedding fixture {path} has no integer dim or no records: {exc}"
-            ) from exc
+            data = read_json(path, "embedding fixture", MalformedResponse)
+        except OSError as exc:
+            raise EncoderUnavailable(f"cannot read embedding fixture {path}: {exc}") from exc
+        if not (isinstance(data, dict) and type(data.get("dim")) is int and "records" in data):
+            raise MalformedResponse(f"embedding fixture {path} has no integer dim or no records")
+        self.dim, records = data["dim"], data["records"]
         if not isinstance(records, list) or not all(
                 isinstance(r, dict) and isinstance(r.get("text"), str)
                 and isinstance(r.get("vector"), list) for r in records):

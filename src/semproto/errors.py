@@ -26,15 +26,15 @@ class EmptyClassName(SemprotoError):
 
 
 class ClientUnavailable(SemprotoError):
-    """The description/encoding client cannot serve the request."""
+    """The description file cannot be read or has no record for a class."""
 
 
 class MalformedResponse(SemprotoError):
-    """Client or fixture data violates the description contracts."""
+    """An input file, a description set or a bank breaks its format."""
 
 
 class InsufficientDescriptions(SemprotoError):
-    """The client produced fewer descriptions than requested."""
+    """A class has fewer descriptions than requested."""
 
     def __init__(self, class_name: str, got: int, wanted: int, kind: str = "states"):
         self.class_name = class_name

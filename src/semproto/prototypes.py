@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json
 from .config import Aggregation
 from .core import as_embedding, cosine, l2_normalize, unit_rows
 # encode stays bound here for perfbench/spans.py, which patches every import of it
@@ -163,16 +163,15 @@ class PrototypeBank:
 
     @classmethod
     def load(cls, path: str) -> "PrototypeBank":
-        """Read a bank file written by save(). A missing file raises
-        FileNotFoundError; content that is not a bank raises
-        MalformedResponse naming the file, as do arrays whose shapes
-        disagree with the vocab, l or each other, a NaN or infinity, and a
-        vocab out of lexicographic order, whose rows would not match the
-        labels build_bank gives the same names."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        """Read a bank file written by save(), through atomic.read_json. A
+        missing file raises FileNotFoundError; content that is not strict
+        UTF-8 JSON (a repeated key or a lone surrogate included) or not a
+        bank raises MalformedResponse naming the file, as do arrays whose
+        shapes disagree with the vocab, l or each other, a NaN or infinity,
+        and a vocab out of lexicographic order, whose rows would not match
+        the labels build_bank gives the same names."""
+        payload = read_json(path, "bank file", MalformedResponse)
         try:
-            payload = json.loads(raw.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise TypeError("top level is not a JSON object")
             dim, vocab, k, l = payload["dim"], payload["vocab"], payload["k"], payload["l"]

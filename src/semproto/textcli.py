@@ -28,8 +28,7 @@ def cmd_gen_descriptions(args) -> dict:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise ConfigError("--classes is empty")
-    client = descriptions.FixtureDescriptionClient(args.fixture)
-    sets = descriptions.generate_descriptions(classes, args.k, args.l, client)
+    sets = descriptions.generate_descriptions(classes, args.k, args.l, args.fixture)
     descriptions.write_description_file(args.out, sets)
     return {"classes": sorted(set(classes)), "k": args.k, "l": args.l, "out": args.out}
 

@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from semproto.atomic import atomic_write
+from semproto.atomic import atomic_write, read_json
 
 
 class TestAtomicWrite:
@@ -93,3 +93,38 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+class _Refused(Exception):
+    pass
+
+
+class TestReadJson:
+    def test_returns_plain_values(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"a": [1, 2.5, "\\u00e9\\ud83d\\ude00", {"b": null}], "c": NaN}')
+        value = read_json(path, "input file", _Refused)
+        assert type(value) is dict and type(value["a"]) is list
+        assert value["a"][:3] == [1, 2.5, "\u00e9\U0001f600"]
+        assert value["a"][3] == {"b": None} and value["c"] != value["c"]
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'\xff{}', "UTF-8"),
+        (b'{"a": 1, "a": 1}', "key 'a' is repeated"),
+        (b'[{"b": {"c": 1, "c": 2}}]', "key 'c' is repeated"),
+        (b'{"\\ud800": 1}', "surrogates not allowed"),
+        (b'["x", ["\\udfff y"]]', "surrogates not allowed"),
+        (b'"\\ud800"', "surrogates not allowed"),
+        (b"[" * 100_000, "recursion"),
+    ], ids=["not-utf8", "repeated-key", "nested-repeated-key", "surrogate-key",
+            "surrogate-in-list", "surrogate-top", "too-deep"])
+    def test_refuses_what_is_not_strict_json(self, tmp_path, raw, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(raw)
+        with pytest.raises(_Refused, match=message) as exc:
+            read_json(path, "input file", _Refused)
+        assert str(exc.value).startswith(f"input file {path} ")
+
+    def test_unreadable_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "absent.json", "input file", _Refused)

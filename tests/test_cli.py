@@ -82,9 +82,9 @@ PUBLIC_NAMES = {
     "prototypes", "synthbench",
     "TrainConfig", "WorldSpec",
     "cosine", "l2_normalize", "log_sigmoid", "sigmoid",
-    "DescriptionSet", "DeterministicToyEncoder", "FixtureDescriptionClient",
-    "FixtureEncoder", "encode", "generate_descriptions", "render_generic_prompt",
-    "render_scene_prompt", "render_state_prompt",
+    "DescriptionSet", "DeterministicToyEncoder", "FixtureEncoder", "encode",
+    "generate_descriptions", "render_generic_prompt", "render_scene_prompt",
+    "render_state_prompt",
     "Aggregation", "PrototypeBank", "aggregate_mean", "aggregate_median",
     "aggregate_similarity_weighted", "aggregate_two_stage", "build_bank",
     "LossReport", "PseudoLabelGrid", "assign_pseudo_labels",
@@ -287,8 +287,22 @@ _GOOD_DESC = {"generic": "a cat", "states": ["a sleeping cat"],
               "scenes": ["cat on a sofa"]}
 
 
+class _Pairs(list):
+    """A JSON object given as its (key, value) pairs, so that a key can repeat."""
+
+
 def _json_bytes(value) -> bytes:
-    return json.dumps(value).encode("utf-8")
+    """The JSON of `value`, each _Pairs written as an object of its pairs."""
+    def text(v) -> str:
+        if isinstance(v, _Pairs):
+            return "{" + ", ".join(f"{json.dumps(k)}: {text(x)}" for k, x in v) + "}"
+        if isinstance(v, dict):
+            return text(_Pairs(v.items()))
+        if isinstance(v, list):
+            return "[" + ", ".join(map(text, v)) + "]"
+        return json.dumps(v)
+
+    return text(value).encode("utf-8")
 
 
 def _is_json_object(raw: bytes) -> bool:
@@ -312,23 +326,44 @@ _NON_NUMBER = st.one_of(st.none(), st.booleans(), _SHORT_TEXT,
                         st.sampled_from([float("inf"), float("-inf"), float("nan")]))
 # bytes that are not UTF-8, not JSON, or JSON of another type than a map
 _RANDOM_BYTES = st.binary(max_size=64).filter(lambda raw: not _is_json_object(raw))
+# a lone UTF-16 surrogate, which json.dumps writes as a \uXXXX escape
+_SURROGATE = st.integers(0xD800, 0xDFFF).map(chr)
+
+
+@st.composite
+def _with_surrogate(draw, text: str) -> str:
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(_SURROGATE) + text[at:]
 
 
 @st.composite
 def _malformed_description_files(draw) -> bytes:
     """A description file whose record for class `cat` breaks the format,
-    or which also holds a record under a blank class name."""
+    or which also holds a record under a blank class name or a second
+    record for `cat`."""
     rec = {key: list(value) if isinstance(value, list) else value
            for key, value in _GOOD_DESC.items()}
     how = draw(st.sampled_from(["bytes", "top", "record", "missing", "generic",
-                                "list", "item", "blank-name"]))
+                                "list", "item", "blank-name", "repeated-key",
+                                "surrogate"]))
     if how == "bytes":
         return draw(_RANDOM_BYTES)
     if how == "top":
         return _json_bytes(draw(_NON_MAP))
     if how == "blank-name":
         return _json_bytes({"cat": rec, draw(st.text(" \t\n", max_size=3)): rec})
-    if how == "record":
+    if how == "repeated-key":  # the class name, or a key of its record, twice
+        if draw(st.booleans()):
+            return _json_bytes(_Pairs([("cat", rec), ("cat", rec)]))
+        key = draw(st.sampled_from(sorted(rec)))
+        return _json_bytes({"cat": _Pairs([*rec.items(), (key, rec[key])])})
+    if how == "surrogate":  # in the generic text, the state or the scene
+        key = draw(st.sampled_from(sorted(rec)))
+        if key == "generic":
+            rec[key] = draw(_with_surrogate(rec[key]))
+        else:
+            rec[key] = [draw(_with_surrogate(rec[key][0]))]
+    elif how == "record":
         rec = draw(_NON_MAP)
     elif how == "missing":
         for key in draw(st.sets(st.sampled_from(sorted(rec)), min_size=1)):
@@ -361,12 +396,20 @@ def _malformed_embedding_fixtures(draw) -> bytes:
     rec = fixture["records"][i]
     how = draw(st.sampled_from(["bytes", "top", "missing", "dim", "records", "record",
                                 "text", "vector", "entry", "tiny",
-                                "duplicate-text"]))
+                                "duplicate-text", "repeated-key", "surrogate"]))
     if how == "bytes":
         return draw(_RANDOM_BYTES)
     if how == "top":
         return _json_bytes(draw(_NON_MAP))
-    if how == "missing":
+    if how == "repeated-key":  # dim, or a key of one record, twice
+        if draw(st.booleans()):
+            return _json_bytes(_Pairs([("dim", fixture["dim"]), *fixture.items()]))
+        key = draw(st.sampled_from(sorted(rec)))
+        fixture["records"][i] = _Pairs([*rec.items(), (key, rec[key])])
+    elif how == "surrogate":  # one more record, for a text with a lone surrogate
+        fixture["records"].append({"text": draw(_with_surrogate(rec["text"])),
+                                   "vector": rec["vector"]})
+    elif how == "missing":
         target = draw(st.sampled_from([fixture, rec]))
         for key in draw(st.sets(st.sampled_from(sorted(target)), min_size=1)):
             del target[key]
@@ -388,6 +431,25 @@ def _malformed_embedding_fixtures(draw) -> bytes:
     else:
         rec["vector"][draw(st.integers(0, 3))] = draw(_NON_NUMBER)
     return _json_bytes(fixture)
+
+
+# Each command that reads a description file, its path last; with the
+# uncorrupted file of _malformed_description_files each exits 0 (checked
+# below), so a corruption is what makes it fail.
+_DESCRIPTION_COMMANDS = (
+    ("gen-descriptions", "--classes", "cat", "--k", "1", "--l", "1", "--fixture"),
+    ("encode", "--encoder", "toy", "--descriptions"),
+    ("build-bank", "--encoder", "toy", "--k", "1", "--l", "1", "--descriptions"),
+)
+
+
+@pytest.mark.parametrize("argv", _DESCRIPTION_COMMANDS, ids=lambda argv: argv[0])
+def test_intact_description_file_exits_0(tmp_path, argv):
+    desc_path, out_path = tmp_path / "desc.json", tmp_path / "out.json"
+    desc_path.write_bytes(_json_bytes({"cat": _GOOD_DESC}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert entry.main([*argv, str(desc_path), "--out", str(out_path)]) == 0
+    assert out_path.exists()
 
 
 def test_complete_embedding_fixture_builds_a_bank(tmp_path):
@@ -483,9 +545,7 @@ class TestMalformedInputFiles:
 
     @settings(max_examples=200, deadline=None)
     @given(case=st.one_of(
-        st.tuples(st.sampled_from([("gen-descriptions", "--classes", "cat", "--fixture"),
-                                   ("encode", "--encoder", "toy", "--descriptions")]),
-                  _malformed_description_files()),
+        st.tuples(st.sampled_from(_DESCRIPTION_COMMANDS), _malformed_description_files()),
         st.tuples(st.just(("build-bank", "--encoder", "fixture", "--embeddings")),
                   _malformed_embedding_fixtures()),
     ))
@@ -510,6 +570,8 @@ class TestExitCodes:
         ["encode", "--encoder", "toy", "--encoder-dim", "-3"],
         ["build-bank", "--encoder", "toy", "--encoder-dim", "0"],
         ["build-bank", "--encoder", "toy", "--encoder-dim", "-3"],
+        # more digits than int() converts (4300 by default)
+        ["simulate", "--set", "world.seed=" + "1" * 5000],
     ])
     def test_bad_argument_exits_2_as_config_error(self, tmp_path, capsys, argv):
         out_path = tmp_path / "out.json"
@@ -571,6 +633,30 @@ class TestExitCodes:
                 [command, "--set", f"{key}={spelling}"])
         assert code == 2
         assert err["error"] == "ConfigError" and key in err["message"]
+        assert not written
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(sorted(CONFIG_SCHEMA)),
+           how=st.sampled_from(["flat", "section", "in-section", "surrogate"]),
+           surrogate=_SURROGATE)
+    def test_malformed_config_file_exits_2(self, key, how, surrogate):
+        # a key repeated at the top level (a dotted key or a section) or
+        # within a section, with the same valid value, or a key holding a
+        # lone surrogate: refused before anything runs
+        section, name = key.split(".")
+        value = CONFIG_SCHEMA[key].default
+        if how == "flat":
+            config = _Pairs([(key, value), (key, value)])
+        elif how == "section":
+            config = _Pairs([(section, {name: value}), (section, {name: value})])
+        elif how == "in-section":
+            config = {section: _Pairs([(name, value), (name, value)])}
+        else:
+            config = {section: {name + surrogate: value}}
+        code, err, written = self._exit_code_and_output(
+            ["simulate"], config_text=_json_bytes(config).decode("ascii"))
+        assert code == 2
+        assert err["error"] == "ConfigError" and "cfg.json" in err["message"]
         assert not written
 
     @settings(max_examples=80, deadline=None)
@@ -809,11 +895,22 @@ class TestTrainEvaluateCommands:
         assert out.returncode == 2
 
     def test_corrupt_probe_file_exits_3(self, tmp_path):
-        # a text file, and a .npy: one array, not an npz archive
+        # a text file, a .npy (one array, not an npz archive), an empty
+        # file, and an archive cut in half or with one byte of its weight
+        # array flipped (the member's CRC-32 then fails)
         text, npy = tmp_path / "probe.npz", tmp_path / "probe.npy"
         text.write_text("not an npz")
         np.save(npy, np.eye(3))
-        for probe_path in (text, npy):
+        buf = io.BytesIO()
+        np.savez(buf, weight=np.eye(3), bias=np.zeros(3))
+        archive = buf.getvalue()
+        flipped = bytearray(archive)
+        flipped[archive.index(np.eye(3).tobytes())] ^= 0xFF
+        broken = {"empty.npz": b"", "truncated.npz": archive[:len(archive) // 2],
+                  "crc.npz": bytes(flipped)}
+        for name, raw in broken.items():
+            (tmp_path / name).write_bytes(raw)
+        for probe_path in (text, npy, *(tmp_path / name for name in broken)):
             out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
                           "--out", str(tmp_path / "x.json"), check=False)
             assert out.returncode == 3

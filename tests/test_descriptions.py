@@ -7,13 +7,13 @@ import pytest
 from semproto.descriptions import (
     DescriptionSet,
     DeterministicToyEncoder,
-    FixtureDescriptionClient,
     FixtureEncoder,
     GENERIC_PROMPT_TEMPLATE,
     SCENE_PROMPT_TEMPLATE,
     STATE_PROMPT_TEMPLATE,
     encode,
     generate_descriptions,
+    read_description_file,
     render_generic_prompt,
     render_scene_prompt,
     render_state_prompt,
@@ -118,16 +118,6 @@ class TestDescriptionSet:
             self._mk(states=("a sleeping cat", "  "))
 
 
-class _ListClient:
-    """In-process client serving canned description records."""
-
-    def __init__(self, records):
-        self.records = records
-
-    def describe(self, class_name):
-        return self.records[class_name]
-
-
 def _record(name, n_states, n_scenes):
     return {
         "generic": f"a {name} looks like a {name}",
@@ -136,75 +126,85 @@ def _record(name, n_states, n_scenes):
     }
 
 
+def _description_file(tmp_path, records) -> str:
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    return str(path)
+
+
+SHIPPED = fixture_path("descriptions_small.json")
+
+
 class TestGenerateDescriptions:
-    def test_exact_counts_pass_through(self):
-        client = _ListClient({"cat": _record("cat", 5, 5)})
-        out = generate_descriptions(["cat"], 5, 5, client)
+    def test_exact_counts_pass_through(self, tmp_path):
+        path = _description_file(tmp_path, {"cat": _record("cat", 5, 5)})
+        out = generate_descriptions(["cat"], 5, 5, path)
         assert out["cat"].states == tuple(f"cat state {i}" for i in range(5))
         assert out["cat"].scenes == tuple(f"cat + scene {i}" for i in range(5))
 
-    def test_overproduction_truncated_in_order(self):
-        client = _ListClient({"cat": _record("cat", 7, 6)})
-        out = generate_descriptions(["cat"], 5, 5, client)
+    def test_overproduction_truncated_in_order(self, tmp_path):
+        path = _description_file(tmp_path, {"cat": _record("cat", 7, 6)})
+        out = generate_descriptions(["cat"], 5, 5, path)
         assert out["cat"].states == tuple(f"cat state {i}" for i in range(5))
         assert out["cat"].l == 5
 
-    def test_underproduction_errors(self):
-        client = _ListClient({"cat": _record("cat", 3, 5)})
+    def test_underproduction_errors(self, tmp_path):
+        path = _description_file(tmp_path, {"cat": _record("cat", 3, 5)})
         with pytest.raises(InsufficientDescriptions) as exc:
-            generate_descriptions(["cat"], 5, 5, client)
+            generate_descriptions(["cat"], 5, 5, path)
         assert exc.value.got == 3 and exc.value.wanted == 5
 
-    def test_duplicates_rejected_not_refilled(self):
+    def test_duplicates_rejected_not_refilled(self, tmp_path):
         rec = _record("cat", 5, 5)
         rec["states"][1] = rec["states"][0]
-        client = _ListClient({"cat": rec})
+        path = _description_file(tmp_path, {"cat": rec})
         with pytest.raises(MalformedResponse):
-            generate_descriptions(["cat"], 5, 5, client)
+            generate_descriptions(["cat"], 5, 5, path)
 
-    def test_k_l_bounds(self):
-        client = _ListClient({"cat": _record("cat", 5, 5)})
+    def test_k_l_bounds(self, tmp_path):
+        path = _description_file(tmp_path, {"cat": _record("cat", 5, 5)})
         with pytest.raises(ValueError):
-            generate_descriptions(["cat"], 0, 5, client)
+            generate_descriptions(["cat"], 0, 5, path)
         with pytest.raises(ValueError):
-            generate_descriptions(["cat"], 5, 0, client)
+            generate_descriptions(["cat"], 5, 0, path)
 
-    def test_merged_in_sorted_class_order(self):
-        client = _ListClient({n: _record(n, 5, 5) for n in ("dog", "cat", "ant")})
-        out = generate_descriptions(["dog", "cat", "ant"], 5, 5, client)
+    def test_merged_in_sorted_class_order(self, tmp_path):
+        path = _description_file(tmp_path, {n: _record(n, 5, 5) for n in ("dog", "cat", "ant")})
+        out = generate_descriptions(["dog", "cat", "ant"], 5, 5, path)
         assert list(out) == ["ant", "cat", "dog"]
 
-    def test_never_violates_set_invariants(self):
+    def test_never_violates_set_invariants(self, tmp_path):
         rng = np.random.default_rng(0)
         names = [f"class{i}" for i in range(8)]
-        client = _ListClient({
+        path = _description_file(tmp_path, {
             n: _record(n, int(rng.integers(5, 9)), int(rng.integers(5, 9)))
             for n in names
         })
-        out = generate_descriptions(names, 5, 5, client)
+        out = generate_descriptions(names, 5, 5, path)
         for ds in out.values():
             assert ds.k == 5 and ds.l == 5  # construction re-validates
 
-
-class TestFixtureDescriptionClient:
-    def test_shipped_fixture_serves_both_classes(self):
-        client = FixtureDescriptionClient(fixture_path("descriptions_small.json"))
-        out = generate_descriptions(["cat", "dog"], 5, 5, client)
+    def test_shipped_file_serves_both_classes(self):
+        out = generate_descriptions(["cat", "dog"], 5, 5, SHIPPED)
         assert set(out) == {"cat", "dog"}
 
-    def test_shipped_fixture_has_headroom_for_truncation(self):
-        client = FixtureDescriptionClient(fixture_path("descriptions_small.json"))
-        rec = client.describe("cat")
-        assert len(rec["states"]) == 7 and len(rec["scenes"]) == 6
-
     def test_missing_class(self):
-        client = FixtureDescriptionClient(fixture_path("descriptions_small.json"))
-        with pytest.raises(ClientUnavailable):
-            client.describe("unicorn")
+        with pytest.raises(ClientUnavailable, match="unicorn"):
+            generate_descriptions(["cat", "unicorn"], 5, 5, SHIPPED)
 
     def test_missing_file(self):
         with pytest.raises(ClientUnavailable):
-            FixtureDescriptionClient("/nonexistent/descriptions.json")
+            generate_descriptions(["cat"], 5, 5, "/nonexistent/descriptions.json")
+
+
+class TestReadDescriptionFile:
+    def test_shipped_file_has_headroom_for_truncation(self):
+        cat = read_description_file(SHIPPED)["cat"]
+        assert cat.k == 7 and cat.l == 6
+
+    def test_missing_file(self):
+        with pytest.raises(ClientUnavailable):
+            read_description_file("/nonexistent/descriptions.json")
 
 
 class TestDeterministicToyEncoder:

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semproto.alignment import det_cls_loss
-from semproto.descriptions import (
-    DescriptionSet,
-    DeterministicToyEncoder,
-    FixtureDescriptionClient,
-    generate_descriptions,
-)
+from semproto.descriptions import DescriptionSet, DeterministicToyEncoder, generate_descriptions
 from semproto import entry
 from semproto.entry import fixture_path
 from semproto.errors import (
@@ -210,8 +205,7 @@ class TestAggregationProperties:
 
 
 def _fixture_descriptions():
-    client = FixtureDescriptionClient(fixture_path("descriptions_small.json"))
-    return generate_descriptions(["cat", "dog"], 5, 5, client)
+    return generate_descriptions(["cat", "dog"], 5, 5, fixture_path("descriptions_small.json"))
 
 
 class TestBuildBank:
@@ -347,12 +341,15 @@ class TestBankPersistence:
         _bank_body(sapp=[[[0.0, 1.0, 0.0]]]),
         _bank_body(sesp=[[float("nan"), 0.0]]),
         _bank_body(sapp=[[[0.0, float("inf")]]]),
+        _bank_body().replace(b'"k": 1', b'"k": 1, "k": 1'),
+        _bank_body(vocab=["a\ud800"]),
     ], ids=["missing-arrays", "missing-dim", "string-dim", "float-dim",
             "bool-dim", "not-json", "not-an-object", "not-utf8", "string-vocab",
             "int-vocab", "duplicate-vocab", "unsorted-vocab", "float-k", "string-k",
             "bool-k", "negative-k", "float-l", "negative-l", "zero-l",
             "sesp-rows-not-vocab", "flat-sesp", "sapp-rows-not-vocab", "flat-sapp",
-            "sapp-slots-not-l", "sapp-dim-not-sesp", "nan-sesp", "inf-sapp"])
+            "sapp-slots-not-l", "sapp-dim-not-sesp", "nan-sesp", "inf-sapp",
+            "repeated-key", "surrogate-vocab"])
     def test_malformed_file(self, tmp_path, body):
         assert PrototypeBank.load(str(_write(tmp_path, _bank_body()))).dim == 2
         path = _write(tmp_path, body)
