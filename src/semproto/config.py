@@ -19,7 +19,7 @@ from enum import Enum
 
 from .errors import ConfigError, InfeasibleWorld
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 
 class Aggregation(str, Enum):

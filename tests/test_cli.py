@@ -830,7 +830,7 @@ class TestTrainEvaluateCommands:
                        cwd=Path(__file__).parent.parent,
                        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "3df2ebf34c358dff06cd59f7deed1ee7f4265e0e1220be3de66ceafd6f20b28a")
+            "856f9c5a401044e14422fc819b403d35da2ff9fbff3a15b07a76a87387350650")
 
     @pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
                              ids=["no-record", "earlier-record"])
