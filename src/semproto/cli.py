@@ -11,6 +11,7 @@ import hashlib
 import io
 import itertools
 import json
+import tokenize
 import zipfile
 
 import numpy as np
@@ -126,8 +127,10 @@ def cmd_evaluate(args) -> dict:
                 raise ValueError("not an npz archive")
             with data:
                 probe = ProbeModel(weight=data["weight"], bias=data["bias"])
-        except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile,
+                NotImplementedError, RuntimeError, tokenize.TokenError) as exc:
             # EOFError: an empty file; BadZipFile: a truncated or corrupted archive
+            # zipfile: NotImplementedError, RuntimeError; npy header filter: TokenError
             raise MalformedResponse(f"cannot load probe {args.probe}: {exc}") from exc
         if probe.weight.shape != (world.spec.dim, bank.dim):
             raise DimensionMismatch(

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,41 +308,6 @@ def kernel_inputs(b, c, l, dim, seed=7):
     return feats, unit, labels
 
 
-def test_scene_kernel_bytes_are_pinned():
-    # sha256 of (loss, grad) bytes over logit scale x tau, per shape and
-    # detach_weights. Any change to the kernel's arithmetic or summation
-    # order moves a digest. Run in a child with one BLAS thread, because
-    # the matmuls round differently when OpenBLAS splits them over threads.
-    script = textwrap.dedent(f"""
-        import hashlib, json
-        import numpy as np
-        from semproto.backend import scene_loss_grad_kernel
-        from tests.test_backend import kernel_inputs
-        digests = {{}}
-        for shape in ({_DEFAULT_SHAPE}, {_LARGE_SHAPE}):
-            feats, unit, labels = kernel_inputs(*shape)
-            for detach in (False, True):
-                h = hashlib.sha256()
-                for gamma in (0.5, 1.0, 3.0):
-                    for tau in (-0.5, 0.25, 0.9):
-                        loss, grad = scene_loss_grad_kernel(feats, unit, labels, tau,
-                                                            gamma, detach)
-                        h.update(np.float64(loss).tobytes())
-                        h.update(grad.tobytes())
-                digests[f"{{shape[0]}}/{{detach}}"] = h.hexdigest()
-        print(json.dumps(digests))
-    """)
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, cwd=Path(__file__).parent.parent,
-                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    assert json.loads(out.stdout) == {
-        "160/False": "bc1110bd3a14102ba01b2d8b7278e3fea6e464f5730435b3db880239f7e07313",
-        "160/True": "286d89e3a39ee18e325d32070eada952620938eef2a7af2ba13d0069caa63985",
-        "960/False": "2b5135b6cd336416788d6c6a904c36d9c88b7d9d7d95f90df4ed7d26651f2f9d",
-        "960/True": "237340c78cf93e689f28da02e11ac05e01d69c4418fee5ae83cffcf445041704",
-    }
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 5), st.integers(2, 16),
        st.integers(1, 6), st.integers(0, 2**32 - 1), _TAU, _LOGIT_SCALE, st.booleans())
@@ -399,34 +363,6 @@ def softmax_inputs(b, c, dim, seed=7):
     feats = unit[labels] + 0.8 / np.sqrt(dim) * rng.standard_normal((b, dim))
     feats *= rng.uniform(0.5, 2.0, size=(b, 1))
     return feats, unit, labels
-
-
-def test_softmax_kernel_bytes_are_pinned():
-    # sha256 of (loss, grad) bytes over the inverse temperature, per shape,
-    # in a child with one BLAS thread, as for the scene kernel above.
-    script = textwrap.dedent(f"""
-        import hashlib, json
-        import numpy as np
-        from semproto.backend import softmax_ce_kernel
-        from tests.test_backend import softmax_inputs
-        digests = {{}}
-        for b, c, _, dim in ({_DEFAULT_SHAPE}, {_LARGE_SHAPE}):
-            feats, unit, labels = softmax_inputs(b, c, dim)
-            h = hashlib.sha256()
-            for inv_temp in (0.5, 1.0, 5.0, 20.0):
-                loss, grad = softmax_ce_kernel(feats, unit, labels, inv_temp)
-                h.update(np.float64(loss).tobytes())
-                h.update(grad.tobytes())
-            digests[str(b)] = h.hexdigest()
-        print(json.dumps(digests))
-    """)
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, cwd=Path(__file__).parent.parent,
-                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    assert json.loads(out.stdout) == {
-        "160": "b8b94db089bf441084539389d98b9090288529078b2938d56593ee2eb49c5f35",
-        "960": "2ae436298d04f02886e8fb7fe367423ea50b846dc9893ac4d1541f71bfde9496",
-    }
 
 
 def test_softmax_kernel_peak_at_the_large_weak_batch():
