@@ -25,11 +25,11 @@ arithmetic instead of a masked (where=) ufunc. The softmax kernel works
 in place on its logits. The kernels call ufuncs and reductions directly
 rather than numpy's Python-level wrappers (np.linalg.norm, np.clip,
 ndarray.sum/max/mean), with the same bits.
-Results are bitwise reproducible run to run for a fixed OpenBLAS thread
-count; at large shapes the matmuls round differently when OpenBLAS
-splits them over another number of threads. one_blas_thread runs a block
-on one thread and restores the caller's count after it: evaluate runs
-its products there, so scores do not depend on the thread count.
+Results are bitwise reproducible run to run. At large shapes the
+matmuls round differently when OpenBLAS splits them over another number
+of threads, so one_blas_thread runs a block on one thread and restores
+the caller's count after it: train and evaluate run their products
+there, so probes, records and scores do not depend on the thread count.
 """
 import contextlib
 import ctypes

@@ -1,7 +1,7 @@
 """Every pin of tests/ against its digest in tests/golden.json: the README
 walk-through's outputs and stdout lines, and the named pins that
-tools/golden.py computes in-process (the kernels' bytes and the
-`train-large` record on one BLAS thread; the worlds and every
+tools/golden.py computes in-process (the kernels' bytes on one BLAS
+thread; the `train-large` record and probe, the worlds and every
 aggregator's bank at the inherited thread count). Rewrite them all with
 `python tools/golden.py --update`."""
 

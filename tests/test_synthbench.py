@@ -642,9 +642,10 @@ class TestRunWorld:
         run world; the bank's vectors and their unit copies; the probe's
         three (D, D) matrices; the scene kernel's buffers, one of a
         balanced panel's rows and four of a block's rows, the last of
-        bools; the projections and the scaled scene gradient. The weak
-        term adds its unit features, gradient, cosines and logits, per-row
-        vectors and one ufunc reduction buffer.
+        bools; the projections. The weak term adds its unit features,
+        gradient, cosines and logits, per-row vectors and one ufunc
+        reduction buffer. It runs before the scene term, so the scene
+        gradient is not alive under it.
         """
         spec = WorldSpec(**LARGE_WORLD)
         cfg = TrainConfig(l=9, steps=2)
@@ -659,7 +660,7 @@ class TestRunWorld:
             "test split": 8 * c * spec.test_per_class * (d + 1),
             "bank": 2 * 8 * (c * d + cl * d),
             "scratch": 8 * (panel_rows * cl + 4 * rows * cl) + rows * cl,
-            "step": 8 * (3 * d * d + 4 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
+            "step": 8 * (3 * d * d + 3 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
         }
         # load what a first run imports (numpy.random) before tracing
         _run_record(_small_spec(), TrainConfig(steps=1))
@@ -685,6 +686,38 @@ class TestRunWorld:
         # are not alive at the training peak.
         peak, parts = self._traced_large_run()
         assert peak <= sum(parts.values()) - parts["test split"]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_train_probe_does_not_depend_on_the_blas_thread_count():
+    # At the train-large shape OpenBLAS splits the products over two
+    # threads and rounds them differently; train runs them on one thread
+    # and gives the caller's count back when it returns or raises.
+    blas = backend._bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle scipy-openblas, so its thread count cannot be set")
+    set_threads, get_threads = blas
+    spec = WorldSpec(**LARGE_WORLD)
+    cfg = TrainConfig(l=9, steps=1)
+    world = run_world(spec)
+    bank, probe = build_run_bank(world, cfg), initial_probe(world)
+    with backend.one_blas_thread():
+        want, _ = train(probe, world, bank, cfg)
+    caller = get_threads()
+    set_threads(2)
+    try:
+        two = get_threads()
+        got, _ = train(probe, world, bank, cfg)
+        assert get_threads() == two
+        bad_det = world.det_x.copy()
+        bad_det[0, 0] = np.inf
+        with pytest.raises(DivergenceDetected):
+            train(probe, dataclasses.replace(world, det_x=bad_det), bank, cfg)
+        assert get_threads() == two
+    finally:
+        set_threads(caller)
+    assert got.weight.tobytes() == want.weight.tobytes()
+    assert got.bias.tobytes() == want.bias.tobytes()
 
 
 class TestEvaluate:

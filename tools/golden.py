@@ -6,8 +6,9 @@ in one fresh directory that holds `configs/example.json` under its
 README-relative path, and pins the sha256 of the command's stdout and of
 every file it writes there, keyed by argv. "pins" maps each name that
 `pins()` computes in this process to its sha256: the scene and softmax
-kernels' (loss, grad) bytes, the `train-large` run record, two small
-worlds and every aggregator's bank, as a file and as the toy bank.
+kernels' (loss, grad) bytes, the `train-large` run record and probe file,
+two small worlds and every aggregator's bank, as a file and as the toy
+bank.
 `tests/test_golden.py` recomputes both parts and compares them.
 
     python tools/golden.py            # compare against tests/golden.json
@@ -85,12 +86,13 @@ def run_walkthrough(argvs, workdir: Path) -> list[dict]:
 def pins() -> dict[str, str]:
     """The sha256 of each named pin, computed in this process.
 
-    The kernels and the `train-large` record run on one BLAS thread,
-    because the matmuls round differently when OpenBLAS splits them over
-    threads. The worlds and the banks run at the inherited thread count,
-    so a check at several OPENBLAS_NUM_THREADS shows that their bytes do
-    not depend on it. CLI pins run through `entry.main`, each writing its
-    `--out` file in a temporary directory."""
+    The kernels run on one BLAS thread, because the matmuls round
+    differently when OpenBLAS splits them over threads. The `train-large`
+    run, the worlds and the banks run at the inherited thread count, so a
+    check at several OPENBLAS_NUM_THREADS shows that their bytes do not
+    depend on it: `train` runs its products on one thread itself. CLI
+    pins run through `entry.main`, each writing its files in a temporary
+    directory."""
     sys.path[:0] = [p for p in map(str, (ROOT / "src", ROOT, ROOT / "perfbench"))
                     if p not in sys.path]
     import numpy as np
@@ -102,15 +104,18 @@ def pins() -> dict[str, str]:
     from tests.test_synthbench import SMALL_WORLD
     from workloads import DEFAULT_SEED, TRAIN_LARGE_SET
 
-    def cli(*argv: str) -> tuple[dict, bytes]:
-        """(the stdout record, the `--out` file's bytes) of `semproto ARGV`."""
+    def cli(*argv: str, files=("--out",)) -> tuple:
+        """(the stdout record, then the bytes of each file that an option
+        of `files` names) of `semproto ARGV`."""
         with tempfile.TemporaryDirectory() as tmp:
-            out, stdout = Path(tmp) / "out", io.StringIO()
+            paths = [Path(tmp) / option.lstrip("-") for option in files]
+            argv = [*argv, *(arg for pair in zip(files, map(str, paths)) for arg in pair)]
+            stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = entry.main([*argv, "--out", str(out)])
+                code = entry.main(argv)
             if code != 0:
                 raise RuntimeError(f"semproto {shlex.join(argv)} exited {code}")
-            return json.loads(stdout.getvalue()), out.read_bytes()
+            return json.loads(stdout.getvalue()), *(path.read_bytes() for path in paths)
 
     def sets(items) -> list[str]:
         return [arg for item in items for arg in ("--set", item)]
@@ -139,10 +144,12 @@ def pins() -> dict[str, str]:
                 h.update(np.float64(loss).tobytes())
                 h.update(grad.tobytes())
             got[f"softmax-kernel/{b}"] = h.hexdigest()
-        # the benchmark's run at its calibrated seed, where the scene
-        # kernel's (B, C*L) buffers exceed L2
-        _, record = cli("train", *sets((f"world.seed={DEFAULT_SEED}", *TRAIN_LARGE_SET)))
-        got["train-large-record"] = _sha256(record)
+    # the benchmark's run at its calibrated seed, where the scene kernel's
+    # (B, C*L) buffers exceed L2 and OpenBLAS would split the products
+    _, record, probe = cli("train", *sets((f"world.seed={DEFAULT_SEED}", *TRAIN_LARGE_SET)),
+                           files=("--out", "--save-probe"))
+    got["train-large-record"] = _sha256(record)
+    got["train-large-probe"] = _sha256(probe)
     # any change to the random-draw order or the per-row arithmetic of
     # generate_world moves a world digest
     for name, overrides in (("small", {}), ("small-no-det", {"det_per_class": 0})):
