@@ -12,6 +12,7 @@ proposals. A world holds no test split: it streams it in row blocks
 the blocks as they come.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -371,6 +372,20 @@ class ProbeModel:
         return proj
 
 
+@contextlib.contextmanager
+def _overflow_diverges(what: str):
+    """Run a block with numpy raising on float overflow, and raise an
+    overflow there as DivergenceDetected: an overflowed norm would turn
+    the features' unit rows into zeros and the run into a finite,
+    chance-level score. No array pass is added: numpy checks the flag
+    after each operation anyway."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DivergenceDetected(f"{what} overflowed: {exc}") from exc
+
+
 def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
           config: TrainConfig) -> tuple[ProbeModel, list[LossReport]]:
     """Full-batch gradient descent on det + weak + lam * scene.
@@ -380,7 +395,8 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     image-level labels as two arrays, p_weak and y_weak. The scene term is
     skipped (and recorded as 0 with effective lambda 0) when disabled or
     weightless, so flag-off and lam=0 runs produce identical traces.
-    Raises DivergenceDetected on non-finite loss. A step takes the det
+    Raises DivergenceDetected on non-finite loss or on a float overflow
+    in a step (a huge lr, a tiny temperature). A step takes the det
     term's share of the parameter gradients, then runs the weak term and
     then the scene one. One term's gradient is held while the other runs
     in either order; in this one it is held under the scene kernel, whose
@@ -403,7 +419,7 @@ def train(probe: ProbeModel, world: ToyWorld, bank: PrototypeBank,
     b = probe.bias.copy()
     reports: list[LossReport] = []
     try:
-        with one_blas_thread():
+        with one_blas_thread(), _overflow_diverges("training"):
             for _ in range(config.steps):
                 p_det = x_det @ w
                 p_det += b
@@ -479,7 +495,8 @@ def evaluate(scorers, blocks, n_base: int) -> list[dict]:
     cosines. Both products run on one BLAS thread
     (backend.one_blas_thread), so the scores do not depend on the
     caller's OpenBLAS thread count, and no second thread faults in its
-    packing buffers for them.
+    packing buffers for them. A float overflow while scoring (a finite
+    probe of huge weights) raises DivergenceDetected.
     """
     # (all, novel) samples, and per scorer (all, novel) hits
     counts = np.zeros(2, dtype=np.int64)
@@ -487,9 +504,10 @@ def evaluate(scorers, blocks, n_base: int) -> list[dict]:
     for features, labels in blocks:
         novel = labels >= n_base
         counts += (len(labels), np.count_nonzero(novel))
-        for run_hits, (probe, bank) in zip(hits, scorers):
-            correct = _cosines(probe, bank, features).argmax(axis=1) == labels
-            run_hits += (np.count_nonzero(correct), np.count_nonzero(correct & novel))
+        with _overflow_diverges("scoring"):
+            for run_hits, (probe, bank) in zip(hits, scorers):
+                correct = _cosines(probe, bank, features).argmax(axis=1) == labels
+                run_hits += (np.count_nonzero(correct), np.count_nonzero(correct & novel))
     n_all, n_novel = counts.tolist()
     if n_all == 0:
         raise EmptyTestSet("no test samples")

@@ -72,6 +72,55 @@ def test_cli_import_leaves_network_and_pool_modules_unloaded(tmp_path):
     assert json.loads(out.stdout) == []
 
 
+
+def _loader_log(*args, cwd):
+    """The exit code, the pid and the stderr of `python -m semproto args`
+    run with glibc's loader logging every library it loads (LD_DEBUG=libs)
+    on stderr, each line led by the loading process's pid."""
+    env = {**os.environ, "LD_DEBUG": "libs"}
+    # the outputs land in cwd, so the package path must not be relative
+    src = str(Path(entry.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "semproto", *args], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate()
+    return proc.returncode, proc.pid, err
+
+
+def _loading_pids(log: str, library: str) -> set[int]:
+    return {int(line.split(":", 1)[0]) for line in log.splitlines()
+            if "calling init:" in line and library in line}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="LD_DEBUG is glibc's")
+def test_cli_processes_never_map_libcrypto(tmp_path):
+    # The CLI computes its digests with CPython's built-in hashes: no CLI
+    # process, an ablation's forked workers included, loads OpenSSL, which
+    # hashlib and numpy.random (through secrets and hmac) would otherwise
+    # load. The log must show numpy loading, so an empty one cannot pass,
+    # and the ablation's log must show its workers loading numpy.random.
+    for args in (["train", "--out", "run.jsonl"],
+                 ["ablate", "--grid", "components", "--seeds", "2",
+                  "--set", "train.steps=5", "--out", "results.jsonl"]):
+        code, pid, log = _loader_log(*args, cwd=tmp_path)
+        assert code == 0, log[-2000:]
+        assert _loading_pids(log, "_multiarray_umath") == {pid}, args[0]
+        assert "libcrypto" not in log, args[0]
+        if args[0] == "ablate":
+            assert _loading_pids(log, "numpy/random/") - {pid}
+
+
+def test_library_import_keeps_the_importers_hashlib():
+    # Only the CLI process entry (semproto/__main__.py) turns OpenSSL's
+    # hashes off: a program that imports the package keeps its own. The
+    # parser module goes first, before any module that imports hashlib.
+    script = ("import sys, semproto.entry, semproto.cli, hashlib, numpy.random\n"
+              "print(type(sys.modules.get('_hashlib')).__name__)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["module"]
+
+
 # The names `from semproto import *` gives: each submodule the package
 # exported before its exports became lazy, and the exported names.
 PUBLIC_NAMES = {
@@ -897,6 +946,32 @@ class TestTrainEvaluateCommands:
         error = json.loads(out.stderr.strip().splitlines()[-1])
         assert error["error"] == "DimensionMismatch" and error["exit"] == 3
         assert not (tmp_path / "x.json").exists()
+
+
+    @pytest.mark.parametrize("setting", ["train.lr=1e308", "train.temperature=1e-300"])
+    def test_overflowing_training_exits_4(self, tmp_path, setting):
+        # the feature norms overflow to inf, the unit rows to zeros and the
+        # loss would freeze at a finite value: an overflow is a divergence
+        out_path = tmp_path / "run.jsonl"
+        out = run_cli("train", *SMALL, "--set", setting, "--out", str(out_path),
+                      check=False)
+        assert out.returncode == 4
+        error, = (json.loads(line) for line in out.stderr.splitlines())
+        assert error["error"] == "DivergenceDetected" and error["exit"] == 4
+        assert "overflow" in error["message"]
+        assert not out_path.exists()
+
+    def test_overflowing_probe_exits_4(self, tmp_path):
+        # finite weights whose projections' squares overflow
+        probe_path, out_path = tmp_path / "probe.npz", tmp_path / "metrics.json"
+        np.savez(probe_path, weight=np.full((20, 20), 1e300), bias=np.zeros(20))
+        out = run_cli("evaluate", *SMALL, "--probe", str(probe_path),
+                      "--out", str(out_path), check=False)
+        assert out.returncode == 4
+        error, = (json.loads(line) for line in out.stderr.splitlines())
+        assert error["error"] == "DivergenceDetected" and error["exit"] == 4
+        assert "overflow" in error["message"]
+        assert not out_path.exists()
 
 
 class TestAblateCommand:
