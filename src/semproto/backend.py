@@ -15,10 +15,10 @@ second product, written straight into the gradient. A batch that fits
 one panel gets the whole products' bits; a larger one may round
 differently from whole products at shapes where that was not measured.
 The elementwise work between the products runs in row blocks of at most
-SCENE_BLOCK_BYTES per buffer, which stay in L2, so no block size changes
-a bit, and the loss is a streamed sum (PairwiseSum) that reduces the
-blocks' loss products in the tree order of one whole-array
-np.add.reduce. Each thread keeps and reuses those buffers across calls
+SCENE_BLOCK_BYTES per buffer, which stay in L2: three float64 block
+buffers and one bool one beside the panel buffer. The loss is the sum of
+per-row sums, each row summed on its own, so no panel or block size
+changes a bit. Each thread keeps and reuses those buffers across calls
 of the same shape, so a training loop does not fault fresh pages in
 every step, and the kernel selects the sigmoid's branch with exact
 arithmetic instead of a masked (where=) ufunc. The softmax kernel works
@@ -163,93 +163,11 @@ def scene_similarity_kernel(features, unit_sapp) -> np.ndarray:
     return s.reshape(fhat.shape[0], n_classes, n_slots)
 
 
-# numpy's pairwise summation (np.add.reduce over a contiguous float64
-# run): a run of at most _PAIRWISE_LEAF elements is one leaf, summed in
-# eight interleaved accumulators; a longer run is the sum of its first
-# _pairwise_split(n) elements and the rest, each summed the same way.
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits a run of n > _PAIRWISE_LEAF."""
-    half = n // 2
-    return half - half % 8
-
-
-def _tree_nodes(n: int, max_node: int, out: list) -> None:
-    """Append to out, left to right, the lengths of the largest nodes of
-    an n-element run's pairwise tree that hold at most max_node elements."""
-    if n <= max_node:
-        out.append(n)
-    else:
-        n2 = _pairwise_split(n)
-        _tree_nodes(n2, max_node, out)
-        _tree_nodes(n - n2, max_node, out)
-
-
-def _tree_total(n: int, max_node: int, sums) -> float:
-    """Combine the node sums (an iterator, in _tree_nodes' order) of an
-    n-element run in its pairwise tree's order."""
-    if n <= max_node:
-        return next(sums)
-    n2 = _pairwise_split(n)
-    left = _tree_total(n2, max_node, sums)
-    return left + _tree_total(n - n2, max_node, sums)
-
-
-class PairwiseSum:
-    """np.add.reduce of a flat float64 array of n elements, bit for bit,
-    from chunks fed in order (chunk boundaries need not fall on tree
-    nodes); holds no more than one tree node of them.
-
-    np.add.reduce reduces each largest tree node of at most
-    len(node_buf) elements, straight from its chunk or, when the node
-    spans chunks, from node_buf once the copied pieces fill it; total()
-    adds the node sums back in tree order. node_buf must hold at least
-    one leaf (_PAIRWISE_LEAF elements), since a leaf does not split.
-    """
-
-    def __init__(self, n: int, node_buf: np.ndarray):
-        if len(node_buf) < _PAIRWISE_LEAF:
-            raise ValueError(f"node buffer of {len(node_buf)} elements holds "
-                             f"less than one leaf ({_PAIRWISE_LEAF})")
-        self._n = n
-        self._buf = node_buf
-        self._sizes: list[int] = []
-        if n:
-            _tree_nodes(n, len(node_buf), self._sizes)
-        self._sums: list[float] = []
-        self._filled = 0  # elements of the current node held in node_buf
-
-    def add(self, chunk: np.ndarray) -> None:
-        """Feed the next len(chunk) elements of the array."""
-        i, n = 0, len(chunk)
-        while i < n:
-            size = self._sizes[len(self._sums)]
-            take = min(size - self._filled, n - i)
-            if take == size:  # the whole node lies in this chunk
-                self._sums.append(float(np.add.reduce(chunk[i:i + size])))
-            else:
-                self._buf[self._filled:self._filled + take] = chunk[i:i + take]
-                self._filled += take
-                if self._filled == size:
-                    self._sums.append(float(np.add.reduce(self._buf[:size])))
-                    self._filled = 0
-            i += take
-
-    def total(self) -> float:
-        """The sum, once all n elements are in."""
-        if not self._n:
-            return 0.0  # np.add.reduce of nothing
-        return _tree_total(self._n, len(self._buf), iter(self._sums))
-
-
 def _scene_scratch(panel_rows: int, n_cols: int,
                    n_rows: int) -> tuple[np.ndarray, ...]:
     """This thread's scene-kernel buffers: one (panel_rows, C*L) float64
-    panel buffer, three (n_rows, C*L) float64 block buffers, the loss
-    sum's flat node buffer of one block (at least one pairwise leaf), and
-    one (n_rows, C*L) bool buffer.
+    panel buffer, three (n_rows, C*L) float64 block buffers and one
+    (n_rows, C*L) bool buffer.
 
     Kept across calls of the same shape, so the pages stay mapped;
     replaced (the old ones released first) when the shape changes.
@@ -259,8 +177,7 @@ def _scene_scratch(panel_rows: int, n_cols: int,
             or bufs[1].shape[0] != n_rows):
         _scratch.scene = None
         bufs = tuple(np.empty((n, n_cols)) for n in (panel_rows, n_rows, n_rows, n_rows))
-        bufs += (np.empty(max(n_rows * n_cols, _PAIRWISE_LEAF)),
-                 np.empty((n_rows, n_cols), dtype=bool))
+        bufs += (np.empty((n_rows, n_cols), dtype=bool),)
         _scratch.scene = bufs
     return bufs
 
@@ -303,11 +220,13 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     blocks of rows whose (rows, C*L) float64 buffers fit
     SCENE_BLOCK_BYTES, so they stay in L2; a block is cut short at its
     panel's end, and the default world's weak batch is one panel of one
-    block. Each block's loss products go into a PairwiseSum, whose total
-    has the bits of np.add.reduce over the whole (B, C*L) array of them,
-    whatever the panels and blocks. All buffers are per thread and
-    reused across calls of the same shape; the returned gradient is a
-    new array.
+    block. The buffers are one panel buffer, three float block buffers
+    and one bool block buffer. Each block sums its rows' loss products
+    row by row into a (B,) vector, as it does their dL/dS * S for the
+    gradient, and the loss is the sum of that vector; each row is summed
+    on its own, so no panel or block size changes a bit. All buffers are
+    per thread and reused across calls of the same shape; the returned
+    gradient is a new array.
     """
     fhat, fnorm = _unit_features(features, unit_sapp, rank=3)
     n_batch = fhat.shape[0]
@@ -322,13 +241,13 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
     n_panels = -(-n_batch // SCENE_PANEL_ROWS)
     panel_rows = -(-n_batch // n_panels)
     n_rows = min(panel_rows, max(1, SCENE_BLOCK_BYTES // (8 * n_cols)))
-    s_panel, t_buf, lp_buf, g_buf, node_buf, neg_buf = _scene_scratch(
+    s_panel, t_buf, lp_buf, g_buf, neg_buf = _scene_scratch(
         panel_rows, n_cols, n_rows)
     # per block row, the flat offsets of slots 0..L-1; adding label * L
     # gives the row's true-class slots
     class_slots = np.arange(n_rows)[:, None] * n_cols + np.arange(n_slots)
+    lsum = np.empty(n_batch)  # per row: sum over slots of the loss products
     dsum = np.empty(n_batch)  # per row: sum over slots of dlds * s
-    loss_sum = PairwiseSum(n_batch * n_cols, node_buf)
     grad = np.empty_like(fhat)
 
     # balanced panels: their sizes differ by at most one row
@@ -367,7 +286,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
             sig /= t  # sigmoid(z)
 
             np.multiply(sig, g, out=t)  # the loss products
-            loss_sum.add(t.ravel())
+            np.add.reduce(t, axis=1, out=lsum[r0:r1])
 
             # dlds = -(gamma / B) * [sig * (y - sig)
             #                        + (sig * (1 - sig) * g unless detached)],
@@ -388,7 +307,7 @@ def scene_loss_grad_kernel(features, unit_sapp, labels, tau: float,
             np.copyto(s, dlds)  # the cosines are used up
         np.matmul(s_p, vhat, out=grad[p0:p1])
 
-    loss = -loss_sum.total() / n_batch
+    loss = -float(np.add.reduce(lsum)) / n_batch
     fhat *= dsum[:, None]
     grad -= fhat
     grad /= fnorm

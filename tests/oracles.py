@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (pure-python loops, math module
 scalars) and stays independent of the library's vectorized and compiled
-paths it checks.
+paths it checks. The one vectorized reference, scene_loss_longdouble,
+is independent by its precision instead: it works in np.longdouble.
 """
 
 import math
@@ -105,6 +106,36 @@ def scene_loss_loop(s, y, w, logit_scale=1.0):
                        + (1 - y[b][c][l]) * log_sigmoid_scalar(-z))
                 total += w[b][c][l] * bce
     return -total / B
+
+
+def scene_loss_longdouble(features, unit_sapp, labels, tau, logit_scale=1.0):
+    """The scene loss of backend.scene_loss_grad_kernel, vectorized in
+    np.longdouble from the float64 inputs: unit features, clamped
+    cosines, sigmoid weights, the confidence-weighted BCE and its mean
+    over the batch. Only the pseudo-labels are decided in float64, on
+    float64 cosines against tau, as the kernel decides them, so that the
+    two compare the same labels. Returns an np.longdouble scalar."""
+    import numpy as np
+
+    f = np.asarray(features, dtype=np.float64)
+    v = np.asarray(unit_sapp, dtype=np.float64)
+    n_classes, n_slots, dim = v.shape
+    v = v.reshape(n_classes * n_slots, dim)
+    labels = np.asarray(labels)
+
+    s64 = (f / np.sqrt(np.sum(f * f, axis=1, keepdims=True))) @ v.T
+    own = np.arange(n_classes * n_slots)[None, :] // n_slots == labels[:, None]
+    y = own & (np.clip(s64, -1.0, 1.0) >= tau)
+
+    f, v = f.astype(np.longdouble), v.astype(np.longdouble)
+    s = np.clip((f / np.sqrt(np.sum(f * f, axis=1, keepdims=True))) @ v.T, -1, 1)
+    z = np.longdouble(logit_scale) * s
+    t = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1 / (1 + t), t / (1 + t))
+    log_sig_pos = np.minimum(z, 0) - np.log1p(t)  # log sigmoid(z)
+    log_sig_neg = np.minimum(-z, 0) - np.log1p(t)  # log sigmoid(-z)
+    bce = np.where(y, log_sig_pos, log_sig_neg)
+    return -np.sum(sig * bce) / len(f)
 
 
 def central_diff_grad(fn, x, h=1e-5):

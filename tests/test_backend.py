@@ -24,6 +24,8 @@ from semproto.alignment import (
 from semproto.errors import DimensionMismatch, ZeroNorm
 from semproto.prototypes import Aggregation, PrototypeBank
 
+from .oracles import scene_loss_longdouble
+
 
 class TestKernelEdgeCases:
     def test_empty_batches(self):
@@ -244,50 +246,6 @@ class TestFusedKernelProperties:
 
 
 # ---------------------------------------------------------------------------
-# the scene loss's streamed sum
-# ---------------------------------------------------------------------------
-
-_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.just(0), st.integers(1, 7), st.integers(8, 128),
-                 st.integers(129, 5000), st.integers(5000, 400_000),
-                 st.integers(2_000, 100_000).map(lambda k: 2 * k + 1)),
-       st.integers(0, 2**32 - 1), st.integers(0, 40), st.booleans(), st.booleans())
-def test_pairwise_sum_equals_add_reduce(n, seed, n_cuts, specials, rows):
-    # Random chunkings (empty chunks too, and fixed-width rows as the
-    # kernel feeds them) fall anywhere relative to the tree's nodes, and
-    # the node buffer may be far smaller than a chunk or larger than n.
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
-    if specials and n:
-        a[rng.integers(n, size=3)] = rng.choice(_SPECIALS, size=3)
-    if rows:
-        width = int(rng.integers(1, 2000))
-        cuts = np.arange(0, n + 1, width * int(rng.integers(1, 8)))
-    else:
-        cuts = np.sort(rng.integers(0, n + 1, size=n_cuts))
-    bounds = [0, *cuts.tolist(), n]
-    total = backend.PairwiseSum(n, np.empty(int(rng.integers(128, 70_000))))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for lo, hi in zip(bounds, bounds[1:]):
-            total.add(a[lo:hi])
-        got, want = np.float64(total.total()), np.add.reduce(a)
-    if np.isnan(want):  # which NaN's payload survives may depend on operand order
-        assert np.isnan(got)
-    else:
-        assert got.tobytes() == want.tobytes(), (n, got, want)
-
-
-def test_pairwise_sum_node_buffer_holds_a_leaf():
-    # a leaf of up to 128 elements is summed in eight interleaved
-    # accumulators, so it cannot be split into smaller nodes
-    with pytest.raises(ValueError, match="leaf"):
-        backend.PairwiseSum(1000, np.empty(127))
-
-
-# ---------------------------------------------------------------------------
 # the scene kernel's bits and its reused per-thread buffers
 # ---------------------------------------------------------------------------
 
@@ -334,9 +292,9 @@ def test_scene_kernel_bits_across_panels_do_not_depend_on_block_size(
         panel_rows, b, c, l, dim, block_rows, seed, tau, gamma, detach):
     # Panels of at most panel_rows rows on both sides, so every batch spans
     # several panels, of uneven sizes where their count does not divide B.
-    # Blocks of block_rows rows are cut short at a panel's end, and a
-    # panel of at most 8 x 30 elements is often smaller than a loss-sum
-    # tree node (at least a 128-element leaf), so nodes cross panels.
+    # Blocks of block_rows rows are cut short at a panel's end, and each
+    # block sums its own rows' loss products, which the loss then adds up
+    # over the whole batch.
     args = (*kernel_inputs(b, c, l, dim, seed), tau, gamma, detach)
     row_bytes = 8 * c * l
     results = []
@@ -352,6 +310,54 @@ def test_scene_kernel_bits_across_panels_do_not_depend_on_block_size(
     assert loss == pytest.approx(whole_loss, rel=1e-12, abs=1e-300)
     np.testing.assert_allclose(grad, whole_grad, rtol=0,
                                atol=1e-12 * np.abs(whole_grad).max())
+
+
+def _sum_depth(n):
+    # The most additions any one of n terms passes through in numpy's
+    # pairwise sum: a leaf of at most 128 terms puts each through at most
+    # 14 + 3 + 7 = 24 (one of eight accumulators of at most 15 terms, the
+    # accumulators' three-level combine, a remainder of at most 7 terms);
+    # each split leaves at most n/2 + 8 terms, so at most ceil(log2 n)
+    # levels sit above the leaves; a reduction adds its first element once.
+    return 25 + int(np.ceil(np.log2(n)))
+
+
+@pytest.mark.parametrize("shape", [_DEFAULT_SHAPE, _LARGE_SHAPE], ids=["160", "960"])
+def test_scene_loss_within_a_long_double_reference(shape):
+    # |loss - ref| <= k u |ref|, u = eps / 2 the unit roundoff of one
+    # float64 rounding, k derived to first order in u:
+    # - Cosines. A unit feature's components err by at most (D/2 + 2) u
+    #   (a norm from a sum of D squares, a sqrt, a division), and the dot
+    #   of two unit vectors by at most D u more (sum |a_i b_i| <= 1 by
+    #   Cauchy-Schwarz, for any summation order), so |s' - s| <= (3D/2 + 2) u;
+    #   the clamp only shrinks it. z = gamma s adds one rounding, gamma u.
+    # - Each loss product x = sig(z) log sig(+-z) has |d ln|x| / dz| <= 2,
+    #   so those give it 2 gamma (3D/2 + 3) u relative error.
+    # - At its computed z, exp and log1p each err by at most 4 ulp (8 u):
+    #   t 8 u; log1p(t) 16 u (its condition number is at most 1); g, the
+    #   difference of two terms of opposite sign, 17 u; 1 + t 5 u; the
+    #   sigmoid 8 + 5 + 1 = 14 u; the product 14 + 17 + 1 = 32 u.
+    # - Every product has the same sign (sig > 0, log sig <= 0), so
+    #   sum |x| = |sum x|: per-term relative errors carry over to the sum
+    #   unchanged, and a sum whose every term passes through at most d
+    #   additions adds at most d u |sum|. The kernel sums each row's C*L
+    #   products, then the B row sums: two pairwise sums in a row.
+    # - The division by B: 1 u. The reference's own error, in a 64-bit
+    #   mantissa, stays below 1 u.
+    assert np.finfo(np.longdouble).nmant >= 63
+    b, c, l, dim = shape
+    feats, unit, labels = kernel_inputs(*shape)
+    u = np.finfo(np.float64).eps / 2
+    for gamma in (0.5, 1.0, 3.0):  # the grid that tools/golden.py pins
+        k = (2 * gamma * (1.5 * dim + 3) + 32
+             + _sum_depth(c * l) + _sum_depth(b) + 2)
+        for tau in (-0.5, 0.25, 0.9):
+            ref = scene_loss_longdouble(feats, unit, labels, tau, gamma)
+            for detach in (False, True):
+                loss, _ = backend.scene_loss_grad_kernel(feats, unit, labels, tau,
+                                                         gamma, detach)
+                err = abs(np.longdouble(loss) - ref)
+                assert err <= k * u * abs(ref), (gamma, tau, detach, err / (u * abs(ref)))
 
 
 def softmax_inputs(b, c, dim, seed=7):
@@ -453,7 +459,7 @@ class TestSceneScratch:
         panel = 8 * 240 * c * l
         assert -(-b // backend.SCENE_PANEL_ROWS) == 4  # 4 balanced panels of 240 rows
         rows = backend.SCENE_BLOCK_BYTES // (8 * c * l)
-        blocks = 4 * 8 * rows * c * l + rows * c * l  # 3 float, the node buffer, bool
+        blocks = 3 * 8 * rows * c * l + rows * c * l  # 3 float, 1 bool
         args = (*kernel_inputs(*_LARGE_SHAPE), 0.25)
         backend.release_scene_scratch()
         tracemalloc.start()
@@ -470,7 +476,7 @@ class TestSceneScratch:
         assert warm - 2 * grad < full / 8, (warm, full)
 
     def test_repeated_calls_leave_traced_memory_flat(self):
-        # Two blocks, so the loss sum carries a node across them. With the
+        # Two blocks, each writing its rows' loss and dL/dS sums. With the
         # cycle collector off, a per-call reference cycle would keep each
         # call's objects alive and show as growth.
         args = (*kernel_inputs(400, 16, 9, 24), 0.25, 3.0, False)

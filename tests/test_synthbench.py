@@ -659,7 +659,7 @@ class TestRunWorld:
                           + spec.n_base * spec.det_per_class * (d + 1) + n * (d + 2)),
             "test split": 8 * c * spec.test_per_class * (d + 1),
             "bank": 2 * 8 * (c * d + cl * d),
-            "scratch": 8 * (panel_rows * cl + 4 * rows * cl) + rows * cl,
+            "scratch": 8 * (panel_rows * cl + 3 * rows * cl) + rows * cl,
             "step": 8 * (3 * d * d + 3 * n * d + 2 * n * c + 16 * n + np.getbufsize()),
         }
         # load what a first run imports (numpy.random) before tracing
